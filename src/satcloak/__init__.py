@@ -18,9 +18,11 @@ concrete application:
 * ``firewall`` — firewall-policy equivalence checking as CNF, with field
   -value randomization, as the worked application.
 
-``oracles`` holds the exhaustive solvers that back every correctness
-claim at test scale, and ``orchestrator`` simulates the full outsourcing
-protocol round with honest, lazy, and malicious providers.
+``disguise`` holds the three SAT randomizers in one table, which the CLI,
+the orchestrator and the Mincost wrapper look them up in.  ``oracles``
+holds the exhaustive solvers that back every correctness claim at test
+scale, and ``orchestrator`` simulates the full outsourcing protocol round
+with honest, lazy, and malicious providers.
 """
 
 from .cnf import (

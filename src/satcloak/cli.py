@@ -33,12 +33,12 @@ from .firewall import (
     emit_policy,
     parse_policy,
 )
-from .isomorph import iso_randomize
-from .matrixrand import emit_opb, encode_linear, parse_opb, randomize_system
+from .disguise import CLI_NAMES, MINCOST_INNER
+from .matrixrand import parse_opb
 from .objective import (
+    MINCOST,
     Max3SatInstance,
     MincostInstance,
-    derandomize_mincost,
     emit_cost_sidecar,
     max3sat_to_mincost,
     parse_cost_sidecar,
@@ -47,17 +47,13 @@ from .objective import (
 from .oracles import brute_linear, brute_sat, restricted_sat
 from .orchestrator import (
     DigestMismatchError,
-    ProviderAnswer,
+    check_solution,
     make_record,
     outsource,
     record_from_json,
     record_to_json,
     render_report,
-    validate_solution,
 )
-from .solsetrand import gf_randomize
-
-_CLI_METHODS = {"iso": "iso", "matrix": "matrix", "gf2": "solution_set"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,46 +130,33 @@ def _parse_layout(text: str) -> HeaderLayout:
 def _cmd_randomize(args) -> int:
     instance = parse_dimacs(_read(args.infile))
     instance.validate()
-    method = _CLI_METHODS[args.method]
+    disguise = CLI_NAMES[args.method]
+    artifact, secret = disguise.randomize(instance, args.seed, args.row_weight)
     base = _stem(args.infile)
-    if method == "iso":
-        artifact, secret = iso_randomize(instance, args.seed)
-        out = args.out or base + ".rand.cnf"
-        _write(out, emit_dimacs(artifact))
-    elif method == "matrix":
-        three, _ = to_three_cnf(instance)
-        artifact, secret = randomize_system(encode_linear(three), args.seed)
-        out = args.out or base + ".rand.opb"
-        _write(out, emit_opb(artifact))
-    else:
-        three, _ = to_three_cnf(instance)
-        artifact, secret = gf_randomize(three, args.seed, row_weight=args.row_weight)
-        out = args.out or base + ".rand.cnf"
-        _write(out, emit_dimacs(artifact))
+    out = args.out or base + disguise.suffix
+    _write(out, disguise.emit(artifact))
     keyfile = args.secret or base + ".key"
-    _write(keyfile, record_to_json(make_record(method, secret, instance, args.seed)))
+    record = make_record(disguise.name, secret, instance, args.seed)
+    _write(keyfile, record_to_json(record))
     print(f"wrote {out} and {keyfile}")
     return 0
 
 
-def _cmd_derandomize(args) -> int:
+def _checked_solution(args) -> tuple[dict[int, bool], int | None]:
+    """Derandomize ``--solution`` with the ``--secret`` key and validate it
+    against ``--original`` (and ``--costs``): ``(assignment, cost)``, the
+    cost None unless the key is a Mincost one."""
     record = record_from_json(_read(args.secret))
     original = parse_dimacs(_read(args.original))
-    if record.method == "mincost":
-        if not args.costs:
-            raise ValueError("mincost records need --costs <sidecar>")
-        inst = MincostInstance(original, parse_cost_sidecar(_read(args.costs)))
-        vector = _solution_vector(_read_solution(args.solution))
-        assignment, cost = derandomize_mincost(vector, record.secret, inst)
+    costs = parse_cost_sidecar(_read(args.costs)) if args.costs else None
+    vector = _solution_vector(_read_solution(args.solution))
+    return check_solution(record, vector, original, costs)
+
+
+def _cmd_derandomize(args) -> int:
+    assignment, cost = _checked_solution(args)
+    if cost is not None:
         print(f"cost {cost}")
-    else:
-        vector = _solution_vector(_read_solution(args.solution))
-        answer = ProviderAnswer(0, "solution", vector, 0.0)
-        valid, assignment = validate_solution(answer, record, original)
-        if not valid:
-            print("error: solution failed validation against the original "
-                  "instance", file=sys.stderr)
-            return 2
     line = _assignment_line(assignment)
     if args.out:
         _write(args.out, line + "\n")
@@ -194,23 +177,17 @@ def _cmd_to3cnf(args) -> int:
 def _cmd_mincost_randomize(args) -> int:
     cnf = parse_dimacs(_read(args.infile))
     inst = MincostInstance(cnf, parse_cost_sidecar(_read(args.costs)))
-    method = _CLI_METHODS[args.method]
-    if method == "iso":
-        raise ValueError("mincost supports --method matrix or gf2")
+    disguise = CLI_NAMES[args.method]
     artifact, secret = randomize_mincost(
-        inst, args.seed, method=method, row_weight=args.row_weight
+        inst, args.seed, method=disguise.name, row_weight=args.row_weight
     )
     base = _stem(args.infile)
-    if artifact.kind == "linear":
-        out = args.out or base + ".rand.opb"
-        _write(out, emit_opb(artifact.system))
-    else:
-        out = args.out or base + ".rand.cnf"
-        _write(out, emit_dimacs(artifact.cnf))
+    out = args.out or base + disguise.suffix
+    _write(out, disguise.emit(artifact.inner))
     costs_out = args.costs_out or base + ".rand.wts"
     _write(costs_out, emit_cost_sidecar(artifact.costs))
     keyfile = args.secret or base + ".key"
-    _write(keyfile, record_to_json(make_record("mincost", secret, cnf, args.seed)))
+    _write(keyfile, record_to_json(make_record(MINCOST.name, secret, cnf, args.seed)))
     print(f"wrote {out}, {costs_out} and {keyfile}")
     return 0
 
@@ -338,7 +315,7 @@ def _cmd_outsource(args) -> int:
         raise ValueError("empty --providers specification")
     report = outsource(
         instance,
-        method=_CLI_METHODS[args.method],
+        method=CLI_NAMES[args.method].name,
         k_providers=len(behaviors),
         behaviors=behaviors,
         seed=args.seed,
@@ -348,23 +325,8 @@ def _cmd_outsource(args) -> int:
 
 
 def _cmd_verify_solution(args) -> int:
-    record = record_from_json(_read(args.secret))
-    original = parse_dimacs(_read(args.original))
-    vector = _solution_vector(_read_solution(args.solution))
-    if record.method == "mincost":
-        if not args.costs:
-            raise ValueError("mincost records need --costs <sidecar>")
-        inst = MincostInstance(original, parse_cost_sidecar(_read(args.costs)))
-        assignment, cost = derandomize_mincost(vector, record.secret, inst)
-        print(f"valid cost={cost}")
-        return 0
-    answer = ProviderAnswer(0, "solution", vector, 0.0)
-    valid, _ = validate_solution(answer, record, original)
-    if not valid:
-        print("error: solution failed validation against the original instance",
-              file=sys.stderr)
-        return 2
-    print("valid")
+    _, cost = _checked_solution(args)
+    print("valid" if cost is None else f"valid cost={cost}")
     return 0
 
 
@@ -381,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("randomize", help="randomize a CNF instance")
-    p.add_argument("--method", choices=sorted(_CLI_METHODS), required=True)
+    p.add_argument("--method", choices=sorted(CLI_NAMES), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
@@ -407,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--costs", required=True, help="w <var> <cost> sidecar")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=["matrix", "gf2"], default="matrix")
+    p.add_argument("--method", default="matrix",
+                   choices=[d.tag for d in MINCOST_INNER.values()])
     p.add_argument("--out")
     p.add_argument("--costs-out")
     p.add_argument("--secret")
@@ -449,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("outsource", help="simulate a k-provider round")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", choices=sorted(_CLI_METHODS), default="iso")
+    p.add_argument("--method", choices=sorted(CLI_NAMES), default="iso")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--providers", default="honest,honest,honest",
                    help="comma list of honest|lazy|malicious-unsat|malicious-corrupt")
@@ -470,8 +433,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DigestMismatchError, InvalidSolutionError) as exc:
+    except DigestMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidSolutionError as exc:
+        print(f"error: solution failed validation: {exc}", file=sys.stderr)
         return 2
     except (DimacsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,8 +33,9 @@ from .cnf import (
     f_xor,
     to_three_cnf,
 )
-from .matrixrand import LinearSystem, MatrixSecret, encode_linear, randomize_system
-from .solsetrand import GfSecret, gf_derandomize, gf_randomize
+from .disguise import MINCOST_INNER, lookup
+from .matrixrand import LinearSystem, MatrixSecret
+from .solsetrand import GfSecret
 
 __all__ = [
     "MincostInstance",
@@ -51,6 +52,7 @@ __all__ = [
     "max3sat_to_mincost",
     "emit_cost_sidecar",
     "parse_cost_sidecar",
+    "MINCOST",
 ]
 
 
@@ -201,14 +203,24 @@ def evaluate_circuit(
 
 @dataclass
 class RandomizedMincost:
-    """The artifact a provider sees: either a linear system (``kind ==
-    "linear"``) or a 3CNF (``kind == "cnf"``), plus the cost function over
-    output-bit variables."""
+    """The artifact a provider sees: the inner disguise's artifact — a
+    linear system (``kind == "linear"``) or a 3CNF (``kind == "cnf"``) —
+    plus the cost function over output-bit variables."""
 
-    kind: str
-    system: LinearSystem | None
-    cnf: CnfInstance | None
+    inner: LinearSystem | CnfInstance
     costs: dict[int, int]
+
+    @property
+    def kind(self) -> str:
+        return "linear" if isinstance(self.inner, LinearSystem) else "cnf"
+
+    @property
+    def system(self) -> LinearSystem | None:
+        return self.inner if isinstance(self.inner, LinearSystem) else None
+
+    @property
+    def cnf(self) -> CnfInstance | None:
+        return self.inner if isinstance(self.inner, CnfInstance) else None
 
 
 @dataclass
@@ -240,34 +252,16 @@ def randomize_mincost(
     function still addresses them).  Every satisfying assignment of the
     result carries the original cost on its output bits.
     """
+    inner = lookup(method, MINCOST_INNER)
     combined, circuit = compile_cost_circuit(inst, beta)
     three, three_map = to_three_cnf(combined)
-    out_costs = circuit_costs(circuit)
-    if method == "matrix":
-        rsys, inner = randomize_system(encode_linear(three), seed)
-        artifact = RandomizedMincost("linear", rsys, None, out_costs)
-    elif method == "solution_set":
-        out_cnf, inner = gf_randomize(
-            three, seed, row_weight=row_weight,
-            fixed_vars=frozenset(circuit.output_bits),
-        )
-        artifact = RandomizedMincost("cnf", None, out_cnf, out_costs)
-    else:
-        raise ValueError(f"unknown method {method!r} (matrix or solution_set)")
-    return artifact, MincostSecret(method, circuit, three_map, inner, seed)
-
-
-def _as_assignment(sol, num_vars: int) -> dict[int, bool]:
-    if isinstance(sol, dict):
-        missing = [v for v in range(1, num_vars + 1) if v not in sol]
-        if missing:
-            raise ValueError(f"solution is missing variable {missing[0]}")
-        return {v: bool(sol[v]) for v in range(1, num_vars + 1)}
-    if len(sol) < num_vars:
-        raise ValueError(
-            f"solution has {len(sol)} coordinates, expected at least {num_vars}"
-        )
-    return {v: bool(sol[v - 1]) for v in range(1, num_vars + 1)}
+    artifact, inner_secret = inner.randomize_source(
+        three, seed, row_weight, frozenset(circuit.output_bits)
+    )
+    return (
+        RandomizedMincost(artifact, circuit_costs(circuit)),
+        MincostSecret(method, circuit, three_map, inner_secret, seed),
+    )
 
 
 def derandomize_mincost(
@@ -276,26 +270,17 @@ def derandomize_mincost(
     """Recover the original assignment and its cost from a provider answer.
 
     ``sol`` is a 0/1 vector or assignment dict over the randomized
-    instance's variables.  Validation is two-stage: the recovered original
-    variables must satisfy the original CNF, and the provider's circuit
-    bits (cost outputs included) must agree with a forward re-evaluation of
-    the circuit — so a forged cheap cost is caught, not just an
-    unsatisfying assignment.  Raises :class:`InvalidSolutionError` on
-    either failure.
+    instance's variables.  Validation is three-stage: the recovered original
+    variables must satisfy the original CNF, the provider's circuit bits
+    (cost outputs included) must agree with a forward re-evaluation of the
+    circuit — so a forged cheap cost is caught, not just an unsatisfying
+    assignment — and the circuit's cost must be what ``original.costs``
+    gives, so an answer checked against another cost function is caught.
+    Raises :class:`InvalidSolutionError` on any failure, and ValueError if
+    ``original`` is malformed.
     """
-    inner = secret.inner
-    if secret.method == "matrix":
-        assert isinstance(inner, MatrixSecret)
-        expected = inner.original_n + 2 * len(inner.negation_constants)
-        if not isinstance(sol, dict) and len(sol) != expected:
-            raise ValueError(
-                f"solution has {len(sol)} coordinates, expected {expected}"
-            )
-        x3 = _as_assignment(sol, inner.original_n)
-    else:
-        assert isinstance(inner, GfSecret)
-        y = _as_assignment(sol, inner.original_n)
-        x3 = gf_derandomize(y, inner)
+    original.validate()
+    x3 = lookup(secret.method, MINCOST_INNER).decode(sol, secret.inner)
     # Restrict 3CNF variables to the compiled circuit's, then split into
     # original inputs vs. circuit gates.
     tmap = secret.circuit.tmap
@@ -310,7 +295,97 @@ def derandomize_mincost(
         raise InvalidSolutionError(
             "solution's circuit bits are inconsistent with its inputs"
         )
-    return x, decode_cost(claimed, secret.circuit)
+    cost = decode_cost(claimed, secret.circuit)
+    expected = original.cost_of(x)
+    if cost != expected:
+        raise InvalidSolutionError(
+            f"circuit cost {cost} differs from the cost function's {expected}"
+        )
+    return x, cost
+
+
+def _tmap_obj(t: TseitinMap) -> dict:
+    return {
+        "num_input_vars": t.num_input_vars,
+        "num_vars": t.num_vars,
+        "gates": [[g, op, list(lits)] for g, (op, lits) in t.gates.items()],
+    }
+
+
+def _tmap_from(obj: dict) -> TseitinMap:
+    gates = {g: (op, tuple(lits)) for g, op, lits in obj["gates"]}
+    return TseitinMap(obj["num_input_vars"], obj["num_vars"], gates)
+
+
+def _three_map_obj(t: ThreeCnfMap) -> dict:
+    return {
+        "original_num_vars": t.original_num_vars,
+        "num_vars": t.num_vars,
+        "definitions": [
+            [v, d[0], list(d[1]) if len(d) > 1 else []]
+            for v, d in t.definitions.items()
+        ],
+    }
+
+
+def _three_map_from(obj: dict) -> ThreeCnfMap:
+    defs: dict[int, tuple] = {}
+    for v, kind, lits in obj["definitions"]:
+        defs[v] = (kind,) if kind == "false" else (kind, tuple(lits))
+    return ThreeCnfMap(obj["original_num_vars"], obj["num_vars"], defs)
+
+
+class _MincostRecords:
+    """What the client's records need of Mincost secrets: their ``type``
+    tag, serialization and validation, alongside the entries of
+    :data:`satcloak.disguise.DISGUISES`.  The inner secret is serialized by
+    its own disguise."""
+
+    name = tag = "mincost"
+    secret_type = MincostSecret
+
+    def to_obj(self, secret: MincostSecret) -> dict:
+        return {
+            "type": self.tag,
+            "method": secret.method,
+            "circuit": {
+                "output_bits": list(secret.circuit.output_bits),
+                "width": secret.circuit.width,
+                "beta": secret.circuit.beta,
+                "adder_dummy_map": sorted(secret.circuit.adder_dummy_map),
+                "tmap": _tmap_obj(secret.circuit.tmap),
+            },
+            "three_map": _three_map_obj(secret.three_map),
+            "inner": lookup(secret.method, MINCOST_INNER).to_obj(secret.inner),
+            "seed": secret.seed,
+        }
+
+    def from_obj(self, obj: dict) -> MincostSecret:
+        c = obj["circuit"]
+        circuit = CostCircuitSecret(
+            list(c["output_bits"]),
+            c["width"],
+            c["beta"],
+            frozenset(c["adder_dummy_map"]),
+            _tmap_from(c["tmap"]),
+        )
+        return MincostSecret(
+            obj["method"],
+            circuit,
+            _three_map_from(obj["three_map"]),
+            lookup(obj["method"], MINCOST_INNER).from_obj(obj["inner"]),
+            obj["seed"],
+        )
+
+    def check(self, solution, secret: MincostSecret, original: CnfInstance, costs):
+        """``(assignment, cost)`` of a solution; ``costs`` is the original
+        cost function and is required."""
+        if costs is None:
+            raise ValueError("mincost records need the cost function (--costs)")
+        return derandomize_mincost(solution, secret, MincostInstance(original, costs))
+
+
+MINCOST = _MincostRecords()
 
 
 def max3sat_to_mincost(inst: Max3SatInstance) -> tuple[MincostInstance, int]:

@@ -28,19 +28,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cnf import CnfInstance, InvalidSolutionError, ThreeCnfMap, TseitinMap, emit_dimacs, to_three_cnf
-from .gf2 import BitMatrix
-from .isomorph import IsoSecret, iso_derandomize, iso_randomize
-from .matrixrand import (
-    MatrixSecret,
-    complete_solution,
-    derandomize_solution,
-    encode_linear,
-    randomize_system,
-)
-from .objective import CostCircuitSecret, MincostSecret
-from .oracles import brute_sat
-from .solsetrand import GfSecret, gf_derandomize, gf_forward, gf_randomize
+from .cnf import CnfInstance, InvalidSolutionError, emit_dimacs
+from .disguise import DISGUISES, Disguise, lookup
+from .objective import MINCOST
 
 __all__ = [
     "DigestMismatchError",
@@ -52,6 +42,7 @@ __all__ = [
     "BEHAVIOR_KINDS",
     "instance_digest",
     "make_record",
+    "check_solution",
     "validate_solution",
     "outsource",
     "render_report",
@@ -62,6 +53,14 @@ __all__ = [
 ]
 
 BEHAVIOR_KINDS = ("honest", "lazy", "malicious-unsat", "malicious-corrupt")
+
+# Every kind of record the client keeps: one per disguise, and Mincost,
+# which wraps one of them.  Each kind has a name (the record's method), the
+# ``type`` tag and class of its secret, ``to_obj``/``from_obj`` and
+# ``check``.
+_RECORD_KINDS = {kind.name: kind for kind in (*DISGUISES.values(), MINCOST)}
+_KIND_BY_TAG = {kind.tag: kind for kind in _RECORD_KINDS.values()}
+_KIND_BY_SECRET = {kind.secret_type: kind for kind in _RECORD_KINDS.values()}
 
 
 class DigestMismatchError(Exception):
@@ -126,43 +125,30 @@ def make_record(
     return RandomizationRecord(method, secret, instance_digest(original), seed)
 
 
-def _vector_to_assignment(vector: list[int], num_vars: int) -> dict[int, bool]:
-    if len(vector) != num_vars:
-        raise ValueError(
-            f"solution has {len(vector)} coordinates, expected {num_vars}"
+def check_solution(
+    record: RandomizationRecord,
+    solution: list[int] | None,
+    original: CnfInstance,
+    costs: dict[int, int] | None = None,
+) -> tuple[dict[int, bool], int | None]:
+    """Derandomize a provider's solution and validate it against the
+    original, for a record of any method.
+
+    ``costs`` is the original cost function, which Mincost records need.
+    Returns the original assignment and, for Mincost records, its cost
+    (None otherwise).  Raises :class:`DigestMismatchError` if the record
+    was made for another instance, :class:`InvalidSolutionError` for any
+    defect of the solution (a missing or wrong-length vector included),
+    and ValueError for an unknown method or missing costs.
+    """
+    kind = lookup(record.method, _RECORD_KINDS)
+    if record.instance_digest != instance_digest(original):
+        raise DigestMismatchError(
+            "randomization record was made for a different instance"
         )
-    return {v: bool(vector[v - 1]) for v in range(1, num_vars + 1)}
-
-
-def _derandomize(vector: list[int], record: RandomizationRecord, original: CnfInstance):
-    """Map an artifact solution back to the original variables, raising
-    :class:`InvalidSolutionError` if it does not check out."""
-    secret = record.secret
-    if record.method == "iso":
-        assert isinstance(secret, IsoSecret)
-        sol = _vector_to_assignment(vector, len(secret.permutation))
-        assignment = iso_derandomize(sol, secret)
-        if not original.satisfies(assignment):
-            raise InvalidSolutionError(
-                "derandomized assignment does not satisfy the original instance"
-            )
-        return assignment
-    if record.method == "matrix":
-        assert isinstance(secret, MatrixSecret)
-        three, _ = to_three_cnf(original)
-        x3 = derandomize_solution(list(vector), secret, three)
-        return {v: x3[v] for v in range(1, original.num_vars + 1)}
-    if record.method == "solution_set":
-        assert isinstance(secret, GfSecret)
-        three, _ = to_three_cnf(original)
-        if len(vector) < secret.original_n:
-            raise ValueError("solution is shorter than the variable block")
-        y = {v: bool(vector[v - 1]) for v in range(1, secret.original_n + 1)}
-        x3 = gf_derandomize(y, secret, three)
-        return {v: x3[v] for v in range(1, original.num_vars + 1)}
-    raise ValueError(
-        f"records of method {record.method!r} are not validated against a bare CNF"
-    )
+    if solution is None:
+        raise InvalidSolutionError("the answer carries no solution vector")
+    return kind.check(solution, record.secret, original, costs)
 
 
 def validate_solution(
@@ -179,20 +165,14 @@ def validate_solution(
     """
     if answer.verdict != "solution":
         raise ValueError(f"answer verdict is {answer.verdict!r}, not a solution")
-    if record.method not in ("iso", "matrix", "solution_set"):
+    if record.method not in DISGUISES:
         raise ValueError(
             f"records of method {record.method!r} are not validated against a "
             "bare CNF (use the objective-function derandomizer)"
         )
-    if record.instance_digest != instance_digest(original):
-        raise DigestMismatchError(
-            "randomization record was made for a different instance"
-        )
-    if answer.assignment is None:
-        return False, None
     try:
-        assignment = _derandomize(answer.assignment, record, original)
-    except (InvalidSolutionError, ValueError):
+        assignment, _ = check_solution(record, answer.assignment, original)
+    except InvalidSolutionError:
         return False, None
     return True, assignment
 
@@ -201,38 +181,9 @@ def validate_solution(
 # Provider simulation
 # ---------------------------------------------------------------------------
 
-def _honest_answer(
-    method: str, original: CnfInstance, artifact, secret, var_limit: int
-) -> tuple[str, list[int] | None]:
-    """What a truthful solver of the artifact would return.
-
-    Backed by the exhaustive oracles; for the matrix and solution-set
-    methods the satisfying vector is produced through the known forward
-    maps (completion / ``Y = RX``), which yields exactly a solution of the
-    artifact without enumerating its larger variable space.
-    """
-    if method == "iso":
-        assert isinstance(artifact, CnfInstance)
-        res = brute_sat(artifact, var_limit)
-        if not res.satisfiable:
-            return "unsatisfiable", None
-        return "solution", [1 if res.assignment[v] else 0
-                            for v in range(1, artifact.num_vars + 1)]
-    three, _ = to_three_cnf(original)
-    res = brute_sat(three, var_limit)
-    if not res.satisfiable:
-        return "unsatisfiable", None
-    if method == "matrix":
-        return "solution", complete_solution(three, res.assignment)
-    assert method == "solution_set"
-    full = gf_forward(res.assignment, secret, three)
-    assert isinstance(artifact, CnfInstance)
-    return "solution", [1 if full[v] else 0 for v in range(1, artifact.num_vars + 1)]
-
-
 def _simulate_provider(
     behavior: str,
-    method: str,
+    disguise: Disguise,
     original: CnfInstance,
     artifact,
     secret,
@@ -243,25 +194,13 @@ def _simulate_provider(
         return "fail", None
     if behavior == "malicious-unsat":
         return "unsatisfiable", None
-    verdict, vector = _honest_answer(method, original, artifact, secret, var_limit)
-    if behavior == "malicious-corrupt" and verdict == "solution":
-        vector = list(vector)
+    vector = disguise.solve(original, artifact, secret, var_limit)
+    if vector is None:
+        return "unsatisfiable", None
+    if behavior == "malicious-corrupt":
         for pos in rng.sample(range(len(vector)), min(3, len(vector))):
             vector[pos] ^= 1
-    return verdict, vector
-
-
-def _randomize_by_method(method: str, original: CnfInstance, seed: int):
-    """Returns (artifact, secret); the artifact is what the provider sees."""
-    if method == "iso":
-        return iso_randomize(original, seed)
-    if method == "matrix":
-        three, _ = to_three_cnf(original)
-        return randomize_system(encode_linear(three), seed)
-    if method == "solution_set":
-        three, _ = to_three_cnf(original)
-        return gf_randomize(three, seed)
-    raise ValueError(f"unknown method {method!r} (iso, matrix or solution_set)")
+    return "solution", vector
 
 
 def outsource(
@@ -296,16 +235,18 @@ def outsource(
         if b not in BEHAVIOR_KINDS:
             raise ValueError(f"unknown behavior {b!r}")
 
+    disguise = lookup(method)
+
     master = random.Random(seed)
     seeds = [master.getrandbits(32) for _ in range(k_providers)]
     records, artifacts, answers = [], [], []
     for i in range(k_providers):
-        artifact, secret = _randomize_by_method(method, instance, seeds[i])
+        artifact, secret = disguise.randomize(instance, seeds[i])
         records.append(make_record(method, secret, instance, seeds[i]))
         artifacts.append(artifact)
         start = time.perf_counter()
         verdict, vector = _simulate_provider(
-            behaviors[i], method, instance, artifact, secret,
+            behaviors[i], disguise, instance, artifact, secret,
             random.Random(seeds[i] ^ 0xC0FFEE), var_limit,
         )
         answers.append(
@@ -377,127 +318,19 @@ def render_report(report: OutsourceReport) -> str:
 # Secret / record serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_obj(m: BitMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "bits": m.to_strings()}
-
-
-def _matrix_from(obj: dict) -> BitMatrix:
-    return BitMatrix.from_strings(obj["rows"], obj["cols"], obj["bits"])
-
-
-def _tmap_obj(t: TseitinMap) -> dict:
-    return {
-        "num_input_vars": t.num_input_vars,
-        "num_vars": t.num_vars,
-        "gates": [[g, op, list(lits)] for g, (op, lits) in t.gates.items()],
-    }
-
-
-def _tmap_from(obj: dict) -> TseitinMap:
-    gates = {g: (op, tuple(lits)) for g, op, lits in obj["gates"]}
-    return TseitinMap(obj["num_input_vars"], obj["num_vars"], gates)
-
-
-def _three_map_obj(t: ThreeCnfMap) -> dict:
-    return {
-        "original_num_vars": t.original_num_vars,
-        "num_vars": t.num_vars,
-        "definitions": [
-            [v, d[0], list(d[1]) if len(d) > 1 else []]
-            for v, d in t.definitions.items()
-        ],
-    }
-
-
-def _three_map_from(obj: dict) -> ThreeCnfMap:
-    defs: dict[int, tuple] = {}
-    for v, kind, lits in obj["definitions"]:
-        defs[v] = (kind,) if kind == "false" else (kind, tuple(lits))
-    return ThreeCnfMap(obj["original_num_vars"], obj["num_vars"], defs)
-
-
 def secret_to_obj(secret) -> dict:
     """JSON-ready dict for any secret type (tagged by ``type``)."""
-    if isinstance(secret, IsoSecret):
-        return {
-            "type": "iso",
-            "permutation": list(secret.permutation),
-            "flips": sorted(secret.flips),
-            "seed": secret.seed,
-        }
-    if isinstance(secret, MatrixSecret):
-        return {
-            "type": "matrix",
-            "r": _matrix_obj(secret.r),
-            "original_n": secret.original_n,
-            "dummy_offset": secret.dummy_offset,
-            "negation_constants": list(secret.negation_constants),
-            "seed": secret.seed,
-        }
-    if isinstance(secret, GfSecret):
-        return {
-            "type": "gf2",
-            "r": _matrix_obj(secret.r),
-            "r_inv": _matrix_obj(secret.r_inv),
-            "original_n": secret.original_n,
-            "seed": secret.seed,
-        }
-    if isinstance(secret, MincostSecret):
-        return {
-            "type": "mincost",
-            "method": secret.method,
-            "circuit": {
-                "output_bits": list(secret.circuit.output_bits),
-                "width": secret.circuit.width,
-                "beta": secret.circuit.beta,
-                "adder_dummy_map": sorted(secret.circuit.adder_dummy_map),
-                "tmap": _tmap_obj(secret.circuit.tmap),
-            },
-            "three_map": _three_map_obj(secret.three_map),
-            "inner": secret_to_obj(secret.inner),
-            "seed": secret.seed,
-        }
-    raise TypeError(f"cannot serialize secret of type {type(secret).__name__}")
+    kind = _KIND_BY_SECRET.get(type(secret))
+    if kind is None:
+        raise TypeError(f"cannot serialize secret of type {type(secret).__name__}")
+    return kind.to_obj(secret)
 
 
 def secret_from_obj(obj: dict):
-    kind = obj.get("type")
-    if kind == "iso":
-        return IsoSecret(
-            list(obj["permutation"]), frozenset(obj["flips"]), obj["seed"]
-        )
-    if kind == "matrix":
-        return MatrixSecret(
-            _matrix_from(obj["r"]),
-            obj["original_n"],
-            obj["dummy_offset"],
-            list(obj["negation_constants"]),
-            obj["seed"],
-        )
-    if kind == "gf2":
-        return GfSecret(
-            _matrix_from(obj["r"]),
-            _matrix_from(obj["r_inv"]),
-            obj["original_n"],
-            obj["seed"],
-        )
-    if kind == "mincost":
-        c = obj["circuit"]
-        circuit = CostCircuitSecret(
-            list(c["output_bits"]),
-            c["width"],
-            c["beta"],
-            frozenset(c["adder_dummy_map"]),
-            _tmap_from(c["tmap"]),
-        )
-        return MincostSecret(
-            obj["method"],
-            circuit,
-            _three_map_from(obj["three_map"]),
-            secret_from_obj(obj["inner"]),
-            obj["seed"],
-        )
-    raise ValueError(f"unknown secret type {kind!r}")
+    kind = _KIND_BY_TAG.get(obj.get("type"))
+    if kind is None:
+        raise ValueError(f"unknown secret type {obj.get('type')!r}")
+    return kind.from_obj(obj)
 
 
 def record_to_json(record: RandomizationRecord) -> str:

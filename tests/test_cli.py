@@ -332,6 +332,46 @@ def test_mincost_record_requires_costs_flag(tmp_path, capsys):
     assert "--costs" in err
 
 
+@pytest.mark.parametrize("defect,fragment", [
+    ("original", "different instance"),
+    ("costs", "circuit cost 1 differs from the cost function's 9"),
+    ("short", "solution has 5 coordinates, expected 29"),
+], ids=["original", "costs", "short"])
+def test_mincost_answer_defects_exit_2(tmp_path, capsys, defect, fragment):
+    src = tmp_path / "task.cnf"
+    src.write_text("p cnf 2 1\n1 2 0\n")
+    costs = tmp_path / "task.wts"
+    costs.write_text("w 1 1\nw 2 1\n")
+    run(capsys, "mincost-randomize", "--in", str(src), "--costs", str(costs),
+        "--seed", "7", "--method", "matrix")
+    sol = tmp_path / "provider.sol"
+    run(capsys, "solve-brute", "--in", str(tmp_path / "task.rand.opb"),
+        "--var-limit", "44", "--out", str(sol))
+    # The honest answer, checked against another original, another cost
+    # function, or cut to its first five coordinates.
+    if defect == "original":
+        src = tmp_path / "other.cnf"
+        src.write_text("p cnf 2 1\n-1 2 0\n")
+    elif defect == "costs":
+        costs = tmp_path / "other.wts"
+        costs.write_text("w 1 5\nw 2 9\n")
+    else:
+        sol.write_text(" ".join(sol.read_text().split()[:5]) + "\n")
+
+    for command in ("derandomize", "verify-solution"):
+        code, out, err = run(
+            capsys,
+            command,
+            "--secret", str(tmp_path / "task.key"),
+            "--solution", str(sol),
+            "--original", str(src),
+            "--costs", str(costs),
+        )
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+
+
 def test_mincost_randomize_rejects_iso():
     with pytest.raises(SystemExit) as excinfo:
         main(["mincost-randomize", "--in", "x.cnf", "--costs", "x.wts",
