@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.add_argument("--secret", help="key file to write (default <in>.key)")
-    p.add_argument("--row-weight", type=int, help="sparse substitution (gf2 only)")
+    p.add_argument("--row-weight", type=int,
+                   help="sparse substitution (gf2 only; an error with other methods)")
     p.set_defaults(func=_cmd_randomize)
 
     p = sub.add_parser("derandomize", help="map a provider solution back")
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--costs-out")
     p.add_argument("--secret")
-    p.add_argument("--row-weight", type=int)
+    p.add_argument("--row-weight", type=int,
+                   help="sparse substitution (gf2 only; an error with matrix)")
     p.set_defaults(func=_cmd_mincost_randomize)
 
     p = sub.add_parser("max3sat-reduce",

@@ -61,6 +61,11 @@ def _values(solution, n: int, length: int | None = None) -> dict[int, bool]:
     return {v: bool(solution[v - 1]) for v in range(1, n + 1)}
 
 
+def _no_row_weight(tag: str, row_weight) -> None:
+    if row_weight is not None:
+        raise ValueError(f"row weight shapes only the gf2 disguise, not {tag}")
+
+
 def _vector(assignment: dict[int, bool], num_vars: int) -> list[int]:
     return [1 if assignment[v] else 0 for v in range(1, num_vars + 1)]
 
@@ -90,7 +95,8 @@ class Disguise:
         return to_three_cnf(original)[0]
 
     def randomize(self, original: CnfInstance, seed: int, row_weight=None):
-        """``(artifact, secret)``; ``row_weight`` only shapes the GF(2) disguise."""
+        """``(artifact, secret)``.  ``row_weight`` shapes only the GF(2)
+        disguise; the other entries raise ValueError if it is given."""
         return self.randomize_source(self.source(original), seed, row_weight)
 
     def check(self, solution, secret, original: CnfInstance, costs=None):
@@ -157,6 +163,7 @@ class _Iso(Disguise):
         return original
 
     def randomize_source(self, source, seed, row_weight=None, fixed_vars=frozenset()):
+        _no_row_weight(self.tag, row_weight)
         return iso_randomize(source, seed)
 
     def decode(self, solution, secret):
@@ -182,6 +189,7 @@ class _Matrix(Disguise):
     emit = staticmethod(emit_opb)
 
     def randomize_source(self, source, seed, row_weight=None, fixed_vars=frozenset()):
+        _no_row_weight(self.tag, row_weight)
         # R mixes equations, never variables, so fixed_vars hold already.
         return randomize_system(encode_linear(source), seed)
 

@@ -91,15 +91,13 @@ class BitMatrix:
         return [[(bits >> j) & 1 for j in range(self.cols)] for bits in self.row_bits]
 
     def row_ones(self, i: int) -> list[int]:
-        """Column indices of the 1-entries in row ``i``."""
+        """Column indices of the 1-entries in row ``i``, ascending."""
         bits = self.row_bits[i]
         out = []
-        j = 0
         while bits:
-            if bits & 1:
-                out.append(j)
-            bits >>= 1
-            j += 1
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return out
 
     def nonzero_count(self) -> int:
@@ -211,17 +209,25 @@ def int_mat_mul(r: BitMatrix, a: list[list[int]]) -> list[list[int]]:
 
     This is NOT reduced mod 2: ``[[1, 1]] x [[1], [-1]] = [[0]]`` by
     cancellation.  Entry magnitudes are bounded by ``r.cols * max|a|``.
+
+    Only the nonzeros of ``a`` are added: one pass over ``a`` lists each
+    row's ``(column, value)`` pairs, then each 1-entry ``(i, k)`` of ``r``
+    adds row ``k``'s list into row ``i``.  The cost is that pass plus
+    O(nnz(r) * nnz(a) / len(a)) additions, and allocating the result; for
+    the clause encoding of :mod:`satcloak.matrixrand` (5 nonzeros per row)
+    and a dense ``r`` of dimension m, that is about 2.5 m^2 additions
+    instead of m^2 (n + 2m).
     """
     if not a or r.cols != len(a):
         raise ValueError("dimension mismatch")
     width = len(a[0])
+    nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in a]
     out = []
     for i in range(r.rows):
         acc = [0] * width
         for k in r.row_ones(i):
-            row = a[k]
-            for j in range(width):
-                acc[j] += row[j]
+            for j, c in nonzeros[k]:
+                acc[j] += c
         out.append(acc)
     return out
 

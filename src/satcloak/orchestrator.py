@@ -327,10 +327,15 @@ def secret_to_obj(secret) -> dict:
 
 
 def secret_from_obj(obj: dict):
+    """The secret a key-file dict describes.  ValueError if its ``type`` is
+    unknown or a field is missing."""
     kind = _KIND_BY_TAG.get(obj.get("type"))
     if kind is None:
         raise ValueError(f"unknown secret type {obj.get('type')!r}")
-    return kind.from_obj(obj)
+    try:
+        return kind.from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"{kind.tag} secret lacks field {exc.args[0]!r}") from None
 
 
 def record_to_json(record: RandomizationRecord) -> str:
@@ -344,10 +349,24 @@ def record_to_json(record: RandomizationRecord) -> str:
 
 
 def record_from_json(text: str) -> RandomizationRecord:
+    """Read a key file.  Raises ValueError naming the problem if it is not
+    JSON, lacks a field, or holds a secret that does not fit its method."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("key file is not a JSON object")
+    for name in ("method", "secret", "instance_digest", "seed"):
+        if name not in obj:
+            raise ValueError(f"key file lacks field {name!r}")
+    kind = lookup(obj["method"], _RECORD_KINDS)
+    secret = obj["secret"]
+    tag = secret.get("type") if isinstance(secret, dict) else None
+    if tag != kind.tag:
+        raise ValueError(
+            f"secret of type {tag!r} does not fit method {obj['method']!r}"
+        )
     return RandomizationRecord(
         obj["method"],
-        secret_from_obj(obj["secret"]),
+        secret_from_obj(secret),
         obj["instance_digest"],
         obj["seed"],
     )

@@ -4,6 +4,8 @@ Everything runs in-process through ``main(argv)`` so exit codes, stdout,
 and written files can be checked without spawning subprocesses.
 """
 
+import json
+
 import pytest
 
 from satcloak.cli import main
@@ -170,6 +172,56 @@ def test_derandomize_digest_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "different instance" in err
+
+
+def _drop(obj, *path):
+    for name in path[:-1]:
+        obj = obj[name]
+    del obj[path[-1]]
+
+
+@pytest.mark.parametrize("command,mutate,fragment", [
+    ("randomize", lambda k: {"method": "iso"}, "key file lacks field 'secret'"),
+    ("randomize", lambda k: _drop(k, "seed"), "key file lacks field 'seed'"),
+    ("randomize", lambda k: _drop(k, "secret", "negation_constants"),
+     "matrix secret lacks field 'negation_constants'"),
+    ("randomize", lambda k: k.update(method="iso"),
+     "secret of type 'matrix' does not fit method 'iso'"),
+    ("randomize", lambda k: k.update(method="mincost"),
+     "secret of type 'matrix' does not fit method 'mincost'"),
+    ("randomize", lambda k: k.update(method="bogus"), "unknown method 'bogus'"),
+    ("randomize", lambda k: k.update(secret=[]),
+     "secret of type None does not fit method 'matrix'"),
+    ("randomize", lambda k: [], "key file is not a JSON object"),
+    ("mincost-randomize", lambda k: _drop(k, "secret", "circuit", "tmap"),
+     "mincost secret lacks field 'tmap'"),
+    ("mincost-randomize", lambda k: k["secret"].update(type="gf2"),
+     "secret of type 'gf2' does not fit method 'mincost'"),
+], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
+        "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
+        "mincost-nested-field", "mincost-as-gf2"])
+def test_malformed_key_exits_1(tmp_path, capsys, command, mutate, fragment):
+    src = tmp_path / "orig.cnf"
+    src.write_text(SAT_CNF)
+    costs = tmp_path / "orig.wts"
+    costs.write_text("w 1 1\n")
+    extra = ["--costs", str(costs)] if command == "mincost-randomize" else []
+    run(capsys, command, "--method", "matrix", "--seed", "7", "--in", str(src),
+        *extra)
+    key = tmp_path / "orig.key"
+    obj = json.loads(key.read_text())
+    replaced = mutate(obj)
+    key.write_text(json.dumps(obj if replaced is None else replaced))
+    sol = tmp_path / "answer.sol"
+    sol.write_text("1 2 3\n")
+    for verb in ("derandomize", "verify-solution"):
+        code, out, err = run(
+            capsys, verb, "--secret", str(key), "--solution", str(sol),
+            "--original", str(src), *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: {fragment}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +429,27 @@ def test_mincost_randomize_rejects_iso():
         main(["mincost-randomize", "--in", "x.cnf", "--costs", "x.wts",
               "--seed", "1", "--method", "iso"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("command,method", [
+    ("randomize", "iso"),
+    ("randomize", "matrix"),
+    ("mincost-randomize", "matrix"),
+])
+def test_row_weight_outside_gf2_exits_1(tmp_path, capsys, command, method):
+    src = tmp_path / "orig.cnf"
+    src.write_text(SAT_CNF)
+    costs = tmp_path / "orig.wts"
+    costs.write_text("w 1 1\n")
+    extra = ["--costs", str(costs)] if command == "mincost-randomize" else []
+    code, out, err = run(
+        capsys, command, "--method", method, "--seed", "7", "--in", str(src),
+        "--row-weight", "3", *extra,
+    )
+    assert code == 1
+    assert out == ""
+    assert f"error: row weight shapes only the gf2 disguise, not {method}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orig.cnf", "orig.wts"]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,49 @@ def test_integer_product_matches_naive():
         ]
 
 
+@st.composite
+def _sparse_product_case(draw):
+    """A 0/1 ``r`` and a wide, mostly-zero integer ``a``: ``a`` has an
+    all-zero row and column and a row cancelling the one before it, ``r``
+    an all-zero row and another covering both cancelling rows and its own
+    last column."""
+    rows = draw(st.integers(min_value=2, max_value=6))
+    mid = draw(st.integers(min_value=3, max_value=8))
+    width = draw(st.integers(min_value=1, max_value=40))
+    entry = st.sampled_from([0] * 8 + [-2, -1, 1, 2])
+    a = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(mid)]
+    a[-1] = [-c for c in a[-2]]
+    a[draw(st.integers(min_value=0, max_value=mid - 3))] = [0] * width
+    zero_col = draw(st.integers(min_value=0, max_value=width - 1))
+    for row in a:
+        row[zero_col] = 0
+    bits = [draw(st.integers(min_value=0, max_value=(1 << mid) - 1))
+            for _ in range(rows)]
+    zero_row = draw(st.integers(min_value=0, max_value=rows - 1))
+    bits[zero_row] = 0
+    bits[(zero_row + 1) % rows] |= 0b11 << (mid - 2)
+    v = draw(st.lists(entry, min_size=mid, max_size=mid))
+    v[-1] = -v[-2]
+    return BitMatrix(rows, mid, bits), a, v
+
+
+@given(_sparse_product_case())
+@settings(max_examples=60)
+def test_sparse_integer_product_matches_triple_loop(case):
+    r, a, v = case
+    for i in range(r.rows):
+        assert r.row_ones(i) == [j for j in range(r.cols) if r.get(i, j)]
+    want = [[0] * len(a[0]) for _ in range(r.rows)]
+    for i in range(r.rows):
+        for j in range(len(a[0])):
+            for k in range(r.cols):
+                want[i][j] += r.get(i, k) * a[k][j]
+    assert int_mat_mul(r, a) == want
+    assert int_mat_vec(r, v) == [
+        sum(r.get(i, k) * v[k] for k in range(r.cols)) for i in range(r.rows)
+    ]
+
+
 def test_dimension_mismatches():
     m = BitMatrix.identity(2)
     with pytest.raises(ValueError):

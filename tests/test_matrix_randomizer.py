@@ -10,7 +10,7 @@ from helpers import (
     random_three_cnf,
     vector_to_assignment,
 )
-from satcloak.cnf import CnfInstance, InvalidSolutionError
+from satcloak.cnf import CnfInstance, InvalidSolutionError, to_three_cnf
 from satcloak.gf2 import BitMatrix, gf2_rank
 from satcloak.matrixrand import (
     LinearSystem,
@@ -142,6 +142,30 @@ def test_derandomize_round_trip():
         assignment = derandomize_solution(res.vector, secret, inst)
         assert inst.satisfies(assignment)
         assert assignment == vector_to_assignment(res.vector[: inst.num_vars])
+
+
+def test_randomize_round_trip_at_1000_clauses():
+    # A dense R of dimension 1000 against A's 5 nonzeros per row: the product
+    # must add only those nonzeros to stay well inside the suite's budget.
+    rng = random.Random(61)
+    n, m = 250, 1000
+    planted = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+    clauses = []
+    while len(clauses) < m:
+        clause = [v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3)]
+        if any(planted[abs(lit)] == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    three, _ = to_three_cnf(CnfInstance(n, clauses))
+    assert three.num_clauses == m
+    art, secret = randomize_system(encode_linear(three), 67)
+    assert (art.num_constraints, art.num_vars) == (m, n + 2 * m)
+    vector = complete_solution(three, planted)
+    assert check_linear(art, vector)
+    assert derandomize_solution(vector, secret, three) == planted
+    flipped = list(vector)
+    flipped[abs(clauses[0][0]) - 1] ^= 1
+    assert not check_linear(art, flipped)
 
 
 def test_derandomize_rejects_bad_solutions():
