@@ -14,6 +14,7 @@ encoder can share gates between identical subformulas for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = [
     "DimacsError",
@@ -79,24 +80,45 @@ class CnfInstance:
                     raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
 
     def satisfies(self, assignment: dict[int, bool]) -> bool:
-        """True iff ``assignment`` satisfies every clause."""
-        return all(clause_satisfied(c, assignment) for c in self.clauses)
+        """True iff ``assignment`` satisfies every clause.
+
+        Values are bools or 0/1 ints.  A clause with a true literal is
+        satisfied whether or not its other variables are assigned.  The
+        first clause that no true literal satisfies decides the answer:
+        False, or KeyError if it names a variable missing from
+        ``assignment``.
+        """
+        true = {v if value else -v for v, value in assignment.items()}
+        falsified = next(filter(true.isdisjoint, self.clauses), None)
+        if falsified is None:
+            return True
+        for lit in falsified:
+            if abs(lit) not in assignment:
+                raise KeyError(abs(lit))
+        return False
 
 
 def clause_satisfied(clause: list[int], assignment: dict[int, bool]) -> bool:
     return any(assignment[abs(lit)] == (lit > 0) for lit in clause)
 
 
-def _dedupe_clause(lits: list[int]) -> list[int]:
-    # Collapse repeated same-polarity literals, keep first-seen order.
-    # Tautologies (v and -v together) are preserved verbatim.
-    seen: set[int] = set()
-    out: list[int] = []
-    for lit in lits:
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    return out
+def _marked_lines(text: str) -> list[tuple[int, int]]:
+    """Spans of the lines of ``text`` whose first non-blank character is
+    "c" (a comment) or "p" (a problem line), in order.  ``text`` breaks
+    lines at "\n" only.  Clause lines hold neither letter, so the searches
+    skip them at the speed of ``str.find``."""
+    spans = []
+    for letter in "cp":
+        i = text.find(letter)
+        while i >= 0:
+            start = text.rfind("\n", 0, i) + 1
+            end = text.find("\n", i)
+            if end < 0:
+                end = len(text)
+            if not text[start:i].strip():
+                spans.append((start, end))
+            i = text.find(letter, end)
+    return sorted(spans)
 
 
 def parse_dimacs(text: str | bytes) -> CnfInstance:
@@ -106,53 +128,66 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     then ``m`` clauses as whitespace-separated nonzero integers each
     terminated by ``0``.  Raises :class:`DimacsError` on malformed headers,
     clause-count mismatches, out-of-range variables, or zero-length clauses.
+    Repeated literals within a clause are collapsed to their first
+    occurrence; tautologies (``v`` and ``-v`` together) are kept.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    text = "\n".join(text.splitlines())
     num_vars = -1
     num_clauses = -1
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
+    body: list[str] = []
+    done = 0
+    for start, end in _marked_lines(text):
+        body.append(text[done:start])
+        done = end
+        line = text[start:end].strip()
+        if line.startswith("c"):
             continue
-        if line.startswith("p"):
-            if num_vars != -1:
-                raise DimacsError("duplicate problem line")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"malformed problem line: {line!r}")
-            try:
-                num_vars = int(parts[2])
-                num_clauses = int(parts[3])
-            except ValueError as exc:
-                raise DimacsError(f"malformed problem line: {line!r}") from exc
-            if num_vars < 0 or num_clauses < 0:
-                raise DimacsError(f"negative counts in problem line: {line!r}")
-            continue
-        tokens.extend(line.split())
+        if num_vars != -1:
+            raise DimacsError("duplicate problem line")
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            raise DimacsError(f"malformed problem line: {line!r}")
+        try:
+            num_vars = int(parts[2])
+            num_clauses = int(parts[3])
+        except ValueError as exc:
+            raise DimacsError(f"malformed problem line: {line!r}") from exc
+        if num_vars < 0 or num_clauses < 0:
+            raise DimacsError(f"negative counts in problem line: {line!r}")
     if num_vars == -1:
         raise DimacsError("missing problem line")
+    body.append(text[done:])
+    tokens = " ".join(body).split()
+
+    # The first bad token ends the input: the clauses before it are still
+    # checked, so the error reported is the first one in reading order.
+    lits: list[int] = []
+    error = None
+    try:
+        lits.extend(map(int, tokens))  # keeps the literals before a failure
+    except ValueError:
+        error = f"non-integer token {tokens[len(lits)]!r}"
+    if lits and (max(lits) > num_vars or min(lits) < -num_vars):
+        stop = next(i for i, lit in enumerate(lits) if abs(lit) > num_vars)
+        error = f"variable {abs(lits[stop])} exceeds declared maximum {num_vars}"
+        del lits[stop:]
 
     clauses: list[list[int]] = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError as exc:
-            raise DimacsError(f"non-integer token {tok!r}") from exc
-        if lit == 0:
-            if not current:
-                raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
-            clauses.append(_dedupe_clause(current))
-            current = []
-        else:
-            if abs(lit) > num_vars:
-                raise DimacsError(
-                    f"variable {abs(lit)} exceeds declared maximum {num_vars}"
-                )
-            current.append(lit)
-    if current:
+    start = 0
+    for _ in range(lits.count(0)):
+        end = lits.index(0, start)
+        if end == start:
+            raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
+        clause = lits[start:end]
+        if len(set(clause)) != len(clause):
+            clause = list(dict.fromkeys(clause))
+        clauses.append(clause)
+        start = end + 1
+    if error is not None:
+        raise DimacsError(error)
+    if start != len(lits):
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != num_clauses:
         raise DimacsError(
@@ -163,10 +198,11 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
 
 def emit_dimacs(instance: CnfInstance) -> str:
     """Serialize to canonical DIMACS text (one clause per line)."""
-    lines = [f"p cnf {instance.num_vars} {instance.num_clauses}"]
-    for clause in instance.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    head = f"p cnf {instance.num_vars} {instance.num_clauses}\n"
+    # Each clause's literals joined by spaces; the closing "" entry ends the
+    # last clause line too.
+    lines = map(" ".join, map(map, repeat(str), instance.clauses))
+    return head + " 0\n".join([*lines, ""])
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,30 @@ class Disguise:
         return obj
 
     def from_obj(self, obj: dict):
+        """The secret a key-file dict describes.  KeyError for a missing
+        field, ValueError naming the field for a value of the wrong type."""
         args = {}
         for name, hint in get_type_hints(self.secret_type).items():
-            value = obj[name]
-            if hint is BitMatrix:
-                value = BitMatrix.from_strings(
-                    value["rows"], value["cols"], value["bits"]
-                )
-            elif get_origin(hint) is frozenset:
-                value = frozenset(value)
-            args[name] = value
+            try:
+                args[name] = _field_from_obj(obj[name], hint)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{self.tag} secret field {name!r}: {exc}") from None
         return self.secret_type(**args)
+
+
+def _field_from_obj(value, hint):
+    """A secret field from its key-file form: a bit matrix object, an
+    integer, or a list of integers for a list or frozenset field."""
+    if hint is BitMatrix:
+        return BitMatrix.from_strings(value["rows"], value["cols"], value["bits"])
+    container = get_origin(hint)
+    if container is None:
+        if type(value) is not int:
+            raise ValueError(f"expected an integer, not {type(value).__name__}")
+        return value
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError("expected a list of integers")
+    return container(value)
 
 
 class _Iso(Disguise):
@@ -225,6 +238,8 @@ CLI_NAMES = {d.tag: d for d in DISGUISES.values()}
 
 def lookup(name: str, table: dict = DISGUISES):
     """The entry of ``table`` named ``name``; ValueError if there is none."""
+    if not isinstance(name, str):
+        raise ValueError(f"method must be a string, not {type(name).__name__}")
     try:
         return table[name]
     except KeyError:

@@ -15,6 +15,7 @@ client's secret.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -33,6 +34,8 @@ __all__ = [
 
 #: Rejection-sampling budget before giving up on full rank.
 MAX_RANK_RETRIES = 64
+
+_BITS = re.compile("[01]*")
 
 
 class SingularMatrixError(ValueError):
@@ -114,21 +117,24 @@ class BitMatrix:
 
     def to_strings(self) -> list[str]:
         """Row-major '0'/'1' strings (column 0 first) for serialization."""
-        return [
-            "".join("1" if (bits >> j) & 1 else "0" for j in range(self.cols))
-            for bits in self.row_bits
-        ]
+        # The set bit ``1 << cols`` pins the width at cols + 1 binary digits
+        # (leading zeros kept, and "" for zero columns); reversing drops it.
+        top = 1 << self.cols
+        return [format(bits | top, "b")[:0:-1] for bits in self.row_bits]
 
     @classmethod
     def from_strings(cls, rows: int, cols: int, strings: list[str]) -> "BitMatrix":
+        """Inverse of :meth:`to_strings`.  ValueError unless ``strings`` is a
+        list of ``rows`` strings of exactly ``cols`` '0'/'1' characters."""
+        if not isinstance(strings, list):
+            raise ValueError(f"bit strings must be a list, not {type(strings).__name__}")
         if len(strings) != rows:
             raise ValueError("row count mismatch")
-        bits = []
         for s in strings:
-            if len(s) != cols or set(s) - {"0", "1"}:
+            # int(s, 2) alone would also take signs, underscores and blanks.
+            if not isinstance(s, str) or len(s) != cols or not _BITS.fullmatch(s):
                 raise ValueError(f"bad bit string {s!r}")
-            bits.append(sum(1 << j for j, ch in enumerate(s) if ch == "1"))
-        return cls(rows, cols, bits)
+        return cls(rows, cols, [int(s[::-1] or "0", 2) for s in strings])
 
 
 def gf2_rank(m: BitMatrix) -> int:

@@ -350,7 +350,8 @@ def record_to_json(record: RandomizationRecord) -> str:
 
 def record_from_json(text: str) -> RandomizationRecord:
     """Read a key file.  Raises ValueError naming the problem if it is not
-    JSON, lacks a field, or holds a secret that does not fit its method."""
+    JSON, lacks a field, holds a secret that does not fit its method, or
+    gives a method or a disguise's secret field a value of the wrong type."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("key file is not a JSON object")

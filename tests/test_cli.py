@@ -197,9 +197,26 @@ def _drop(obj, *path):
      "mincost secret lacks field 'tmap'"),
     ("mincost-randomize", lambda k: k["secret"].update(type="gf2"),
      "secret of type 'gf2' does not fit method 'mincost'"),
+    ("randomize", lambda k: k.update(method=["x"]),
+     "method must be a string, not list"),
+    ("randomize", lambda k: k["secret"]["r"].update(bits=5),
+     "matrix secret field 'r': bit strings must be a list, not int"),
+    ("randomize", lambda k: k["secret"]["r"]["bits"].__setitem__(0, 5),
+     "matrix secret field 'r': bad bit string 5"),
+    ("randomize", lambda k: k["secret"].update(r=5),
+     "matrix secret field 'r': "),
+    ("mincost-randomize", lambda k: k["secret"].update(method=["x"]),
+     "method must be a string, not list"),
+    ("randomize", lambda k: k["secret"].update(negation_constants=5),
+     "matrix secret field 'negation_constants': expected a list of integers"),
+    ("randomize", lambda k: k["secret"].update(original_n="3"),
+     "matrix secret field 'original_n': expected an integer, not str"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
-        "mincost-nested-field", "mincost-as-gf2"])
+        "mincost-nested-field", "mincost-as-gf2", "method-not-string",
+        "bits-not-list", "row-not-string", "matrix-not-object",
+        "mincost-inner-method-not-string", "list-field-not-list",
+        "int-field-not-int"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)

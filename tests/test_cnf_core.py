@@ -54,6 +54,19 @@ def test_clause_satisfied():
     assert not clause_satisfied([1, -2], {1: False, 2: True})
 
 
+def test_satisfies_with_missing_variables():
+    inst = CnfInstance(3, [[1, 2], [-3, 2]])
+    # Each clause has a true literal, so the unassigned variable 3 is moot.
+    assert inst.satisfies({1: True, 2: True})
+    assert inst.satisfies({1: 1, 2: 1, 3: 0})  # 0/1 ints work as values
+    assert not inst.satisfies({1: 0, 2: 0, 3: 0})
+    # A clause no true literal satisfies must not hide a missing variable.
+    with pytest.raises(KeyError):
+        inst.satisfies({1: False, 3: True})
+    with pytest.raises(KeyError):
+        inst.satisfies({})
+
+
 def test_emit_canonical_form():
     inst = CnfInstance(3, [[1, -3], [2]])
     assert emit_dimacs(inst) == "p cnf 3 2\n1 -3 0\n2 0\n"

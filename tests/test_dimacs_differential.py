@@ -1,0 +1,240 @@
+"""``parse_dimacs`` and ``emit_dimacs`` against line-by-line reference
+copies: equal clauses or the same DimacsError, and byte-equal text."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from satcloak.cnf import CnfInstance, DimacsError, emit_dimacs, parse_dimacs
+
+# ---------------------------------------------------------------------------
+# Reference codecs: one line, one token and one literal at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_dedupe(lits):
+    seen = set()
+    out = []
+    for lit in lits:
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    return out
+
+
+def reference_parse(text):
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    num_vars = -1
+    num_clauses = -1
+    tokens = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if num_vars != -1:
+                raise DimacsError("duplicate problem line")
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(f"malformed problem line: {line!r}")
+            try:
+                num_vars = int(parts[2])
+                num_clauses = int(parts[3])
+            except ValueError as exc:
+                raise DimacsError(f"malformed problem line: {line!r}") from exc
+            if num_vars < 0 or num_clauses < 0:
+                raise DimacsError(f"negative counts in problem line: {line!r}")
+            continue
+        tokens.extend(line.split())
+    if num_vars == -1:
+        raise DimacsError("missing problem line")
+
+    clauses = []
+    current = []
+    for tok in tokens:
+        try:
+            lit = int(tok)
+        except ValueError as exc:
+            raise DimacsError(f"non-integer token {tok!r}") from exc
+        if lit == 0:
+            if not current:
+                raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
+            clauses.append(_reference_dedupe(current))
+            current = []
+        else:
+            if abs(lit) > num_vars:
+                raise DimacsError(
+                    f"variable {abs(lit)} exceeds declared maximum {num_vars}"
+                )
+            current.append(lit)
+    if current:
+        raise DimacsError("unterminated clause at end of input")
+    if len(clauses) != num_clauses:
+        raise DimacsError(
+            f"clause count mismatch: header says {num_clauses}, found {len(clauses)}"
+        )
+    return CnfInstance(num_vars, clauses)
+
+
+def reference_emit(instance):
+    lines = [f"p cnf {instance.num_vars} {instance.num_clauses}"]
+    for clause in instance.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except DimacsError as exc:
+        return "error", str(exc)
+    return "ok", (inst.num_vars, inst.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Generated DIMACS text
+# ---------------------------------------------------------------------------
+
+BLANKS = st.sampled_from(["", " ", "\t", "  \t", " \x0c"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "])
+SEPARATORS = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\x1f"])
+BAD_TOKENS = st.sampled_from(
+    ["x", "1a", "--1", "0x1", "1.0", "c", "p", "cnf", "C", "P", "1-"]
+)
+# Tokens that int() reads although they are not plain decimals.
+ODD_INTEGERS = st.sampled_from(["+1", "1_0", "01", "-0", "+0", "00", "١"])
+COMMENT_WORDS = st.sampled_from(["c", "comment", "p", "cnf", "0", "1", "-2", "x", ""])
+
+
+@st.composite
+def headers(draw, num_vars, num_clauses):
+    form = draw(st.sampled_from(
+        ["ok"] * 16 + ["short", "dnf", "word", "negative", "extra", "glued"]
+    ))
+    n, m = str(num_vars), str(num_clauses)
+    if form == "short":
+        return f"p cnf {n}"
+    if form == "dnf":
+        return f"p dnf {n} {m}"
+    if form == "word":
+        return f"p cnf x {m}"
+    if form == "negative":
+        return f"p cnf -{n} {m}"
+    if form == "extra":
+        return f"p cnf {n} {m} 7"
+    if form == "glued":
+        return f"pcnf {n} {m}"
+    sep = draw(SEPARATORS)
+    return sep.join(["p", "cnf", n, m])
+
+
+@st.composite
+def dimacs_texts(draw):
+    num_vars = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6] + [6] * 5))
+    clause_lits = st.integers(min_value=1, max_value=max(num_vars, 1)).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    clauses = draw(st.lists(st.lists(clause_lits, min_size=1, max_size=5), max_size=8))
+    tokens = [str(lit) for clause in clauses for lit in (*clause, 0)]
+
+    # Defects, each rare enough that most texts still parse.
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        defect = draw(st.sampled_from(
+            ["bad", "odd", "range", "zero", "cut"]
+        ))
+        at = draw(st.integers(min_value=0, max_value=len(tokens)))
+        if defect == "bad":
+            tokens.insert(at, draw(BAD_TOKENS))
+        elif defect == "odd":
+            tokens.insert(at, draw(ODD_INTEGERS))
+        elif defect == "range":
+            tokens.insert(at, str(draw(st.sampled_from([1, -1])) * (num_vars + 1)))
+        elif defect == "zero":
+            tokens.insert(at, "0")
+        elif defect == "cut" and tokens:
+            tokens.pop()
+
+    num_clauses = len(clauses) + draw(st.sampled_from([0] * 8 + [1, -1]))
+    num_clauses = max(num_clauses, 0)
+
+    # Clause tokens spread over lines: several clauses on one line, or one
+    # clause over several.
+    token_lines = []
+    while tokens:
+        take = draw(st.integers(min_value=0, max_value=min(len(tokens), 6)))
+        sep = draw(SEPARATORS)
+        token_lines.append(
+            draw(BLANKS) + sep.join(tokens[:take]) + draw(BLANKS)
+        )
+        del tokens[:take]
+
+    comment = st.builds(
+        lambda pad, words: pad + "c" + " ".join(words),
+        BLANKS,
+        st.lists(COMMENT_WORDS, max_size=4),
+    )
+    extras = draw(st.lists(st.one_of(comment, BLANKS), max_size=5))
+    header_count = draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2]))
+    head_lines = [
+        draw(BLANKS) + draw(headers(num_vars, num_clauses))
+        for _ in range(header_count)
+    ]
+    lines = token_lines
+    for line in extras + head_lines:
+        # Headers mostly go first, comments anywhere.
+        first = line in head_lines and draw(st.booleans())
+        at = 0 if first else draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(at, line)
+
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -1]  # no final line end (or half of a "\r\n")
+    return text
+
+
+@given(dimacs_texts(), st.booleans())
+@settings(max_examples=400, deadline=None)
+@example("c only a comment\n", False)
+@example("p cnf 2 1\n\tc indented comment\r\n1 -2 0\r\n", False)
+@example("p cnf 2 2\n1 1 -1 0 2 -2 2 0\n", False)
+@example("p cnf 1 1\n0 x\n", False)
+@example("p cnf 1 1\n2 x\n", False)
+@example("p cnf 1 1\nx 2\n", False)
+@example("p cnf 1 1\n1 0 0\n", False)
+@example("p cnf 1 2\n1 0\n1", False)
+@example("p cnf 1 1\np cnf x\n1 0\n", False)
+@example("  p cnf 3 1\n1 2 3 0 c not a comment\n", True)
+def test_parse_matches_reference(text, as_bytes):
+    if as_bytes:
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError:
+            pass
+    got = _outcome(parse_dimacs, text)
+    assert got == _outcome(reference_parse, text)
+    if got[0] == "ok":
+        inst = CnfInstance(*got[1])
+        assert emit_dimacs(inst) == reference_emit(inst)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=5),
+             max_size=10),
+)
+@settings(max_examples=200, deadline=None)
+@example(0, [])
+@example(3, [[]])
+@example(3, [[], [1, -3]])
+def test_emit_matches_reference(num_vars, clauses):
+    # emit_dimacs serializes whatever it is given, valid or not.
+    inst = CnfInstance(num_vars, clauses)
+    assert emit_dimacs(inst) == reference_emit(inst)
+
+
+def test_non_ascii_bytes_are_rejected_like_the_reference():
+    data = "p cnf 1 1\n1 0 c é\n".encode("utf-8")
+    for parse in (parse_dimacs, reference_parse):
+        with pytest.raises(UnicodeDecodeError):
+            parse(data)

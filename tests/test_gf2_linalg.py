@@ -70,6 +70,42 @@ def test_string_round_trip():
         BitMatrix.from_strings(1, 3, ["1x0"])
 
 
+@pytest.mark.parametrize("rows,cols", [(3, 0), (3, 1), (3, 64), (3, 65), (0, 5), (0, 0)])
+def test_string_round_trip_at_word_edges(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    bits = [rng.getrandbits(cols) for _ in range(rows)]
+    if rows and cols:
+        bits[0] = (1 << cols) - 1  # every column set
+        bits[-1] = 1 << (cols - 1)  # only the last column set
+    m = BitMatrix(rows, cols, bits)
+    strings = m.to_strings()
+    assert strings == [
+        "".join(str(m.get(i, j)) for j in range(cols)) for i in range(rows)
+    ]
+    assert BitMatrix.from_strings(rows, cols, strings) == m
+
+
+@pytest.mark.parametrize("cols,strings", [
+    (3, ["11"]),  # short
+    (3, ["1100"]),  # long
+    (0, ["1"]),
+    (3, ["1_0"]),  # int(s, 2) would take each of these
+    (3, [" 10"]),
+    (3, ["10 "]),
+    (2, ["+1"]),
+    (2, ["-1"]),
+    (3, ["0b1"]),
+    (1, ["\u0661"]),  # a non-ASCII decimal digit
+    (3, [101]),  # not a string
+    (3, [None]),
+    (3, "101"),  # not a list
+    (3, {"0": "101"}),
+])
+def test_from_strings_rejects_malformed_rows(cols, strings):
+    with pytest.raises(ValueError):
+        BitMatrix.from_strings(1, cols, strings)
+
+
 def test_rank_examples():
     assert gf2_rank(BitMatrix.identity(5)) == 5
     assert gf2_rank(BitMatrix.zeros(3, 3)) == 0
