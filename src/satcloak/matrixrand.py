@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .cnf import CnfInstance, InvalidSolutionError
 from .gf2 import BitMatrix, int_mat_mul, int_mat_vec, random_full_rank
@@ -199,27 +200,42 @@ def derandomize_solution(
 # OPB (pseudo-Boolean equality) serialization
 # ---------------------------------------------------------------------------
 
+class _SignedCoefficients(dict):
+    """Signed text of each coefficient value, e.g. ``-2`` -> ``"-2"``,
+    formatted the first time the value is looked up."""
+
+    def __missing__(self, c: int) -> str:
+        text = self[c] = f"{c:+d}"
+        return text
+
+
 def emit_opb(sys: LinearSystem) -> str:
     """Serialize as an OPB file of equality constraints.
 
     Zero coefficients are omitted; every term carries an explicit sign, e.g.
-    ``+1 x1 -2 x3 = 4 ;``.
+    ``+1 x1 -2 x3 = 4 ;``.  A row without a nonzero coefficient is written
+    as `` = b ;``.
     """
+    names = [f"x{j}" for j in range(1, max(map(len, sys.coeffs), default=0) + 1)]
+    signed = _SignedCoefficients()
     lines = [f"* #variable= {sys.num_vars} #constraint= {sys.num_constraints}"]
     for row, b in zip(sys.coeffs, sys.rhs):
-        terms = [
-            f"{c:+d} x{j + 1}" for j, c in enumerate(row) if c != 0
-        ]
-        lines.append(" ".join(terms) + f" = {b} ;")
+        # The nonzero values and their names, interleaved: "+1 x1 -2 x3".
+        terms = zip(map(signed.__getitem__, filter(None, row)), compress(names, row))
+        lines.append(f"{' '.join(chain.from_iterable(terms))} = {b} ;")
     return "\n".join(lines) + "\n"
 
 
-_OPB_HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
-_OPB_TERM = re.compile(r"([+-]\d+)\s+x(\d+)")
+_OPB_HEADER = re.compile(r"\*\s*#variable=\s*([0-9]+)\s+#constraint=\s*([0-9]+)")
+_OPB_CONSTRAINT = re.compile(r"((?:[+-][0-9]+\s+x[0-9]+\s+)+)=\s*([+-]?[0-9]+)\s*;")
+_OPB_TERM = re.compile(r"([+-][0-9]+)\s+x([0-9]+)")
 
 
 def parse_opb(text: str) -> LinearSystem:
-    """Parse the equality-OPB dialect written by :func:`emit_opb`."""
+    """Parse the equality-OPB dialect written by :func:`emit_opb`: after the
+    header, ``*`` comment lines and lines of one or more whitespace-separated
+    ``<signed integer> x<index>`` terms followed by ``= <integer> ;``.
+    Raises ValueError for any other line."""
     lines = [l.strip() for l in text.splitlines() if l.strip()]
     if not lines:
         raise ValueError("empty OPB input")
@@ -232,21 +248,17 @@ def parse_opb(text: str) -> LinearSystem:
     for line in lines[1:]:
         if line.startswith("*"):
             continue
-        body, eq, rest = line.partition("=")
-        if not eq or not rest.replace(";", "").strip().lstrip("+-").isdigit():
+        constraint = _OPB_CONSTRAINT.fullmatch(line)
+        if not constraint:
             raise ValueError(f"malformed OPB constraint: {line!r}")
         row = [0] * num_vars
-        consumed = 0
-        for match in _OPB_TERM.finditer(body):
-            coeff, var = int(match.group(1)), int(match.group(2))
+        for coeff, var in _OPB_TERM.findall(constraint.group(1)):
+            var = int(var)
             if not 1 <= var <= num_vars:
                 raise ValueError(f"variable x{var} out of range in {line!r}")
-            row[var - 1] += coeff
-            consumed += len(match.group(0))
-        if not body.replace("+", " ").replace("-", " ").strip() and consumed == 0:
-            raise ValueError(f"constraint without terms: {line!r}")
+            row[var - 1] += int(coeff)
         coeffs.append(row)
-        rhs.append(int(rest.replace(";", "").strip()))
+        rhs.append(int(constraint.group(2)))
     if len(coeffs) != num_constraints:
         raise ValueError(
             f"constraint count mismatch: header says {num_constraints}, "

@@ -33,7 +33,7 @@ from .cnf import (
     f_xor,
     to_three_cnf,
 )
-from .disguise import MINCOST_INNER, lookup
+from .disguise import MINCOST_INNER, _field_from_obj, lookup
 from .matrixrand import LinearSystem, MatrixSecret
 from .solsetrand import GfSecret
 
@@ -313,8 +313,15 @@ def _tmap_obj(t: TseitinMap) -> dict:
 
 
 def _tmap_from(obj: dict) -> TseitinMap:
-    gates = {g: (op, tuple(lits)) for g, op, lits in obj["gates"]}
-    return TseitinMap(obj["num_input_vars"], obj["num_vars"], gates)
+    gates = {
+        g: (op, tuple(lits))
+        for g, op, lits in _entries(obj, "circuit.tmap.gates", ("and", "or", "xor"))
+    }
+    return TseitinMap(
+        _field(obj, "circuit.tmap.num_input_vars"),
+        _field(obj, "circuit.tmap.num_vars"),
+        gates,
+    )
 
 
 def _three_map_obj(t: ThreeCnfMap) -> dict:
@@ -330,9 +337,50 @@ def _three_map_obj(t: ThreeCnfMap) -> dict:
 
 def _three_map_from(obj: dict) -> ThreeCnfMap:
     defs: dict[int, tuple] = {}
-    for v, kind, lits in obj["definitions"]:
+    for v, kind, lits in _entries(obj, "three_map.definitions", ("or", "false")):
         defs[v] = (kind,) if kind == "false" else (kind, tuple(lits))
-    return ThreeCnfMap(obj["original_num_vars"], obj["num_vars"], defs)
+    return ThreeCnfMap(
+        _field(obj, "three_map.original_num_vars"),
+        _field(obj, "three_map.num_vars"),
+        defs,
+    )
+
+
+def _field(obj: dict, path: str, hint=int):
+    """The field of a Mincost key object at the end of the dotted ``path``
+    from the secret: ``int``, ``list[int]`` or ``frozenset[int]`` (read as
+    a disguise's secret fields are), or ``dict`` for a nested object.
+    KeyError if it is missing, ValueError naming ``path`` if its value has
+    another type."""
+    value = obj[path.rpartition(".")[2]]
+    try:
+        if hint is not dict:
+            return _field_from_obj(value, hint)
+        if not isinstance(value, dict):
+            raise ValueError(f"expected an object, not {type(value).__name__}")
+        return value
+    except ValueError as exc:
+        raise ValueError(f"mincost secret field {path!r}: {exc}") from None
+
+
+def _entries(obj: dict, path: str, kinds: tuple[str, ...]) -> list:
+    """The ``[variable, kind, literals]`` entries of the list at the end of
+    ``path``, each kind one of ``kinds``; errors as for :func:`_field`."""
+    value = obj[path.rpartition(".")[2]]
+    if not isinstance(value, list) or not all(
+        isinstance(e, list)
+        and len(e) == 3
+        and type(e[0]) is int
+        and e[1] in kinds
+        and isinstance(e[2], list)
+        and all(type(lit) is int for lit in e[2])
+        for e in value
+    ):
+        raise ValueError(
+            f"mincost secret field {path!r}: expected a list of "
+            f"[variable, kind, literals] entries with kind in {kinds}"
+        )
+    return value
 
 
 class _MincostRecords:
@@ -361,20 +409,22 @@ class _MincostRecords:
         }
 
     def from_obj(self, obj: dict) -> MincostSecret:
-        c = obj["circuit"]
+        """The secret a key-file dict describes.  KeyError for a missing
+        field, ValueError naming the field for a value of the wrong type."""
+        c = _field(obj, "circuit", dict)
         circuit = CostCircuitSecret(
-            list(c["output_bits"]),
-            c["width"],
-            c["beta"],
-            frozenset(c["adder_dummy_map"]),
-            _tmap_from(c["tmap"]),
+            _field(c, "circuit.output_bits", list[int]),
+            _field(c, "circuit.width"),
+            _field(c, "circuit.beta"),
+            _field(c, "circuit.adder_dummy_map", frozenset[int]),
+            _tmap_from(_field(c, "circuit.tmap", dict)),
         )
         return MincostSecret(
             obj["method"],
             circuit,
-            _three_map_from(obj["three_map"]),
-            lookup(obj["method"], MINCOST_INNER).from_obj(obj["inner"]),
-            obj["seed"],
+            _three_map_from(_field(obj, "three_map", dict)),
+            lookup(obj["method"], MINCOST_INNER).from_obj(_field(obj, "inner", dict)),
+            _field(obj, "seed"),
         )
 
     def check(self, solution, secret: MincostSecret, original: CnfInstance, costs):

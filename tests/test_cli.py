@@ -211,12 +211,27 @@ def _drop(obj, *path):
      "matrix secret field 'negation_constants': expected a list of integers"),
     ("randomize", lambda k: k["secret"].update(original_n="3"),
      "matrix secret field 'original_n': expected an integer, not str"),
+    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(output_bits=5),
+     "mincost secret field 'circuit.output_bits': expected a list of integers"),
+    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(width="x"),
+     "mincost secret field 'circuit.width': expected an integer, not str"),
+    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(tmap=5),
+     "mincost secret field 'circuit.tmap': expected an object, not int"),
+    ("mincost-randomize",
+     lambda k: k["secret"]["circuit"]["tmap"]["gates"][0].__setitem__(1, "nand"),
+     "mincost secret field 'circuit.tmap.gates': expected a list of "),
+    ("mincost-randomize", lambda k: k["secret"]["three_map"].update(definitions=5),
+     "mincost secret field 'three_map.definitions': expected a list of "),
+    ("mincost-randomize", lambda k: k["secret"].update(circuit=[]),
+     "mincost secret field 'circuit': expected an object, not list"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
         "bits-not-list", "row-not-string", "matrix-not-object",
         "mincost-inner-method-not-string", "list-field-not-list",
-        "int-field-not-int"])
+        "int-field-not-int", "mincost-output-bits-not-list",
+        "mincost-width-not-int", "mincost-tmap-not-object", "mincost-unknown-gate-op",
+        "mincost-definitions-not-list", "mincost-circuit-not-object"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)

@@ -198,6 +198,21 @@ def test_opb_emit_format():
     assert emit_opb(sys_) == "* #variable= 3 #constraint= 1\n+1 x1 -2 x3 = 4 ;\n"
 
 
+# Constraint lines the parser once read as a different system (dropping the
+# terms it did not understand) or let escape as a bare int() error.
+MALFORMED_CONSTRAINTS = [
+    "+1 x1 +1 y2 -1 x3 = 1 ;",
+    "+1 x1 junk = 1 ;",
+    "+1 x1 = \u00b2 ;",
+    "+1 x1 = +-5 ;",
+    "+\u0661 x1 = 1 ;",
+    "+1 x\u0661 = 1 ;",
+    "+1 x1 >= 1 ;",
+    "+1 x1 = 1",
+    "+1x1 = 1 ;",
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -206,8 +221,17 @@ def test_opb_emit_format():
         "* #variable= 2 #constraint= 1\n+1 x1 = ;\n",
         "* #variable= 2 #constraint= 1\n+1 x3 = 1 ;\n",
         "* #variable= 2 #constraint= 2\n+1 x1 = 1 ;\n",
+        *(f"* #variable= 3 #constraint= 1\n{line}\n" for line in MALFORMED_CONSTRAINTS),
+        "* #variable= \u00b2 #constraint= 1\n+1 x1 = 1 ;\n",
     ],
 )
 def test_opb_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
+        parse_opb(text)
+
+
+@pytest.mark.parametrize("line", MALFORMED_CONSTRAINTS)
+def test_opb_parse_names_malformed_constraint(line):
+    text = f"* #variable= 3 #constraint= 1\n+1 x2 = 1 ;\n{line}\n"
+    with pytest.raises(ValueError, match="^malformed OPB constraint: "):
         parse_opb(text)
