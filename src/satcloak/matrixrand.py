@@ -226,7 +226,9 @@ def emit_opb(sys: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OPB_HEADER = re.compile(r"\*\s*#variable=\s*([0-9]+)\s+#constraint=\s*([0-9]+)")
+_OPB_HEADER = re.compile(
+    r"\*\s*#variable=\s*([0-9]+)\s+#constraint=\s*([0-9]+)(?!\S)"
+)
 _OPB_CONSTRAINT = re.compile(r"((?:[+-][0-9]+\s+x[0-9]+\s+)+)=\s*([+-]?[0-9]+)\s*;")
 _OPB_TERM = re.compile(r"([+-][0-9]+)\s+x([0-9]+)")
 

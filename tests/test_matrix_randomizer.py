@@ -223,6 +223,7 @@ MALFORMED_CONSTRAINTS = [
         "* #variable= 2 #constraint= 2\n+1 x1 = 1 ;\n",
         *(f"* #variable= 3 #constraint= 1\n{line}\n" for line in MALFORMED_CONSTRAINTS),
         "* #variable= \u00b2 #constraint= 1\n+1 x1 = 1 ;\n",
+        "* #variable= 3 #constraint= 1x\n+1 x1 = 1 ;\n",
     ],
 )
 def test_opb_parse_rejects_malformed(text):
