@@ -8,8 +8,7 @@ views are provided here.
 
 Random full-rank generation is rejection sampling: a uniform 0/1 matrix is
 invertible over GF(2) with probability approaching ~0.2888, so a handful of
-draws suffices.  All randomness is seeded; the drawn matrix is part of the
-client's secret.
+draws suffices.  All randomness is seeded.
 """
 
 from __future__ import annotations

@@ -64,13 +64,13 @@ class LinearSystem:
 
 @dataclass
 class MatrixSecret:
-    """Client-held state for inverting the randomization: the matrix ``R``,
-    where the original variables end (``original_n``, also the dummy
-    offset), and the per-row negation counts that fix the rhs constants."""
+    """Client-held state for mapping a solution back: where the original
+    variables end (``original_n``; the dummies follow) and the per-row
+    negation counts, read only for their number ``m``, which fixes the
+    solution length ``n + 2m``.  ``R`` is not kept: projecting a solution
+    never needs it."""
 
-    r: BitMatrix
     original_n: int
-    dummy_offset: int
     negation_constants: list[int]
     seed: int
 
@@ -159,7 +159,7 @@ def randomize_system(
         r = random_full_rank(m, random.Random(seed))
     original_n = sys.num_vars - 2 * m
     negation_constants = [3 - b for b in sys.rhs]
-    secret = MatrixSecret(r, original_n, original_n, negation_constants, seed)
+    secret = MatrixSecret(original_n, negation_constants, seed)
     return apply_random_matrix(sys, r), secret
 
 

@@ -96,16 +96,13 @@ class CostCircuitSecret:
 
     ``output_bits`` are the variables ``b_1..b_w`` holding the binary cost,
     most significant first (positions may share a variable when the adder
-    proves bits equal, e.g. constant-zero high bits).  ``adder_dummy_map``
-    is the set of circuit-internal gate variables other than the outputs.
-    ``tmap`` holds every gate definition and is what forward evaluation
-    and solution validation run on.
+    proves bits equal, e.g. constant-zero high bits).  ``tmap`` holds every
+    gate definition and is what forward evaluation and solution validation
+    run on.
     """
 
     output_bits: list[int]
     width: int
-    beta: int
-    adder_dummy_map: frozenset[int]
     tmap: TseitinMap
 
 
@@ -171,9 +168,7 @@ def compile_cost_circuit(
     combined = CnfInstance(
         enc.num_vars, [list(c) for c in inst.cnf.clauses] + enc.clauses
     )
-    internals = frozenset(enc.gates) - frozenset(output_bits)
-    secret = CostCircuitSecret(output_bits, width, beta, internals, enc.mapping())
-    return combined, secret
+    return combined, CostCircuitSecret(output_bits, width, enc.mapping())
 
 
 def circuit_costs(secret: CostCircuitSecret) -> dict[int, int]:
@@ -277,13 +272,16 @@ def derandomize_mincost(
     assignment — and the circuit's cost must be what ``original.costs``
     gives, so an answer checked against another cost function is caught.
     Raises :class:`InvalidSolutionError` on any failure, and ValueError if
-    ``original`` is malformed.
+    ``original`` is malformed or has another number of variables than the
+    secret's circuit inputs.
     """
     original.validate()
+    tmap = secret.circuit.tmap
+    if tmap.num_input_vars != original.cnf.num_vars:
+        raise ValueError("original instance does not match secret")
     x3 = lookup(secret.method, MINCOST_INNER).decode(sol, secret.inner)
     # Restrict 3CNF variables to the compiled circuit's, then split into
     # original inputs vs. circuit gates.
-    tmap = secret.circuit.tmap
     claimed = {v: x3[v] for v in range(1, tmap.num_vars + 1)}
     x = {v: claimed[v] for v in range(1, tmap.num_input_vars + 1)}
     if not original.cnf.satisfies(x):
@@ -348,8 +346,8 @@ def _three_map_from(obj: dict) -> ThreeCnfMap:
 
 def _field(obj: dict, path: str, hint=int):
     """The field of a Mincost key object at the end of the dotted ``path``
-    from the secret: ``int``, ``list[int]`` or ``frozenset[int]`` (read as
-    a disguise's secret fields are), or ``dict`` for a nested object.
+    from the secret: ``int`` or ``list[int]`` (read as a disguise's secret
+    fields are), or ``dict`` for a nested object.
     KeyError if it is missing, ValueError naming ``path`` if its value has
     another type."""
     value = obj[path.rpartition(".")[2]]
@@ -383,6 +381,35 @@ def _entries(obj: dict, path: str, kinds: tuple[str, ...]) -> list:
     return value
 
 
+def _check_ranges(secret: MincostSecret) -> None:
+    """Raise ValueError naming the first circuit field whose value is out of
+    range, so that checking an answer never indexes it by a variable the
+    answer does not have.  Gates must be the variables above the inputs, in
+    order, each reading only variables below it."""
+    t = secret.circuit.tmap
+    bits = secret.circuit.output_bits
+    if t.num_input_vars < 0:
+        path, why = "tmap.num_input_vars", "must not be negative"
+    elif not t.num_input_vars <= t.num_vars <= secret.inner.original_n:
+        path, why = "tmap.num_vars", (
+            f"must lie in {t.num_input_vars}..{secret.inner.original_n}")
+    elif list(t.gates) != list(range(t.num_input_vars + 1, t.num_vars + 1)):
+        path, why = "tmap.gates", (
+            f"gate ids must run {t.num_input_vars + 1}..{t.num_vars} in order")
+    elif any(not 0 < abs(lit) < g for g, (_, lits) in t.gates.items()
+             for lit in lits):
+        path, why = "tmap.gates", "a gate input must be a variable below its gate"
+    elif secret.circuit.width < 1:
+        path, why = "width", "must be at least 1"
+    elif len(bits) != secret.circuit.width:
+        path, why = "output_bits", f"expected {secret.circuit.width} bits"
+    elif not all(1 <= b <= t.num_vars for b in bits):
+        path, why = "output_bits", f"bits must lie in 1..{t.num_vars}"
+    else:
+        return
+    raise ValueError(f"mincost secret field 'circuit.{path}': {why}")
+
+
 class _MincostRecords:
     """What the client's records need of Mincost secrets: their ``type``
     tag, serialization and validation, alongside the entries of
@@ -399,8 +426,6 @@ class _MincostRecords:
             "circuit": {
                 "output_bits": list(secret.circuit.output_bits),
                 "width": secret.circuit.width,
-                "beta": secret.circuit.beta,
-                "adder_dummy_map": sorted(secret.circuit.adder_dummy_map),
                 "tmap": _tmap_obj(secret.circuit.tmap),
             },
             "three_map": _three_map_obj(secret.three_map),
@@ -410,22 +435,23 @@ class _MincostRecords:
 
     def from_obj(self, obj: dict) -> MincostSecret:
         """The secret a key-file dict describes.  KeyError for a missing
-        field, ValueError naming the field for a value of the wrong type."""
+        field, ValueError naming the field for a value of the wrong type or
+        out of range."""
         c = _field(obj, "circuit", dict)
         circuit = CostCircuitSecret(
             _field(c, "circuit.output_bits", list[int]),
             _field(c, "circuit.width"),
-            _field(c, "circuit.beta"),
-            _field(c, "circuit.adder_dummy_map", frozenset[int]),
             _tmap_from(_field(c, "circuit.tmap", dict)),
         )
-        return MincostSecret(
+        secret = MincostSecret(
             obj["method"],
             circuit,
             _three_map_from(_field(obj, "three_map", dict)),
             lookup(obj["method"], MINCOST_INNER).from_obj(_field(obj, "inner", dict)),
             _field(obj, "seed"),
         )
+        _check_ranges(secret)
+        return secret
 
     def check(self, solution, secret: MincostSecret, original: CnfInstance, costs):
         """``(assignment, cost)`` of a solution; ``costs`` is the original

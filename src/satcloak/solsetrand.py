@@ -20,9 +20,10 @@ original solution set under the bijection ``R`` — same solution count,
 scrambled structure.
 
 With ``row_weight`` set, the substitution matrix ``R^-1`` is drawn sparse
-(so each original variable is an XOR of at most ``row_weight`` new ones)
-and ``R`` is computed as its inverse; output size then stays linear in the
-input size.
+(so each original variable is an XOR of at most ``row_weight`` new ones);
+output size then stays linear in the input size.  Only ``R^-1`` is kept:
+mapping a solution back reads nothing else, and the honest provider's
+forward map, the one user of ``R``, inverts it.
 """
 
 from __future__ import annotations
@@ -50,20 +51,18 @@ __all__ = [
     "gf_randomize",
     "gf_derandomize",
     "gf_forward",
-    "xor_assertion_clauses",
 ]
 
 
 @dataclass
 class GfSecret:
-    """The matrix pair of the substitution (``r . r_inv = I`` over GF(2)).
+    """The substitution matrix ``r_inv`` (``X = R^-1 Y`` over GF(2)).
 
     Variables ``1..original_n`` of the randomized instance are the ``y``
     coordinates; everything above is an encoding dummy to be discarded
-    after inversion.
+    after the substitution.
     """
 
-    r: BitMatrix
     r_inv: BitMatrix
     original_n: int
     seed: int
@@ -157,43 +156,35 @@ class _Plan:
         return full
 
 
-def _draw_matrices(
+def _draw_substitution(
     n: int,
     rng: random.Random,
     row_weight: int | None,
     fixed_vars: frozenset[int],
-) -> tuple[BitMatrix, BitMatrix]:
-    """Draw ``(R, R^-1)``, identity on ``fixed_vars`` coordinates.
+) -> BitMatrix:
+    """Draw ``R^-1``, identity on ``fixed_vars`` coordinates.
 
-    In sparse mode the SUBSTITUTION matrix ``R^-1`` is the sparse one (it is
-    the matrix whose row weights bound the XOR widths and hence the output
-    size); ``R`` is computed by inversion.
+    In sparse mode ``R^-1`` is drawn directly (its row weights bound the XOR
+    widths and hence the output size); the dense draw is of ``R``, which is
+    then inverted.
     """
     free = sorted(set(range(1, n + 1)) - fixed_vars)
-    dim = len(free)
-    if dim == 0:
-        ident = BitMatrix.identity(n)
-        return ident, ident
+    if not free:
+        return BitMatrix.identity(n)
     if row_weight is not None:
-        inv_block = random_sparse_full_rank(dim, row_weight, rng)
-        block = gf2_invert(inv_block)
+        block = random_sparse_full_rank(len(free), row_weight, rng)
     else:
-        block = random_full_rank(dim, rng)
-        inv_block = gf2_invert(block)
-
-    def embed(b: BitMatrix) -> BitMatrix:
-        rows = [0] * n
-        for v in range(1, n + 1):
-            if v in fixed_vars:
-                rows[v - 1] = 1 << (v - 1)
-        for bi, v in enumerate(free):
-            acc = 0
-            for bj in b.row_ones(bi):
-                acc |= 1 << (free[bj] - 1)
-            rows[v - 1] = acc
-        return BitMatrix(n, n, rows)
-
-    return embed(block), embed(inv_block)
+        block = gf2_invert(random_full_rank(len(free), rng))
+    rows = [0] * n
+    for v in range(1, n + 1):
+        if v in fixed_vars:
+            rows[v - 1] = 1 << (v - 1)
+    for bi, v in enumerate(free):
+        acc = 0
+        for bj in block.row_ones(bi):
+            acc |= 1 << (free[bj] - 1)
+        rows[v - 1] = acc
+    return BitMatrix(n, n, rows)
 
 
 def gf_randomize(
@@ -205,10 +196,10 @@ def gf_randomize(
     """Randomize the solution set of an exactly-3CNF instance.
 
     Returns an exactly-3CNF instance over the ``y`` variables plus dummies,
-    together with the secret matrix pair.  An assignment ``Y`` extends to a
+    together with the secret substitution.  An assignment ``Y`` extends to a
     solution of the output iff ``X = R^-1 Y`` satisfies the input.
 
-    ``fixed_vars`` coordinates are left unmixed (identity rows in ``R``) —
+    ``fixed_vars`` coordinates are left unmixed (identity rows in ``R^-1``) —
     the cost randomizer uses this to keep circuit output bits addressable.
     With the identity matrix (e.g. zero free coordinates) the output equals
     the input.
@@ -222,13 +213,12 @@ def gf_randomize(
     n = instance.num_vars
     rng = random.Random(seed)
     if n == 0:
-        empty = BitMatrix(0, 0, [])
-        return CnfInstance(0, []), GfSecret(empty, empty, 0, seed)
-    r, r_inv = _draw_matrices(n, rng, row_weight, frozenset(fixed_vars))
+        return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0, seed)
+    r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
     plan = _Plan(instance, r_inv)
     pre = CnfInstance(plan.num_vars, plan.clauses)
     out, _ = to_three_cnf(pre)
-    return out, GfSecret(r, r_inv, n, seed)
+    return out, GfSecret(r_inv, n, seed)
 
 
 def gf_derandomize(
@@ -260,7 +250,8 @@ def gf_forward(
     assignment: dict[int, bool], secret: GfSecret, instance: CnfInstance
 ) -> dict[int, bool]:
     """Map an original assignment to a total assignment of the randomized
-    instance: ``Y = RX`` plus the canonical values of all dummies.
+    instance: ``Y = RX`` plus the canonical values of all dummies.  ``R`` is
+    the inverse of the secret's ``R^-1``.
 
     ``instance`` must be the original (pre-randomization) instance; the
     encoding layout is reconstructed from it and the secret.  If the input
@@ -268,49 +259,10 @@ def gf_forward(
     """
     n = secret.original_n
     x = [1 if assignment[v] else 0 for v in range(1, n + 1)]
-    y = gf2_mat_vec(secret.r, x)
+    y = gf2_mat_vec(gf2_invert(secret.r_inv), x)
     base = {v: bool(y[v - 1]) for v in range(1, n + 1)}
     plan = _Plan(instance, secret.r_inv)
     pre_full = plan.evaluate_aux(base)
     pre = CnfInstance(plan.num_vars, plan.clauses)
     _, tmap = to_three_cnf(pre)
     return complete_to_three_cnf(tmap, pre_full)
-
-
-def xor_assertion_clauses(
-    ys: list[int], rhs: int, next_var: int
-) -> tuple[list[list[int]], int]:
-    """Clauses asserting ``ys[0] xor ... xor ys[-1] = rhs`` (rhs 0 or 1).
-
-    For three or more terms the constraint is chained through fresh dummy
-    variables starting at ``next_var``: each link is the four-clause
-    odd-parity block, and the last link variable is tied to the final term
-    by two width-2 clauses.  Returns ``(clauses, next_unused_var)``.
-    """
-    if rhs not in (0, 1):
-        raise ValueError("rhs must be 0 or 1")
-    if not ys:
-        raise ValueError("empty XOR term list")
-    k = len(ys)
-    if k == 1:
-        (a,) = ys
-        return ([[a]] if rhs else [[-a]], next_var)
-    if k == 2:
-        a, b = ys
-        if rhs:
-            return [[a, b], [-a, -b]], next_var
-        return [[a, -b], [-a, b]], next_var
-    clauses: list[list[int]] = []
-    prev = ys[0]
-    for i in range(1, k - 1):
-        z = next_var
-        next_var += 1
-        clauses.extend(_xnor_link(z, prev, ys[i]))
-        prev = z
-    # prev = xor(ys[:-1]) + (k-2 mod 2); tie it to the last term.
-    last = ys[-1]
-    if rhs ^ ((k - 2) % 2):
-        clauses.extend([[prev, last], [-prev, -last]])
-    else:
-        clauses.extend([[prev, -last], [last, -prev]])
-    return clauses, next_var

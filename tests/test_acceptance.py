@@ -30,7 +30,7 @@ from satcloak.firewall import (
     map_fields,
     policy_accepts,
 )
-from satcloak.gf2 import gf2_rank
+from satcloak.gf2 import gf2_rank, random_full_rank
 from satcloak.matrixrand import (
     check_linear,
     complete_solution,
@@ -230,12 +230,14 @@ def test_criterion_5_mincost_randomization_preserves_optimum():
         three, _ = to_three_cnf(combined)
 
         # Full-rank substitution: the artifact's solution set is exactly the
-        # unrandomized encoding's.
-        r = secret.inner.r
-        expected_rank = (
-            artifact.system.num_constraints if method == "matrix" else r.rows
-        )
-        if gf2_rank(r) != expected_rank:
+        # unrandomized encoding's.  A matrix key keeps no R, so it is drawn
+        # again from the key's seed, as randomize_system draws it.
+        if method == "matrix":
+            r = random_full_rank(artifact.system.num_constraints,
+                                 random.Random(secret.inner.seed))
+        else:
+            r = secret.inner.r_inv
+        if gf2_rank(r) != r.rows:
             problems.append(f"instance {i}: substitution not full rank")
             continue
 

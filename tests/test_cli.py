@@ -180,50 +180,72 @@ def _drop(obj, *path):
     del obj[path[-1]]
 
 
-@pytest.mark.parametrize("command,mutate,fragment", [
-    ("randomize", lambda k: {"method": "iso"}, "key file lacks field 'secret'"),
-    ("randomize", lambda k: _drop(k, "seed"), "key file lacks field 'seed'"),
-    ("randomize", lambda k: _drop(k, "secret", "negation_constants"),
+@pytest.mark.parametrize("command,method,mutate,fragment", [
+    ("randomize", "matrix", lambda k: {"method": "iso"},
+     "key file lacks field 'secret'"),
+    ("randomize", "matrix", lambda k: _drop(k, "seed"), "key file lacks field 'seed'"),
+    ("randomize", "matrix", lambda k: _drop(k, "secret", "negation_constants"),
      "matrix secret lacks field 'negation_constants'"),
-    ("randomize", lambda k: k.update(method="iso"),
+    ("randomize", "matrix", lambda k: k.update(method="iso"),
      "secret of type 'matrix' does not fit method 'iso'"),
-    ("randomize", lambda k: k.update(method="mincost"),
+    ("randomize", "matrix", lambda k: k.update(method="mincost"),
      "secret of type 'matrix' does not fit method 'mincost'"),
-    ("randomize", lambda k: k.update(method="bogus"), "unknown method 'bogus'"),
-    ("randomize", lambda k: k.update(secret=[]),
+    ("randomize", "matrix", lambda k: k.update(method="bogus"),
+     "unknown method 'bogus'"),
+    ("randomize", "matrix", lambda k: k.update(secret=[]),
      "secret of type None does not fit method 'matrix'"),
-    ("randomize", lambda k: [], "key file is not a JSON object"),
-    ("mincost-randomize", lambda k: _drop(k, "secret", "circuit", "tmap"),
+    ("randomize", "matrix", lambda k: [], "key file is not a JSON object"),
+    ("mincost-randomize", "matrix", lambda k: _drop(k, "secret", "circuit", "tmap"),
      "mincost secret lacks field 'tmap'"),
-    ("mincost-randomize", lambda k: k["secret"].update(type="gf2"),
+    ("mincost-randomize", "matrix", lambda k: k["secret"].update(type="gf2"),
      "secret of type 'gf2' does not fit method 'mincost'"),
-    ("randomize", lambda k: k.update(method=["x"]),
+    ("randomize", "matrix", lambda k: k.update(method=["x"]),
      "method must be a string, not list"),
-    ("randomize", lambda k: k["secret"]["r"].update(bits=5),
-     "matrix secret field 'r': bit strings must be a list, not int"),
-    ("randomize", lambda k: k["secret"]["r"]["bits"].__setitem__(0, 5),
-     "matrix secret field 'r': bad bit string 5"),
-    ("randomize", lambda k: k["secret"].update(r=5),
-     "matrix secret field 'r': "),
-    ("mincost-randomize", lambda k: k["secret"].update(method=["x"]),
+    ("randomize", "gf2", lambda k: k["secret"]["r_inv"].update(bits=5),
+     "gf2 secret field 'r_inv': bit strings must be a list, not int"),
+    ("randomize", "gf2", lambda k: k["secret"]["r_inv"]["bits"].__setitem__(0, 5),
+     "gf2 secret field 'r_inv': bad bit string 5"),
+    ("randomize", "gf2", lambda k: k["secret"].update(r_inv=5),
+     "gf2 secret field 'r_inv': "),
+    ("mincost-randomize", "matrix", lambda k: k["secret"].update(method=["x"]),
      "method must be a string, not list"),
-    ("randomize", lambda k: k["secret"].update(negation_constants=5),
+    ("randomize", "matrix", lambda k: k["secret"].update(negation_constants=5),
      "matrix secret field 'negation_constants': expected a list of integers"),
-    ("randomize", lambda k: k["secret"].update(original_n="3"),
+    ("randomize", "matrix", lambda k: k["secret"].update(original_n="3"),
      "matrix secret field 'original_n': expected an integer, not str"),
-    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(output_bits=5),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"].update(output_bits=5),
      "mincost secret field 'circuit.output_bits': expected a list of integers"),
-    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(width="x"),
+    ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(width="x"),
      "mincost secret field 'circuit.width': expected an integer, not str"),
-    ("mincost-randomize", lambda k: k["secret"]["circuit"].update(tmap=5),
+    ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(tmap=5),
      "mincost secret field 'circuit.tmap': expected an object, not int"),
-    ("mincost-randomize",
+    ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"]["tmap"]["gates"][0].__setitem__(1, "nand"),
      "mincost secret field 'circuit.tmap.gates': expected a list of "),
-    ("mincost-randomize", lambda k: k["secret"]["three_map"].update(definitions=5),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["three_map"].update(definitions=5),
      "mincost secret field 'three_map.definitions': expected a list of "),
-    ("mincost-randomize", lambda k: k["secret"].update(circuit=[]),
+    ("mincost-randomize", "matrix", lambda k: k["secret"].update(circuit=[]),
      "mincost secret field 'circuit': expected an object, not list"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"].update(output_bits=[99999]),
+     "mincost secret field 'circuit.output_bits': expected 3 bits"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"]["output_bits"].__setitem__(0, 99999),
+     "mincost secret field 'circuit.output_bits': bits must lie in 1..4"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"]["tmap"].update(num_vars=1000000),
+     "mincost secret field 'circuit.tmap.num_vars': must lie in 3.."),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"]["tmap"]["gates"][0].__setitem__(2, [999]),
+     "mincost secret field 'circuit.tmap.gates': a gate input must be a "
+     "variable below its gate"),
+    ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(width=-1),
+     "mincost secret field 'circuit.width': must be at least 1"),
+    ("mincost-randomize", "matrix",
+     lambda k: _drop(k, "secret", "circuit", "tmap", "gates", 0),
+     "mincost secret field 'circuit.tmap.gates': gate ids must run 4..4 in order"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
@@ -231,14 +253,17 @@ def _drop(obj, *path):
         "mincost-inner-method-not-string", "list-field-not-list",
         "int-field-not-int", "mincost-output-bits-not-list",
         "mincost-width-not-int", "mincost-tmap-not-object", "mincost-unknown-gate-op",
-        "mincost-definitions-not-list", "mincost-circuit-not-object"])
-def test_malformed_key_exits_1(tmp_path, capsys, command, mutate, fragment):
+        "mincost-definitions-not-list", "mincost-circuit-not-object",
+        "mincost-output-bits-count", "mincost-output-bit-range",
+        "mincost-tmap-num-vars-range", "mincost-gate-input-range",
+        "mincost-width-negative", "mincost-gate-missing"])
+def test_malformed_key_exits_1(tmp_path, capsys, command, method, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)
     costs = tmp_path / "orig.wts"
     costs.write_text("w 1 1\n")
     extra = ["--costs", str(costs)] if command == "mincost-randomize" else []
-    run(capsys, command, "--method", "matrix", "--seed", "7", "--in", str(src),
+    run(capsys, command, "--method", method, "--seed", "7", "--in", str(src),
         *extra)
     key = tmp_path / "orig.key"
     obj = json.loads(key.read_text())

@@ -3,6 +3,7 @@ instance: pinned artifact and key bytes, forward then derandomize, single
 bit flips, and secret serialization."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -32,8 +33,9 @@ MODEL = {1: True, 2: False, 3: True}
 COSTS = {1: 2, 2: 1, 3: 3}
 SEED = 7
 
-# (case, entry name, mincost?, row_weight) -> sha256 of the artifact text
-# and of the key JSON, as written by the code before the disguise table.
+# (case, entry name, mincost?, row_weight) -> sha256 of the artifact text,
+# as written by the code before the disguise table, and of the key JSON,
+# as written since keys hold only what derandomizing reads.
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
@@ -41,23 +43,87 @@ PINNED = {
     ),
     ("matrix", "matrix", False, None): (
         "bfbc7cc3c22fc7764b2221e4c9bfbac24c453020a0fdfd92a72c06cb9979844f",
-        "e83f44602a693007bdf9f47702063b7f1d5c3c6ac511e4cb2780b99578329be4",
+        "75d82e2b3148e11ad2d4ac3a5b662687ae768ced3a85d1e21bb90daf8d11942b",
     ),
     ("gf2", "solution_set", False, None): (
         "ab71b9848c78c6f0502b6f69a727f97600f1ca1f29d11fa98301176df948c8e7",
-        "c272169a6fcd5fdd27a282b1300fdbd5965a7ea6355bb855b50e198952447c2a",
+        "afc475f179f37adc7528589526848bdeff4e74b85031dfe2c1cd35b74c7bd86a",
     ),
     ("gf2-w3", "solution_set", False, 3): (
         "f1b9432f20ca6cfa2f9b44352ec2ed4f8dea889582529d4c60287a70341d30d4",
-        "bf6c9f18796ffc016e858c34b8064ede0b7e37761619a2c8c5d6b84f97e44b6f",
+        "115758381215f463758b38b2a2a93f64988f790bc3f7f8fbbdd7d6d2624f56c5",
     ),
     ("mincost-matrix", "matrix", True, None): (
         "d29e80cfe0118d15505e1445a573d9d4532eac2ca88c24c25ecea9438c6c17ae",
-        "6162b92b73d46dfb78ab867b24c4e30faf0c814de87a91323a6924a389872acb",
+        "f0450b0bfa8c0948a1fd1c007da2ef83648e8e59630a887689f2299fce0b0731",
     ),
     ("mincost-gf2", "solution_set", True, None): (
         "4e6723974d0a321675042033d06f48a5f83dbdf5375f3924aa365698b6501182",
-        "e058d63402c36e048c8641b5bea9c78004f8f63485051dbfffa81a244773bac7",
+        "cf761bcba558e60610092cfcb457bfcea8bef0cec58c8c84f67544395acfb2cd",
+    ),
+}
+
+# Three TINY keys as written before keys were cut to what derandomizing
+# reads: with R in the matrix and gf2 secrets and the circuit's beta and
+# adder_dummy_map.  OLD_KEY_SHA holds the key digests pinned then.  Compact
+# JSON here; re-indented as key files are, they are those bytes again.
+OLD_KEY_SHA = {
+    "matrix": "e83f44602a693007bdf9f47702063b7f1d5c3c6ac511e4cb2780b99578329be4",
+    "gf2-w3": "bf6c9f18796ffc016e858c34b8064ede0b7e37761619a2c8c5d6b84f97e44b6f",
+    "mincost-gf2": "e058d63402c36e048c8641b5bea9c78004f8f63485051dbfffa81a244773bac7",
+}
+OLD_KEYS = {
+    "matrix": (
+        '{"method":"matrix","secret":{"type":"matrix","r":{"rows":11,"cols":11,'
+        '"bits":["10010101001","01101110000","11100010111","11110000001","11101'
+        '101100","00110010000","00001101000","00011110110","00011010110","11110'
+        '001000","00110111100"]},"original_n":8,"dummy_offset":8,"negation_cons'
+        'tants":[0,1,1,2,1,2,2,3,0,1,2],"seed":7},"instance_digest":"2fc4c70a50'
+        '676473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed":7}'
+    ),
+    "gf2-w3": (
+        '{"method":"solution_set","secret":{"type":"gf2","r":{"rows":8,"cols":8'
+        ',"bits":["00001000","00000010","00100000","00000100","10011000","10000'
+        '001","10001000","01001100"]},"r_inv":{"rows":8,"cols":8,"bits":["10000'
+        '010","10010001","00100000","00001010","10000000","00010000","01000000"'
+        ',"10000110"]},"original_n":8,"seed":7},"instance_digest":"2fc4c70a5067'
+        '6473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed":7}'
+    ),
+    "mincost-gf2": (
+        '{"method":"mincost","secret":{"type":"mincost","method":"solution_set"'
+        ',"circuit":{"output_bits":[4,9,10,11],"width":4,"beta":2,"adder_dummy_'
+        'map":[5,6,7,8],"tmap":{"num_input_vars":3,"num_vars":11,"gates":[[4,"o'
+        'r",[]],[5,"and",[1,3]],[6,"and",[2,3]],[7,"xor",[1,3]],[8,"and",[6,7]]'
+        ',[9,"or",[5,8]],[10,"xor",[7,6]],[11,"xor",[2,3]]]}},"three_map":{"ori'
+        'ginal_num_vars":11,"num_vars":26,"definitions":[[12,"false",[]],[13,"f'
+        'alse",[]],[14,"false",[]],[15,"false",[]],[16,"false",[]],[17,"false",'
+        '[]],[18,"false",[]],[19,"false",[]],[20,"false",[]],[21,"false",[]],[2'
+        '2,"false",[]],[23,"false",[]],[24,"false",[]],[25,"false",[]],[26,"fal'
+        'se",[]]]},"inner":{"type":"gf2","r":{"rows":26,"cols":26,"bits":["1010'
+        '1110000001110011101000","11001101000000100010110001","0100010100001101'
+        '0100110110","00010000000000000000000000","11100111000000010011110000",'
+        '"10100010000011010111001011","00100011000000001100001001","11101101000'
+        '000110111111000","00000000100000000000000000","00000000010000000000000'
+        '000","00000000001000000000000000","00100000000011000101001111","001010'
+        '00000110010010011100","00101010000000111010000101","101011010001111001'
+        '00000101","01000101000111110010101001","11000001000011100101001111","0'
+        '0101000000110101111110000","10000001000011110111001001","0100000000011'
+        '0011110101001","01100110000011000110100110","0000111100000011010011000'
+        '0","01100111000101011110011111","00100110000001100100011100","10100110'
+        '000011011111010000","10100011000000000101110001"]},"r_inv":{"rows":26,'
+        '"cols":26,"bits":["00100111000101100111001110","1110110000010101100011'
+        '1001","01000110000000010101001100","00010000000000000000000000","10100'
+        '111000111000111001111","00001000000010011000110100","01100111000111111'
+        '111101011","00101000000000100111001110","00000000100000000000000000","'
+        '00000000010000000000000000","00000000001000000000000000","001011010001'
+        '11000100001110","01001011000110101100111010","100011010001000111110111'
+        '11","10100101000100000101110101","11101000000101100101111000","0000110'
+        '1000101100010111110","00000101000111010110101110","0110101100001110000'
+        '1011100","11101001000111011111100011","00000010000101111000000000","10'
+        '101010000001001001101101","01101001000011101011111111","11000111000000'
+        '011100000001","10101000000011001010011100","01101010000110010010000110'
+        '"]},"original_n":26,"seed":7},"seed":7},"instance_digest":"2fc4c70a506'
+        '76473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed":7}'
     ),
 }
 
@@ -110,6 +176,19 @@ def test_entry_bytes_round_trip_and_flips(case):
         except InvalidSolutionError:
             rejected += 1
     assert rejected > 0
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(PINNED) if c[0] in OLD_KEYS],
+                         ids=lambda c: c[0])
+def test_old_keys_still_load(case):
+    old_key = json.dumps(json.loads(OLD_KEYS[case[0]]), indent=1) + "\n"
+    assert _sha(old_key) == OLD_KEY_SHA[case[0]]
+    _, record, vector, costs, expected = _disguise(*case[1:])
+    old = record_from_json(old_key)
+    new = record_from_json(record_to_json(record))
+    assert old == new
+    assert (check_solution(old, vector, TINY, costs)
+            == check_solution(new, vector, TINY, costs) == expected)
 
 
 def test_table_names():

@@ -11,7 +11,7 @@ from helpers import (
     vector_to_assignment,
 )
 from satcloak.cnf import CnfInstance, InvalidSolutionError, to_three_cnf
-from satcloak.gf2 import BitMatrix, gf2_rank
+from satcloak.gf2 import BitMatrix
 from satcloak.matrixrand import (
     LinearSystem,
     apply_random_matrix,
@@ -94,7 +94,6 @@ def test_randomize_preserves_solution_set():
         art, secret = randomize_system(sys_, rng.getrandbits(32))
         assert art.num_vars == sys_.num_vars
         assert art.num_constraints == sys_.num_constraints
-        assert gf2_rank(secret.r) == sys_.num_constraints
         before = all_linear_solutions(sys_)
         after = all_linear_solutions(art)
         assert before.shape == after.shape
@@ -110,7 +109,6 @@ def test_randomize_with_injected_matrix():
     assert art.coeffs[0] == [0, 2, 0, 1, 1, 1, 1]
     assert art.rhs == [4, 1]
     assert art.coeffs[1] == sys_.coeffs[1]
-    assert secret.r == r
     assert secret.negation_constants == [0, 2]
 
 
@@ -124,7 +122,7 @@ def test_randomize_deterministic_per_seed():
     sys_ = encode_linear(CnfInstance(3, [[1, 2, 3], [-1, -2, 3], [1, -2, -3]]))
     a1, s1 = randomize_system(sys_, 5)
     a2, s2 = randomize_system(sys_, 5)
-    assert a1 == a2 and s1.r == s2.r
+    assert a1 == a2 and s1 == s2
     a3, _ = randomize_system(sys_, 6)
     assert a3 != a1
 

@@ -39,7 +39,7 @@ def test_single_unit_cost_is_a_wire():
     # One variable at cost 1: the output bit IS the variable, no gates.
     assert circuit.width == 1
     assert circuit.output_bits == [1]
-    assert circuit.adder_dummy_map == frozenset()
+    assert circuit.tmap.gates == {}
     assert combined.clauses == inst.cnf.clauses
     assert circuit_costs(circuit) == {1: 1}
 
@@ -105,7 +105,7 @@ def test_beta_validation():
     with pytest.raises(ValueError, match="at least 1"):
         compile_cost_circuit(inst, beta=0)
     _, circuit = compile_cost_circuit(inst)  # default beta fits
-    assert circuit.beta == 3
+    assert circuit.width == 3
 
 
 def test_gate_count_stays_linear():
@@ -208,6 +208,15 @@ def test_derandomize_rejects_forged_cost_bits():
 
     with pytest.raises(ValueError, match="coordinates"):
         derandomize_mincost(vec + [0], secret, inst)
+
+
+def test_derandomize_rejects_other_input_count():
+    inst = MincostInstance(CnfInstance(3, [[1, 2, 3]]), {1: 1})
+    _, secret = randomize_mincost(inst, 13, "solution_set")
+    other = MincostInstance(CnfInstance(4, [[1, 2, 3], [4]]), {1: 1})
+    vec = [1] * secret.inner.original_n
+    with pytest.raises(ValueError, match="does not match secret"):
+        derandomize_mincost(vec, secret, other)
 
 
 # ---------------------------------------------------------------------------
