@@ -5,10 +5,12 @@ of variable ``v`` (``v >= 1``) and ``-v`` its negation.  A clause is a list of
 literals, an instance is a clause list plus a variable count.  Every
 transformation in the toolkit consumes and produces these objects.
 
-Boolean formulas (used by the firewall encoder and the cost-circuit
-compiler) are immutable nested tuples, e.g. ``("and", (("var", 1),
-("not", ("var", 2))))``.  Because tuples hash structurally, the Tseitin
-encoder can share gates between identical subformulas for free.
+Boolean formulas (used by the firewall encoder) are immutable nested
+tuples, e.g. ``("and", (("var", 1), ("not", ("var", 2))))``.  Because tuples
+hash structurally, the Tseitin encoder can share gates between identical
+subformulas for free.  Fixed circuits (the cost-circuit compiler's adder)
+skip the formula layer and build two-input gates over literals with
+:meth:`TseitinEncoder.gate`.
 """
 
 from __future__ import annotations
@@ -435,8 +437,10 @@ class TseitinEncoder:
 
     Identical subformulas (as tuples) are encoded once; NOT nodes reuse the
     child's gate with flipped sign, so the CNF stays linear in the number of
-    distinct nodes.  Callers may encode several formulas against one shared
-    gate pool (the cost-circuit compiler does).
+    distinct nodes.  :meth:`gate` adds two-input gates over literals
+    directly, sharing repeated ones the same way.  Callers may build
+    several outputs against one shared gate pool (the cost-circuit compiler
+    does).
     """
 
     def __init__(self, num_input_vars: int):
@@ -445,11 +449,38 @@ class TseitinEncoder:
         self.clauses: list[list[int]] = []
         self.gates: dict[int, tuple[str, tuple[int, ...]]] = {}
         self._memo: dict = {}
+        self._shared: dict[tuple[str, int, int], int] = {}
 
-    def _fresh(self) -> int:
-        v = self._next
+    def add_gate(self, op: str, lits: tuple[int, ...]) -> int:
+        """A fresh variable defined as ``op(lits)``, with its definition
+        clauses; ``op`` is ``"and"``, ``"or"`` or ``"xor"`` (two inputs)."""
+        g = self._next
         self._next += 1
-        return v
+        self.gates[g] = (op, lits)
+        if op == "xor":
+            la, lb = lits
+            self.clauses.extend(
+                [[-g, la, lb], [-g, -la, -lb], [g, la, -lb], [g, -la, lb]]
+            )
+        elif op == "and":
+            self.clauses.extend([-g, l] for l in lits)
+            self.clauses.append([g] + [-l for l in lits])
+        else:
+            self.clauses.extend([g, -l] for l in lits)
+            self.clauses.append([-g] + list(lits))
+        return g
+
+    def gate(self, op: str, a: int, b: int) -> int:
+        """Literal of ``op(a, b)`` for ``op`` in ``"and"``, ``"or"``,
+        ``"xor"``.  The literal 0 is constant false and folds away: ``and``
+        with 0 gives 0, ``or`` and ``xor`` with 0 give the other input.
+        Repeated calls with the same ``(op, a, b)`` share one gate."""
+        if not a or not b:
+            return 0 if op == "and" else a or b
+        g = self._shared.get((op, a, b))
+        if g is None:
+            g = self._shared[op, a, b] = self.add_gate(op, (a, b))
+        return g
 
     def encode(self, formula) -> int:
         """Encode ``formula``, returning its root as a signed literal."""
@@ -471,43 +502,14 @@ class TseitinEncoder:
             lit = -self.encode(("xor", (a, b)))
         elif op == "xor":
             a, b = formula[1]
-            la, lb = self.encode(a), self.encode(b)
-            g = self._fresh()
-            self.gates[g] = ("xor", (la, lb))
-            self.clauses.extend(
-                [[-g, la, lb], [-g, -la, -lb], [g, la, -lb], [g, -la, lb]]
-            )
-            lit = g
+            lit = self.add_gate("xor", (self.encode(a), self.encode(b)))
         elif op in ("and", "or"):
             lits = tuple(self.encode(c) for c in formula[1])
-            if len(lits) == 1:
-                lit = lits[0]
-            else:
-                g = self._fresh()
-                self.gates[g] = (op, lits)
-                if op == "and":
-                    for l in lits:
-                        self.clauses.append([-g, l])
-                    self.clauses.append([g] + [-l for l in lits])
-                else:
-                    for l in lits:
-                        self.clauses.append([g, -l])
-                    self.clauses.append([-g] + list(lits))
-                lit = g
+            lit = lits[0] if len(lits) == 1 else self.add_gate(op, lits)
         else:
             raise ValueError(f"unknown formula node {op!r}")
         self._memo[formula] = lit
         return lit
-
-    def materialize(self, lit: int) -> int:
-        """Return a positive variable equal to ``lit``, adding a pass-through
-        gate when ``lit`` is negative."""
-        if lit > 0:
-            return lit
-        g = self._fresh()
-        self.gates[g] = ("and", (lit,))
-        self.clauses.extend([[-g, lit], [g, -lit]])
-        return g
 
     @property
     def num_vars(self) -> int:

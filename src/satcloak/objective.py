@@ -20,17 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cnf import (
-    FALSE,
     CnfInstance,
     InvalidSolutionError,
     ThreeCnfMap,
     TseitinEncoder,
     TseitinMap,
     evaluate_gates,
-    f_and,
-    f_or,
-    f_var,
-    f_xor,
     to_three_cnf,
 )
 from .disguise import MINCOST_INNER, _field_from_obj, lookup
@@ -106,15 +101,16 @@ class CostCircuitSecret:
     tmap: TseitinMap
 
 
-def _ripple_add(xs: list, ys: list) -> list:
-    """Add two equal-width little-endian formula vectors; the final carry is
-    dropped (callers guarantee the sum fits the width)."""
+def _ripple_add(enc: TseitinEncoder, xs: list[int], ys: list[int]) -> list[int]:
+    """Add two equal-width little-endian literal vectors (0 is constant
+    false) with ``enc``'s gates; the final carry is dropped (callers
+    guarantee the sum fits the width)."""
     out = []
-    carry = FALSE
+    carry = 0
     for a, b in zip(xs, ys):
-        half = f_xor(a, b)
-        out.append(f_xor(half, carry))
-        carry = f_or(f_and(a, b), f_and(carry, half))
+        half = enc.gate("xor", a, b)
+        out.append(enc.gate("xor", half, carry))
+        carry = enc.gate("or", enc.gate("and", a, b), enc.gate("and", carry, half))
     return out
 
 
@@ -146,25 +142,23 @@ def compile_cost_circuit(
     width = beta + (max(n, 1) - 1).bit_length()  # beta + ceil(log2 n)
 
     enc = TseitinEncoder(n)
-    vectors = []
-    for v in sorted(inst.costs):
-        c = inst.costs[v]
-        if c == 0:
-            continue
-        vectors.append(
-            [f_var(v) if (c >> i) & 1 else FALSE for i in range(width)]
-        )
+    vectors = [
+        [v if (c >> i) & 1 else 0 for i in range(width)]
+        for v, c in sorted(inst.costs.items())
+        if c
+    ]
     while len(vectors) > 1:
         nxt = [
-            _ripple_add(vectors[i], vectors[i + 1])
+            _ripple_add(enc, vectors[i], vectors[i + 1])
             for i in range(0, len(vectors) - 1, 2)
         ]
         if len(vectors) % 2:
             nxt.append(vectors[-1])
         vectors = nxt
-    total = vectors[0] if vectors else [FALSE] * width
-    # Most significant first, each output materialized as a real variable.
-    output_bits = [enc.materialize(enc.encode(f)) for f in reversed(total)]
+    total = vectors[0] if vectors else [0] * width
+    # Most significant first; constant-false bits share one forced-false gate.
+    false = enc.add_gate("or", ()) if 0 in total else 0
+    output_bits = [lit or false for lit in reversed(total)]
     combined = CnfInstance(
         enc.num_vars, [list(c) for c in inst.cnf.clauses] + enc.clauses
     )
@@ -385,7 +379,8 @@ def _check_ranges(secret: MincostSecret) -> None:
     """Raise ValueError naming the first circuit field whose value is out of
     range, so that checking an answer never indexes it by a variable the
     answer does not have.  Gates must be the variables above the inputs, in
-    order, each reading only variables below it."""
+    order, each reading only variables below it, and an xor gate reads
+    exactly two."""
     t = secret.circuit.tmap
     bits = secret.circuit.output_bits
     if t.num_input_vars < 0:
@@ -399,6 +394,8 @@ def _check_ranges(secret: MincostSecret) -> None:
     elif any(not 0 < abs(lit) < g for g, (_, lits) in t.gates.items()
              for lit in lits):
         path, why = "tmap.gates", "a gate input must be a variable below its gate"
+    elif any(op == "xor" and len(lits) != 2 for op, lits in t.gates.values()):
+        path, why = "tmap.gates", "an xor gate must have exactly two inputs"
     elif secret.circuit.width < 1:
         path, why = "width", "must be at least 1"
     elif len(bits) != secret.circuit.width:

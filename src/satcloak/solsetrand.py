@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from .cnf import (
     CnfInstance,
     InvalidSolutionError,
-    ThreeCnfMap,
+    TseitinMap,
     complete_to_three_cnf,
+    evaluate_gates,
     to_three_cnf,
 )
 from .gf2 import (
@@ -87,11 +88,10 @@ class _Plan:
 
     def __init__(self, instance: CnfInstance, r_inv: BitMatrix):
         n = instance.num_vars
-        self.base_n = n
         self._next = n + 1
         self.clauses: list[list[int]] = []
-        # var -> ("conj", la, lb) | ("xnor", la, lb), in definition order
-        self.aux_defs: dict[int, tuple] = {}
+        # Each dummy as a gate over earlier literals, in definition order.
+        self.gates: dict[int, tuple[str, tuple[int, ...]]] = {}
         self._chain_rep: dict[int, int] = {}
         subs = [
             tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)
@@ -110,20 +110,20 @@ class _Plan:
                         pairs = [(a, -b), (b, -a)]
                     else:  # value 0: (a and b) or (not a and not b)
                         pairs = [(a, b), (-a, -b)]
-                    for la, lb in pairs:
-                        z = self._fresh(("conj", la, lb))
-                        self.clauses.extend(_conj_pair(z, la, lb))
+                    for pair in pairs:
+                        z = self._fresh("and", pair)
+                        self.clauses.extend(_conj_pair(z, *pair))
                         big.append(z)
                 else:
                     rep = self._chain(v, s)
                     big.append(rep if positive else -rep)
             self.clauses.append(big)
-        self.num_vars = self._next - 1
+        self.tmap = TseitinMap(n, self._next - 1, self.gates)
 
-    def _fresh(self, definition: tuple) -> int:
+    def _fresh(self, op: str, lits: tuple[int, int]) -> int:
         z = self._next
         self._next += 1
-        self.aux_defs[z] = definition
+        self.gates[z] = (op, lits)
         return z
 
     def _chain(self, v: int, s: tuple[int, ...]) -> int:
@@ -132,28 +132,13 @@ class _Plan:
         if rep is None:
             prev = s[0]
             for nxt in s[1:]:
-                z = self._fresh(("xnor", prev, nxt))
+                z = self._fresh("xor", (prev, -nxt))  # z = not(prev xor nxt)
                 self.clauses.extend(_xnor_link(z, prev, nxt))
                 prev = z
             # After k-1 links the last z equals xor(s) + (k-1 mod 2).
             rep = prev if (len(s) - 1) % 2 == 0 else -prev
             self._chain_rep[v] = rep
         return rep
-
-    def evaluate_aux(self, base: dict[int, bool]) -> dict[int, bool]:
-        """Extend a total ``y`` assignment over the functionally-determined
-        dummies (definition order is topological)."""
-        full = dict(base)
-
-        def val(lit: int) -> bool:
-            return full[abs(lit)] == (lit > 0)
-
-        for z, (kind, la, lb) in self.aux_defs.items():
-            if kind == "conj":
-                full[z] = val(la) and val(lb)
-            else:
-                full[z] = val(la) == val(lb)
-        return full
 
 
 def _draw_substitution(
@@ -216,7 +201,7 @@ def gf_randomize(
         return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0, seed)
     r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
     plan = _Plan(instance, r_inv)
-    pre = CnfInstance(plan.num_vars, plan.clauses)
+    pre = CnfInstance(plan.tmap.num_vars, plan.clauses)
     out, _ = to_three_cnf(pre)
     return out, GfSecret(r_inv, n, seed)
 
@@ -262,7 +247,7 @@ def gf_forward(
     y = gf2_mat_vec(gf2_invert(secret.r_inv), x)
     base = {v: bool(y[v - 1]) for v in range(1, n + 1)}
     plan = _Plan(instance, secret.r_inv)
-    pre_full = plan.evaluate_aux(base)
-    pre = CnfInstance(plan.num_vars, plan.clauses)
+    pre_full = evaluate_gates(plan.tmap, base)
+    pre = CnfInstance(plan.tmap.num_vars, plan.clauses)
     _, tmap = to_three_cnf(pre)
     return complete_to_three_cnf(tmap, pre_full)

@@ -246,6 +246,10 @@ def _drop(obj, *path):
     ("mincost-randomize", "matrix",
      lambda k: _drop(k, "secret", "circuit", "tmap", "gates", 0),
      "mincost secret field 'circuit.tmap.gates': gate ids must run 4..4 in order"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"]["tmap"]["gates"].__setitem__(0, [4, "xor", [1]]),
+     "mincost secret field 'circuit.tmap.gates': an xor gate must have exactly "
+     "two inputs"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
@@ -256,7 +260,7 @@ def _drop(obj, *path):
         "mincost-definitions-not-list", "mincost-circuit-not-object",
         "mincost-output-bits-count", "mincost-output-bit-range",
         "mincost-tmap-num-vars-range", "mincost-gate-input-range",
-        "mincost-width-negative", "mincost-gate-missing"])
+        "mincost-width-negative", "mincost-gate-missing", "mincost-xor-arity"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, method, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)

@@ -318,14 +318,26 @@ def test_tseitin_plain_variable_allocates_nothing():
     assert cnf.clauses == []
 
 
-def test_materialize_negative_literal():
-    enc = TseitinEncoder(1)
-    root = enc.encode(f_not(f_var(1)))
-    assert root == -1
-    g = enc.materialize(root)
-    assert g == 2
-    assert sorted(enc.clauses) == [[-2, -1], [2, 1]]
-    assert enc.materialize(g) == g
+def test_gate_folds_false_and_shares_repeats():
+    enc = TseitinEncoder(2)
+    # The literal 0 is constant false and never allocates a gate.
+    assert enc.gate("and", 1, 0) == 0
+    assert enc.gate("or", 0, -2) == -2
+    assert enc.gate("xor", 1, 0) == 1
+    assert enc.gate("xor", 0, 0) == 0
+    assert enc.num_vars == 2 and enc.clauses == []
+    g = enc.gate("xor", 1, -2)
+    clauses = list(enc.clauses)
+    assert enc.gate("xor", 1, -2) == g
+    assert enc.clauses == clauses and enc.num_vars == 3
+    h = enc.gate("and", g, 2)
+    mapping = enc.mapping()
+    assert mapping.gates == {g: ("xor", (1, -2)), h: ("and", (g, 2))}
+    for inputs in all_assignments(2):
+        full = evaluate_gates(mapping, inputs)
+        assert full[g] == (inputs[1] == inputs[2])
+        assert full[h] == (inputs[1] == inputs[2] and inputs[2])
+        assert enc.cnf().satisfies(full)
 
 
 def test_tseitin_reserved_range_enforced():

@@ -35,7 +35,9 @@ SEED = 7
 
 # (case, entry name, mincost?, row_weight) -> sha256 of the artifact text,
 # as written by the code before the disguise table, and of the key JSON,
-# as written since keys hold only what derandomizing reads.
+# as written since keys hold only what derandomizing reads.  The two
+# Mincost cases are as written since the cost circuit is built from shared
+# two-input gates, which numbers its gates in adder order.
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
@@ -54,12 +56,12 @@ PINNED = {
         "115758381215f463758b38b2a2a93f64988f790bc3f7f8fbbdd7d6d2624f56c5",
     ),
     ("mincost-matrix", "matrix", True, None): (
-        "d29e80cfe0118d15505e1445a573d9d4532eac2ca88c24c25ecea9438c6c17ae",
-        "f0450b0bfa8c0948a1fd1c007da2ef83648e8e59630a887689f2299fce0b0731",
+        "d909aae5b3b8df4dcd980c13dab23d7c7a28b4fa27cb237d8abb952cc711be1e",
+        "5f494f0d40b33961b4ea6547ad0834e369425c9b0a0506034c0ec298236ff03a",
     ),
     ("mincost-gf2", "solution_set", True, None): (
-        "4e6723974d0a321675042033d06f48a5f83dbdf5375f3924aa365698b6501182",
-        "cf761bcba558e60610092cfcb457bfcea8bef0cec58c8c84f67544395acfb2cd",
+        "6ad1f8ec09714f775414bc082512ebe8a22648c51a718b4824ab25e7f7e433bf",
+        "cf028cec6f143cb423549b78dc56fa2838b72a452cdd79459e5fc41e498801b9",
     ),
 }
 
@@ -128,6 +130,17 @@ OLD_KEYS = {
 }
 
 
+# The honest answer _disguise built for the mincost-gf2 case when OLD_KEYS
+# were written.  The cost circuit has been renumbered since, so the old key
+# no longer equals the new one; it must still accept this answer.
+OLD_MINCOST_GF2_VECTOR = [int(b) for b in (
+    "10000011101100101010111100111100110001100010111011110001111001011011"
+    "11100111001100001001110111101101000010011011111110000000100101000001"
+    "01111010011101100010011110100010110011011000001001101100111101000010"
+    "01100111011100111010010000111110101110010010111111100010001"
+)]
+
+
 def _sha(text):
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -186,9 +199,12 @@ def test_old_keys_still_load(case):
     _, record, vector, costs, expected = _disguise(*case[1:])
     old = record_from_json(old_key)
     new = record_from_json(record_to_json(record))
-    assert old == new
-    assert (check_solution(old, vector, TINY, costs)
-            == check_solution(new, vector, TINY, costs) == expected)
+    if case[0] == "mincost-gf2":
+        vector = OLD_MINCOST_GF2_VECTOR
+    else:
+        assert old == new
+        assert check_solution(new, vector, TINY, costs) == expected
+    assert check_solution(old, vector, TINY, costs) == expected
 
 
 def test_table_names():

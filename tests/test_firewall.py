@@ -1,6 +1,7 @@
 """Firewall policies: field mapping, bit encoding, equivalence checking."""
 
 import collections
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from satcloak.cnf import (
     TRUE,
     CnfInstance,
     InvalidSolutionError,
+    emit_dimacs,
     eval_formula,
     f_and,
     f_not,
@@ -329,6 +331,27 @@ def test_decode_witness_rejects_tampering():
         decode_witness(same, SMALL, p1, p2)
     with pytest.raises(ValueError, match="missing header bit"):
         decode_witness({1: True}, SMALL)
+
+
+# (policy-pair seed, hoist_independent) -> sha256 of the DIMACS text of
+# equivalence_cnf, as written when the formula encoder also built the cost
+# circuit.  Clause and gate order are part of the pinned bytes.
+PINNED_EQUIVALENCE = {
+    (31, False): "5eca41c0ca9421694c9fa9f2bbb15290ff4af8831f37d44a7bdf133506e1db60",
+    (31, True): "69b73607b96ce87f1b497fa4d8a494991620e6405260383ae1296a8b9a12adad",
+    (32, False): "21ea5751c0809a7563e8f5743bf7a8188f499ed4bd0ee05ca94175e5a2184044",
+    (32, True): "d33bbe4071861357180026f5796c51207cb906bbf324de547d371a736b42d558",
+}
+
+
+@pytest.mark.parametrize("seed,hoist", sorted(PINNED_EQUIVALENCE))
+def test_equivalence_cnf_bytes_pinned(seed, hoist):
+    rng = random.Random(seed)
+    p1 = random_policy(rng, DEFAULT_LAYOUT, 6)
+    p2 = random_policy(rng, DEFAULT_LAYOUT, 6)
+    text = emit_dimacs(equivalence_cnf(p1, p2, hoist_independent=hoist))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == PINNED_EQUIVALENCE[seed, hoist]
 
 
 def test_decode_witness_without_policies_just_slices():

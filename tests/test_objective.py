@@ -109,13 +109,29 @@ def test_beta_validation():
 
 
 def test_gate_count_stays_linear():
+    # The exact counts are those of the adder built as shared formulas, so
+    # gate sharing over literals loses none of the formula memo's sharing.
     rng = random.Random(103)
-    for n, beta in [(4, 2), (8, 3), (16, 3), (16, 4)]:
+    for n, beta, counts in [(4, 2, (19, 65)), (8, 3, (54, 185)),
+                            (16, 3, (121, 415)), (16, 4, (158, 540))]:
         costs = {v: rng.randint(1, (1 << beta) - 1) for v in range(1, n + 1)}
         inst = MincostInstance(CnfInstance(n, []), costs)
-        _, circuit = compile_cost_circuit(inst, beta)
+        combined, circuit = compile_cost_circuit(inst, beta)
         gates = len(circuit.tmap.gates)
+        assert (gates, combined.num_clauses) == counts
         assert gates <= 6 * n * circuit.width + circuit.width
+
+
+def test_cost_circuit_at_1000_variables():
+    rng = random.Random(131)
+    n = 1000
+    costs = {v: rng.randint(1, 15) for v in range(1, n + 1)}
+    inst = MincostInstance(CnfInstance(n, []), costs)
+    _, circuit = compile_cost_circuit(inst)
+    assert circuit.width == 4 + 10
+    for _ in range(20):
+        x = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        assert decode_cost(evaluate_circuit(circuit, x), circuit) == inst.cost_of(x)
 
 
 # ---------------------------------------------------------------------------
