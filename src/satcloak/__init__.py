@@ -38,7 +38,6 @@ from .isomorph import IsoSecret, iso_derandomize, iso_randomize
 from .matrixrand import (
     LinearSystem,
     MatrixSecret,
-    derandomize_solution,
     emit_opb,
     encode_linear,
     parse_opb,
@@ -81,7 +80,6 @@ __all__ = [
     "iso_randomize",
     "LinearSystem",
     "MatrixSecret",
-    "derandomize_solution",
     "emit_opb",
     "encode_linear",
     "parse_opb",

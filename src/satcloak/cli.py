@@ -219,16 +219,40 @@ def _cmd_fw_encode(args) -> int:
     return 0
 
 
+def _mapping_from_json(text: str) -> FieldMappingSecret:
+    """The mapping a fw-map key file holds.  ValueError naming the field if
+    one is missing or not the list of integers (or, for ``seed``, the
+    integer or null) it must be."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("fw-map key file is not a JSON object")
+    for name in ("octet_maps", "port_map"):
+        if name not in obj:
+            raise ValueError(f"fw-map key file lacks field {name!r}")
+
+    def values(value, name: str) -> dict[int, int]:
+        if not isinstance(value, list) or not all(type(x) is int for x in value):
+            raise ValueError(f"fw-map key field {name!r}: expected a list of integers")
+        return dict(enumerate(value))
+
+    octet_maps = obj["octet_maps"]
+    if not isinstance(octet_maps, list):
+        raise ValueError("fw-map key field 'octet_maps': expected a list of lists")
+    seed = obj.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError("fw-map key field 'seed': expected an integer or null")
+    return FieldMappingSecret(
+        [values(m, f"octet_maps[{i}]") for i, m in enumerate(octet_maps)],
+        values(obj["port_map"], "port_map"),
+        seed,
+    )
+
+
 def _cmd_fw_map(args) -> int:
     layout = _parse_layout(args.layout)
     policy = parse_policy(_read(args.infile))
     if args.use_secret:
-        obj = json.loads(_read(args.use_secret))
-        secret = FieldMappingSecret(
-            [dict(enumerate(m)) for m in obj["octet_maps"]],
-            dict(enumerate(obj["port_map"])),
-            obj.get("seed"),
-        )
+        secret = _mapping_from_json(_read(args.use_secret))
         mapped, secret = map_fields(policy, secret=secret, layout=layout)
     else:
         if args.seed is None:

@@ -11,6 +11,11 @@ hash structurally, the Tseitin encoder can share gates between identical
 subformulas for free.  Fixed circuits (the cost-circuit compiler's adder)
 skip the formula layer and build two-input gates over literals with
 :meth:`TseitinEncoder.gate`.
+
+Every dummy variable a transformation adds is a gate of a
+:class:`TseitinMap`, and :func:`evaluate_gates` computes all of them: the
+3CNF conversion's split and padding variables (``or`` gates), the GF(2)
+rewrite's dummies and the cost circuit's adder.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ __all__ = [
     "clause_satisfied",
     "parse_dimacs",
     "emit_dimacs",
-    "ThreeCnfMap",
     "to_three_cnf",
-    "complete_to_three_cnf",
     "TRUE",
     "FALSE",
     "f_var",
@@ -61,7 +64,9 @@ class CnfInstance:
     """A CNF formula: ``num_vars`` variables, clauses over signed literals.
 
     Instances are treated as immutable after construction; all operations
-    return new objects.
+    return new objects.  Instances may share clause lists with each other
+    (a converted instance keeps the input's width-3 clauses), so nothing
+    mutates a clause in place.
     """
 
     num_vars: int
@@ -211,26 +216,7 @@ def emit_dimacs(instance: CnfInstance) -> str:
 # CNF -> exactly-3CNF conversion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThreeCnfMap:
-    """Records which output variables are original and how the introduced
-    dummies are completed.
-
-    ``definitions`` maps each fresh variable to either ``("or", (lits...))``
-    — a chain-splitting variable defined as the truth of the clause suffix —
-    or ``("false",)`` — a padding variable whose canonical completion is
-    False.  Variables ``1..original_num_vars`` are the originals.
-    """
-
-    original_num_vars: int
-    num_vars: int
-    definitions: dict[int, tuple] = field(default_factory=dict)
-
-    def is_original(self, var: int) -> bool:
-        return 1 <= var <= self.original_num_vars
-
-
-def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, ThreeCnfMap]:
+def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     """Convert any CNF to an equisatisfiable, exactly-3-literal CNF.
 
     Clauses longer than 3 are chain-split with one fresh variable per split
@@ -239,30 +225,35 @@ def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, ThreeCnfMap]:
     clause has exactly three literals.  Any satisfying assignment of the
     output restricted to the original variables satisfies the input.
 
+    The returned map holds each fresh variable as an ``or`` gate over
+    original literals: a split variable is the ``or`` of its clause suffix,
+    a padding variable the empty ``or`` (false).  :func:`evaluate_gates`
+    extends a model of the input to a model of the output.  Width-3 clauses
+    are shared with the input, not copied.
+
     Raises ValueError if the input contains an empty clause (trivially
     unsatisfiable; flagged rather than encoded).
     """
     next_var = instance.num_vars + 1
     out: list[list[int]] = []
-    defs: dict[int, tuple] = {}
+    gates: dict[int, tuple[str, tuple[int, ...]]] = {}
     for clause in instance.clauses:
         w = len(clause)
         if w == 0:
             raise ValueError("empty clause: input is trivially unsatisfiable")
         if w == 3:
-            out.append(list(clause))
+            out.append(clause)
         elif w == 1:
             (a,) = clause
             p, q = next_var, next_var + 1
             next_var += 2
-            defs[p] = ("false",)
-            defs[q] = ("false",)
+            gates[p] = gates[q] = ("or", ())
             out.extend([[a, p, q], [a, -p, q], [a, p, -q], [a, -p, -q]])
         elif w == 2:
             a, b = clause
             p = next_var
             next_var += 1
-            defs[p] = ("false",)
+            gates[p] = ("or", ())
             out.extend([[a, b, p], [a, b, -p]])
         else:
             # (l1 l2 s1) (-s1 l3 s2) ... (-s_{w-3} l_{w-1} l_w); each s_i is
@@ -270,31 +261,13 @@ def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, ThreeCnfMap]:
             svars = list(range(next_var, next_var + w - 3))
             next_var += w - 3
             for idx, s in enumerate(svars):
-                defs[s] = ("or", tuple(clause[idx + 2 :]))
+                gates[s] = ("or", tuple(clause[idx + 2 :]))
             out.append([clause[0], clause[1], svars[0]])
             for i in range(1, w - 3):
                 out.append([-svars[i - 1], clause[i + 1], svars[i]])
             out.append([-svars[-1], clause[w - 2], clause[w - 1]])
     cnf = CnfInstance(next_var - 1, out)
-    return cnf, ThreeCnfMap(instance.num_vars, next_var - 1, defs)
-
-
-def complete_to_three_cnf(
-    mapping: ThreeCnfMap, assignment: dict[int, bool]
-) -> dict[int, bool]:
-    """Extend an assignment of the original variables to the 3CNF's dummies
-    using the canonical completion recorded in ``mapping``.
-
-    If the input assignment satisfies the original CNF, the returned total
-    assignment satisfies the converted one.
-    """
-    full = dict(assignment)
-    for var, definition in mapping.definitions.items():
-        if definition[0] == "false":
-            full[var] = False
-        else:
-            full[var] = any(full[abs(l)] == (l > 0) for l in definition[1])
-    return full
+    return cnf, TseitinMap(instance.num_vars, next_var - 1, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +489,7 @@ class TseitinEncoder:
         return self._next - 1
 
     def cnf(self) -> CnfInstance:
-        return CnfInstance(self.num_vars, [list(c) for c in self.clauses])
+        return CnfInstance(self.num_vars, list(self.clauses))
 
     def mapping(self) -> TseitinMap:
         return TseitinMap(self.num_input_vars, self.num_vars, dict(self.gates))
@@ -563,3 +536,8 @@ def evaluate_gates(mapping: TseitinMap, inputs: dict[int, bool]) -> dict[int, bo
         else:
             raise ValueError(f"unknown gate op {op!r}")
     return full
+
+
+# The name perfbench/client.py imports for completing a 3CNF map; the map
+# holds gates like any other.
+complete_to_three_cnf = evaluate_gates

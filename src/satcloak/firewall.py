@@ -412,7 +412,7 @@ def equivalence_cnf(
                  encode_policy(p2, layout, hoist_independent))
     enc = TseitinEncoder(layout.total_bits)
     root = enc.encode(diff)
-    clauses = [list(c) for c in enc.clauses] + [[root]]
+    clauses = enc.clauses + [[root]]
     return CnfInstance(max(enc.num_vars, abs(root)), clauses)
 
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .cnf import CnfInstance, InvalidSolutionError
+from .cnf import CnfInstance
 from .gf2 import BitMatrix, int_mat_mul, int_mat_vec, random_full_rank
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "complete_solution",
     "apply_random_matrix",
     "randomize_system",
-    "derandomize_solution",
     "check_linear",
     "emit_opb",
     "parse_opb",
@@ -171,29 +170,6 @@ def check_linear(sys: LinearSystem, vector: list[int]) -> bool:
         sum(c * x for c, x in zip(row, vector)) == b
         for row, b in zip(sys.coeffs, sys.rhs)
     )
-
-
-def derandomize_solution(
-    sol: list[int], secret: MatrixSecret, original: CnfInstance
-) -> dict[int, bool]:
-    """Project a solution of ``RAX = RB`` back to the original variables.
-
-    The first ``original_n`` coordinates (1 -> true) are returned after an
-    internal check against every original clause; a projection that fails
-    the CNF raises :class:`InvalidSolutionError` (provider fraud or an
-    implementation bug — never silently accepted).
-    """
-    expected = secret.original_n + 2 * len(secret.negation_constants)
-    if len(sol) != expected:
-        raise ValueError(f"solution has {len(sol)} coordinates, expected {expected}")
-    if original.num_vars != secret.original_n:
-        raise ValueError("original instance does not match secret")
-    assignment = {v: bool(sol[v - 1]) for v in range(1, secret.original_n + 1)}
-    if not original.satisfies(assignment):
-        raise InvalidSolutionError(
-            "projected assignment does not satisfy the original instance"
-        )
-    return assignment
 
 
 # ---------------------------------------------------------------------------

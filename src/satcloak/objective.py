@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .cnf import (
     CnfInstance,
     InvalidSolutionError,
-    ThreeCnfMap,
     TseitinEncoder,
     TseitinMap,
     evaluate_gates,
@@ -159,9 +158,7 @@ def compile_cost_circuit(
     # Most significant first; constant-false bits share one forced-false gate.
     false = enc.add_gate("or", ()) if 0 in total else 0
     output_bits = [lit or false for lit in reversed(total)]
-    combined = CnfInstance(
-        enc.num_vars, [list(c) for c in inst.cnf.clauses] + enc.clauses
-    )
+    combined = CnfInstance(enc.num_vars, inst.cnf.clauses + enc.clauses)
     return combined, CostCircuitSecret(output_bits, width, enc.mapping())
 
 
@@ -219,7 +216,7 @@ class MincostSecret:
 
     method: str
     circuit: CostCircuitSecret
-    three_map: ThreeCnfMap
+    three_map: TseitinMap
     inner: MatrixSecret | GfSecret
     seed: int
 
@@ -316,25 +313,28 @@ def _tmap_from(obj: dict) -> TseitinMap:
     )
 
 
-def _three_map_obj(t: ThreeCnfMap) -> dict:
+def _three_map_obj(t: TseitinMap) -> dict:
+    # Keys name the input count "original_num_vars" and a padding variable
+    # (the empty "or") kind "false", so that key files keep their bytes.
     return {
-        "original_num_vars": t.original_num_vars,
+        "original_num_vars": t.num_input_vars,
         "num_vars": t.num_vars,
         "definitions": [
-            [v, d[0], list(d[1]) if len(d) > 1 else []]
-            for v, d in t.definitions.items()
+            [v, op if lits else "false", list(lits)]
+            for v, (op, lits) in t.gates.items()
         ],
     }
 
 
-def _three_map_from(obj: dict) -> ThreeCnfMap:
-    defs: dict[int, tuple] = {}
-    for v, kind, lits in _entries(obj, "three_map.definitions", ("or", "false")):
-        defs[v] = (kind,) if kind == "false" else (kind, tuple(lits))
-    return ThreeCnfMap(
+def _three_map_from(obj: dict) -> TseitinMap:
+    gates = {
+        v: ("or", () if kind == "false" else tuple(lits))
+        for v, kind, lits in _entries(obj, "three_map.definitions", ("or", "false"))
+    }
+    return TseitinMap(
         _field(obj, "three_map.original_num_vars"),
         _field(obj, "three_map.num_vars"),
-        defs,
+        gates,
     )
 
 

@@ -5,15 +5,18 @@ A random full-rank n x n 0/1 matrix ``R`` defines new variables
 clause's disjunction of XOR expressions is re-encoded into CNF:
 
 * a 1-term XOR is just a (possibly negated) ``y`` literal;
-* a 2-term XOR ``a xor b`` is flattened through two dummy variables per
+* a 2-term XOR ``a xor b`` is flattened through two ``and`` gates per
   occurrence, ``z ⇔ (a ∧ ¬b)`` and ``z' ⇔ (b ∧ ¬a)`` (three clauses each),
   which join the clause disjunction;
-* a k-term XOR (k >= 3) gets a chain of linked dummies, each link a
-  four-clause odd-parity block ``z ⇔ ¬(a xor b)``; the final link variable
-  represents the whole XOR up to a recorded parity and joins the clause as
-  a single literal.  Chains are built once per variable and shared.
+* a k-term XOR (k >= 3) gets a chain of linked ``xor`` gates, each link
+  ``z ⇔ (a xor ¬b)``, i.e. ``¬(a xor b)`` (four clauses); the final link
+  variable represents the whole XOR up to a recorded parity and joins the
+  clause as a single literal.  Chains are built once per variable and
+  shared.
 
-The rewritten clauses (width up to 6) are then regularized to exactly-3CNF.
+Both kinds of dummy are :meth:`~satcloak.cnf.TseitinEncoder.add_gate`
+gates, so :func:`~satcloak.cnf.evaluate_gates` computes them.  The
+rewritten clauses (width up to 6) are then regularized to exactly-3CNF.
 Solutions map back by ``X = R^-1 Y``; all dummies are functionally
 determined by ``Y``, so the projected solution set is the image of the
 original solution set under the bijection ``R`` — same solution count,
@@ -31,14 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import (
-    CnfInstance,
-    InvalidSolutionError,
-    TseitinMap,
-    complete_to_three_cnf,
-    evaluate_gates,
-    to_three_cnf,
-)
+from .cnf import CnfInstance, TseitinEncoder, evaluate_gates, to_three_cnf
 from .gf2 import (
     BitMatrix,
     gf2_invert,
@@ -69,76 +65,49 @@ class GfSecret:
     seed: int
 
 
-def _xnor_link(z: int, la: int, lb: int) -> list[list[int]]:
-    # z <-> not(la xor lb), i.e. the odd-parity constraint z + la + lb = 1.
-    return [[z, la, lb], [z, -la, -lb], [-z, -la, lb], [-z, la, -lb]]
+def _rewrite(instance: CnfInstance, r_inv: BitMatrix) -> TseitinEncoder:
+    """Deterministic rewrite of an instance under a substitution matrix: an
+    encoder over the ``y`` variables whose clauses are the rewritten
+    clauses, each after the gate clauses of the dummies it reads.
 
-
-def _conj_pair(z: int, la: int, lb: int) -> list[list[int]]:
-    # z <-> (la and lb).
-    return [[-z, la], [-z, lb], [z, -la, -lb]]
-
-
-class _Plan:
-    """Deterministic rewrite of an instance under a substitution matrix.
-
-    Rebuilding the plan from ``(instance, r_inv)`` is how forward mapping
+    Rebuilding it from ``(instance, r_inv)`` is how forward mapping
     recovers the dummy-variable layout without storing it in the secret.
     """
+    n = instance.num_vars
+    enc = TseitinEncoder(n)
+    chain_rep: dict[int, int] = {}
+    subs = [tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)]
+    for clause in instance.clauses:
+        big: list[int] = []
+        for lit in clause:
+            v = abs(lit)
+            positive = lit > 0
+            s = subs[v - 1]
+            if len(s) == 1:
+                big.append(s[0] if positive else -s[0])
+            elif len(s) == 2:
+                a, b = s
+                if positive:  # value 1: (a and not b) or (b and not a)
+                    pairs = [(a, -b), (b, -a)]
+                else:  # value 0: (a and b) or (not a and not b)
+                    pairs = [(a, b), (-a, -b)]
+                big.extend([enc.add_gate("and", pair) for pair in pairs])
+            else:
+                rep = chain_rep.get(v)
+                if rep is None:
+                    rep = chain_rep[v] = _chain(enc, s)
+                big.append(rep if positive else -rep)
+        enc.clauses.append(big)
+    return enc
 
-    def __init__(self, instance: CnfInstance, r_inv: BitMatrix):
-        n = instance.num_vars
-        self._next = n + 1
-        self.clauses: list[list[int]] = []
-        # Each dummy as a gate over earlier literals, in definition order.
-        self.gates: dict[int, tuple[str, tuple[int, ...]]] = {}
-        self._chain_rep: dict[int, int] = {}
-        subs = [
-            tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)
-        ]
-        for clause in instance.clauses:
-            big: list[int] = []
-            for lit in clause:
-                v = abs(lit)
-                positive = lit > 0
-                s = subs[v - 1]
-                if len(s) == 1:
-                    big.append(s[0] if positive else -s[0])
-                elif len(s) == 2:
-                    a, b = s
-                    if positive:  # value 1: (a and not b) or (b and not a)
-                        pairs = [(a, -b), (b, -a)]
-                    else:  # value 0: (a and b) or (not a and not b)
-                        pairs = [(a, b), (-a, -b)]
-                    for pair in pairs:
-                        z = self._fresh("and", pair)
-                        self.clauses.extend(_conj_pair(z, *pair))
-                        big.append(z)
-                else:
-                    rep = self._chain(v, s)
-                    big.append(rep if positive else -rep)
-            self.clauses.append(big)
-        self.tmap = TseitinMap(n, self._next - 1, self.gates)
 
-    def _fresh(self, op: str, lits: tuple[int, int]) -> int:
-        z = self._next
-        self._next += 1
-        self.gates[z] = (op, lits)
-        return z
-
-    def _chain(self, v: int, s: tuple[int, ...]) -> int:
-        """Signed literal equal to ``xor(s)``; links are cached per variable."""
-        rep = self._chain_rep.get(v)
-        if rep is None:
-            prev = s[0]
-            for nxt in s[1:]:
-                z = self._fresh("xor", (prev, -nxt))  # z = not(prev xor nxt)
-                self.clauses.extend(_xnor_link(z, prev, nxt))
-                prev = z
-            # After k-1 links the last z equals xor(s) + (k-1 mod 2).
-            rep = prev if (len(s) - 1) % 2 == 0 else -prev
-            self._chain_rep[v] = rep
-        return rep
+def _chain(enc: TseitinEncoder, s: tuple[int, ...]) -> int:
+    """Signed literal equal to ``xor(s)``, built from xnor links."""
+    prev = s[0]
+    for nxt in s[1:]:
+        prev = enc.add_gate("xor", (prev, -nxt))  # not(prev xor nxt)
+    # After k-1 links the last one equals xor(s) + (k-1 mod 2).
+    return prev if (len(s) - 1) % 2 == 0 else -prev
 
 
 def _draw_substitution(
@@ -200,22 +169,17 @@ def gf_randomize(
     if n == 0:
         return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0, seed)
     r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
-    plan = _Plan(instance, r_inv)
-    pre = CnfInstance(plan.tmap.num_vars, plan.clauses)
-    out, _ = to_three_cnf(pre)
+    out, _ = to_three_cnf(_rewrite(instance, r_inv).cnf())
     return out, GfSecret(r_inv, n, seed)
 
 
-def gf_derandomize(
-    sol: dict[int, bool],
-    secret: GfSecret,
-    original: CnfInstance | None = None,
-) -> dict[int, bool]:
+def gf_derandomize(sol: dict[int, bool], secret: GfSecret) -> dict[int, bool]:
     """Recover ``X = R^-1 Y`` from a solution of the randomized instance.
 
-    Dummy variables (indices above ``original_n``) are discarded.  When the
-    original instance is supplied the result is checked against it and an
-    :class:`InvalidSolutionError` is raised on failure (fraud/bug signal).
+    Dummy variables (indices above ``original_n``) are discarded; ValueError
+    if the solution misses a ``y`` variable.  The result is not checked
+    against the original instance: ``DISGUISES["solution_set"].check`` does
+    that.
     """
     n = secret.original_n
     try:
@@ -223,12 +187,7 @@ def gf_derandomize(
     except KeyError as exc:
         raise ValueError(f"solution is missing variable {exc.args[0]}") from None
     x = gf2_mat_vec(secret.r_inv, y)
-    assignment = {v: bool(x[v - 1]) for v in range(1, n + 1)}
-    if original is not None and not original.satisfies(assignment):
-        raise InvalidSolutionError(
-            "recovered assignment does not satisfy the original instance"
-        )
-    return assignment
+    return {v: bool(x[v - 1]) for v in range(1, n + 1)}
 
 
 def gf_forward(
@@ -246,8 +205,6 @@ def gf_forward(
     x = [1 if assignment[v] else 0 for v in range(1, n + 1)]
     y = gf2_mat_vec(gf2_invert(secret.r_inv), x)
     base = {v: bool(y[v - 1]) for v in range(1, n + 1)}
-    plan = _Plan(instance, secret.r_inv)
-    pre_full = evaluate_gates(plan.tmap, base)
-    pre = CnfInstance(plan.tmap.num_vars, plan.clauses)
-    _, tmap = to_three_cnf(pre)
-    return complete_to_three_cnf(tmap, pre_full)
+    enc = _rewrite(instance, secret.r_inv)
+    _, three_map = to_three_cnf(enc.cnf())
+    return evaluate_gates(three_map, evaluate_gates(enc.mapping(), base))

@@ -19,7 +19,8 @@ from helpers import (
     random_policy,
     random_three_cnf,
 )
-from satcloak.cnf import CnfInstance, complete_to_three_cnf, to_three_cnf
+from satcloak.cnf import CnfInstance, evaluate_gates, to_three_cnf
+from satcloak.disguise import DISGUISES
 from satcloak.firewall import (
     DEFAULT_LAYOUT,
     FieldMappingSecret,
@@ -34,7 +35,6 @@ from satcloak.gf2 import gf2_rank, random_full_rank
 from satcloak.matrixrand import (
     check_linear,
     complete_solution,
-    derandomize_solution,
     encode_linear,
     randomize_system,
 )
@@ -117,7 +117,7 @@ def test_criterion_2_matrix_solution_round_trip(matrix_corpus):
             problems.append(f"instance {i}: feasible but no enumerated solutions")
             continue
         for row in sols:
-            assignment = derandomize_solution(row.tolist(), secret, cnf)
+            assignment, _ = DISGUISES["matrix"].check(row.tolist(), secret, cnf)
             if not cnf.satisfies(assignment):
                 problems.append(f"instance {i}: round trip missed the original")
                 break
@@ -250,7 +250,7 @@ def test_criterion_5_mincost_randomization_preserves_optimum():
                 break
             if not sat_x:
                 continue
-            full3 = complete_to_three_cnf(secret.three_map, full)
+            full3 = evaluate_gates(secret.three_map, full)
             _, ok, cost = _forward_artifact_solution(
                 method, artifact, secret, three, full3
             )
@@ -283,7 +283,7 @@ def test_criterion_5_mincost_randomization_preserves_optimum():
                     problems.append(f"instance {i}: gate {g} not forced")
                     break
 
-            full3 = complete_to_three_cnf(secret.three_map, full)
+            full3 = evaluate_gates(secret.three_map, full)
             sol, _, _ = _forward_artifact_solution(
                 method, artifact, secret, three, full3
             )

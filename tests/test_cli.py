@@ -595,6 +595,30 @@ def test_fw_map_round_trip(tmp_path, capsys):
     assert lines[2] == "default deny"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda k: {"octet_maps": k["octet_maps"]},
+     "fw-map key file lacks field 'port_map'"),
+    (lambda k: [1, 2], "fw-map key file is not a JSON object"),
+    (lambda k: {**k, "octet_maps": 5},
+     "fw-map key field 'octet_maps': expected a list of lists"),
+    (lambda k: {**k, "port_map": [float(p) for p in k["port_map"]]},
+     "fw-map key field 'port_map': expected a list of integers"),
+], ids=["no-port-map", "not-object", "octet-maps-not-list", "float-port"])
+def test_fw_map_rejects_malformed_key(tmp_path, capsys, edit, message):
+    src = tmp_path / "policy.fw"
+    src.write_text("1.2.3.0 2 * 3 accept\ndefault deny\n")
+    key = tmp_path / "policy.key"
+    code, _, _ = run(capsys, "fw-map", "--in", str(src), "--seed", "5",
+                     "--layout", "8,2,8,2", "--secret", str(key))
+    assert code == 0
+    key.write_text(json.dumps(edit(json.loads(key.read_text()))))
+    code, _, err = run(capsys, "fw-map", "--in", str(src), "--use-secret",
+                       str(key), "--layout", "8,2,8,2",
+                       "--out", str(tmp_path / "again.fw"))
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_fw_map_needs_seed_or_secret(tmp_path, capsys):
     src = tmp_path / "policy.fw"
     src.write_text("default deny\n")

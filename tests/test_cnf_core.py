@@ -15,7 +15,6 @@ from satcloak.cnf import (
     DimacsError,
     TseitinEncoder,
     clause_satisfied,
-    complete_to_three_cnf,
     emit_dimacs,
     eval_formula,
     evaluate_gates,
@@ -143,21 +142,21 @@ def test_three_cnf_shapes():
     # Width-by-width clause and variable overhead.
     unit, m1 = to_three_cnf(CnfInstance(1, [[1]]))
     assert [len(c) for c in unit.clauses] == [3, 3, 3, 3]
-    assert unit.num_vars == 3 and len(m1.definitions) == 2
+    assert unit.num_vars == 3 and len(m1.gates) == 2
 
     binary, m2 = to_three_cnf(CnfInstance(2, [[1, -2]]))
     assert [len(c) for c in binary.clauses] == [3, 3]
-    assert binary.num_vars == 3 and len(m2.definitions) == 1
+    assert binary.num_vars == 3 and len(m2.gates) == 1
 
     triple, m3 = to_three_cnf(CnfInstance(3, [[1, 2, 3]]))
     assert triple.clauses == [[1, 2, 3]]
-    assert m3.definitions == {}
+    assert m3.gates == {}
 
     wide, m5 = to_three_cnf(CnfInstance(5, [[1, -2, 3, -4, 5]]))
     assert [len(c) for c in wide.clauses] == [3, 3, 3]
     assert wide.num_vars == 7
-    assert m5.definitions[6] == ("or", (3, -4, 5))
-    assert m5.definitions[7] == ("or", (-4, 5))
+    assert m5.gates[6] == ("or", (3, -4, 5))
+    assert m5.gates[7] == ("or", (-4, 5))
 
 
 def test_three_cnf_rejects_empty_clause():
@@ -172,7 +171,7 @@ def test_three_cnf_preserves_models():
         inst = random_mixed_cnf(rng, n, rng.randint(1, 8), max_width=5)
         three, mapping = to_three_cnf(inst)
         assert all(len(c) == 3 for c in three.clauses)
-        assert mapping.original_num_vars == inst.num_vars
+        assert mapping.num_input_vars == inst.num_vars
         assert mapping.num_vars == three.num_vars
         three.validate()
 
@@ -183,16 +182,10 @@ def test_three_cnf_preserves_models():
                 assert inst.satisfies(proj)
         # Completion: every model of the input extends canonically.
         for assign in naive_solutions(inst):
-            full = complete_to_three_cnf(mapping, assign)
+            full = evaluate_gates(mapping, assign)
             assert three.satisfies(full)
         # Both directions together give equisatisfiability.
         assert bool(naive_count(inst)) == bool(naive_count(three))
-
-
-def test_is_original_split():
-    _, mapping = to_three_cnf(CnfInstance(2, [[1, 2]]))
-    assert mapping.is_original(2)
-    assert not mapping.is_original(3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import json
 
 import pytest
 
-from satcloak.cnf import InvalidSolutionError, complete_to_three_cnf, parse_dimacs, to_three_cnf
+from satcloak.cnf import (
+    CnfInstance,
+    InvalidSolutionError,
+    emit_dimacs,
+    evaluate_gates,
+    parse_dimacs,
+    to_three_cnf,
+)
 from satcloak.disguise import CLI_NAMES, DISGUISES, MINCOST_INNER, lookup
 from satcloak.objective import (
     MINCOST,
@@ -37,7 +44,10 @@ SEED = 7
 # as written by the code before the disguise table, and of the key JSON,
 # as written since keys hold only what derandomizing reads.  The two
 # Mincost cases are as written since the cost circuit is built from shared
-# two-input gates, which numbers its gates in adder order.
+# two-input gates, which numbers its gates in adder order.  The three gf2
+# artifacts are as written since each XOR chain link is an encoder ``xor``
+# gate, whose four clauses come in another order than before (SORTED_SHA
+# shows the clauses themselves did not change).
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
@@ -48,11 +58,11 @@ PINNED = {
         "75d82e2b3148e11ad2d4ac3a5b662687ae768ced3a85d1e21bb90daf8d11942b",
     ),
     ("gf2", "solution_set", False, None): (
-        "ab71b9848c78c6f0502b6f69a727f97600f1ca1f29d11fa98301176df948c8e7",
+        "d90eba1c9c4dd3508f8f63956568ce0ba4e0faf434a060dc56a973fa5051f288",
         "afc475f179f37adc7528589526848bdeff4e74b85031dfe2c1cd35b74c7bd86a",
     ),
     ("gf2-w3", "solution_set", False, 3): (
-        "f1b9432f20ca6cfa2f9b44352ec2ed4f8dea889582529d4c60287a70341d30d4",
+        "49de4052b2a8aa079d9854f6998f74bdb373ca72db45cff66c9114a0a8c54162",
         "115758381215f463758b38b2a2a93f64988f790bc3f7f8fbbdd7d6d2624f56c5",
     ),
     ("mincost-matrix", "matrix", True, None): (
@@ -60,9 +70,18 @@ PINNED = {
         "5f494f0d40b33961b4ea6547ad0834e369425c9b0a0506034c0ec298236ff03a",
     ),
     ("mincost-gf2", "solution_set", True, None): (
-        "6ad1f8ec09714f775414bc082512ebe8a22648c51a718b4824ab25e7f7e433bf",
+        "6a060b874b2c205cee6e46fa9b104e01e7028dcc92abe80ccdf2f2c0354e22b8",
         "cf028cec6f143cb423549b78dc56fa2838b72a452cdd79459e5fc41e498801b9",
     ),
+}
+
+# sha256 of the sorted-clause form (literals sorted in each clause, then
+# the clauses sorted, as DIMACS) of each gf2 artifact, as the code wrote it
+# before the XOR chain links were encoder gates.
+SORTED_SHA = {
+    "gf2": "08acdba77a848849d9f88f0fd9e4e21a4e06c69951637d36aa3f4719c56a2217",
+    "gf2-w3": "d416781d4fb54a74f7a8264b54aeb0f40e32a1a459738c4f014c0599a8d2d39b",
+    "mincost-gf2": "cd6290d7d7c2c3c215930235927d33a2b2ab059f9483a79c8f2bf087262804a4",
 }
 
 # Three TINY keys as written before keys were cut to what derandomizing
@@ -160,7 +179,7 @@ def _disguise(name, mincost, row_weight):
     combined, _ = compile_cost_circuit(inst)
     three, _ = to_three_cnf(combined)
     full = evaluate_circuit(secret.circuit, MODEL)
-    x3 = complete_to_three_cnf(secret.three_map, full)
+    x3 = evaluate_gates(secret.three_map, full)
     vector = entry.forward(x3, secret.inner, three)
     record = make_record(MINCOST.name, secret, TINY, SEED)
     return (entry.emit(artifact.inner), record, vector, COSTS,
@@ -189,6 +208,14 @@ def test_entry_bytes_round_trip_and_flips(case):
         except InvalidSolutionError:
             rejected += 1
     assert rejected > 0
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(PINNED) if c[0] in SORTED_SHA],
+                         ids=lambda c: c[0])
+def test_gf2_artifact_clause_sets(case):
+    art = parse_dimacs(_disguise(*case[1:])[0])
+    clauses = sorted(sorted(c) for c in art.clauses)
+    assert _sha(emit_dimacs(CnfInstance(art.num_vars, clauses))) == SORTED_SHA[case[0]]
 
 
 @pytest.mark.parametrize("case", [c for c in sorted(PINNED) if c[0] in OLD_KEYS],

@@ -11,13 +11,13 @@ from helpers import (
     vector_to_assignment,
 )
 from satcloak.cnf import CnfInstance, InvalidSolutionError, to_three_cnf
+from satcloak.disguise import DISGUISES
 from satcloak.gf2 import BitMatrix
 from satcloak.matrixrand import (
     LinearSystem,
     apply_random_matrix,
     check_linear,
     complete_solution,
-    derandomize_solution,
     dummy_completion,
     emit_opb,
     encode_linear,
@@ -25,6 +25,8 @@ from satcloak.matrixrand import (
     randomize_system,
 )
 from satcloak.oracles import all_linear_solutions, brute_linear
+
+MATRIX = DISGUISES["matrix"]
 
 
 def test_encode_two_clause_example():
@@ -137,7 +139,7 @@ def test_derandomize_round_trip():
         if not res.feasible:
             assert not naive_solutions(inst)
             continue
-        assignment = derandomize_solution(res.vector, secret, inst)
+        assignment, _ = MATRIX.check(res.vector, secret, inst)
         assert inst.satisfies(assignment)
         assert assignment == vector_to_assignment(res.vector[: inst.num_vars])
 
@@ -160,7 +162,7 @@ def test_randomize_round_trip_at_1000_clauses():
     assert (art.num_constraints, art.num_vars) == (m, n + 2 * m)
     vector = complete_solution(three, planted)
     assert check_linear(art, vector)
-    assert derandomize_solution(vector, secret, three) == planted
+    assert MATRIX.check(vector, secret, three) == (planted, None)
     flipped = list(vector)
     flipped[abs(clauses[0][0]) - 1] ^= 1
     assert not check_linear(art, flipped)
@@ -170,16 +172,16 @@ def test_derandomize_rejects_bad_solutions():
     inst = CnfInstance(3, [[1, 2, 3], [-1, 2, -3]])
     art, secret = randomize_system(encode_linear(inst), 9)
     good = complete_solution(inst, {1: True, 2: True, 3: True})
-    assert derandomize_solution(good, secret, inst) == {1: True, 2: True, 3: True}
+    assert MATRIX.check(good, secret, inst) == ({1: True, 2: True, 3: True}, None)
 
     with pytest.raises(ValueError, match="coordinates"):
-        derandomize_solution(good + [0], secret, inst)
+        MATRIX.check(good + [0], secret, inst)
     with pytest.raises(ValueError, match="does not match secret"):
-        derandomize_solution(good, secret, CnfInstance(4, [[1, 2, 3]]))
+        MATRIX.check(good, secret, CnfInstance(4, [[1, 2, 3]]))
     # A projection falsifying the CNF is fraud, not a usage error.
     bad = [0, 0, 0, 1, 1, 1, 1]
     with pytest.raises(InvalidSolutionError):
-        derandomize_solution(bad, secret, inst)
+        MATRIX.check(bad, secret, inst)
 
 
 def test_opb_round_trip():

@@ -8,7 +8,7 @@ from helpers import all_assignments, naive_solutions, random_three_cnf
 from satcloak.cnf import (
     CnfInstance,
     InvalidSolutionError,
-    complete_to_three_cnf,
+    evaluate_gates,
     to_three_cnf,
 )
 from satcloak.matrixrand import check_linear, complete_solution
@@ -157,7 +157,7 @@ def test_matrix_method_preserves_costs():
         assert circuit.output_bits == secret.circuit.output_bits
         three, _ = to_three_cnf(combined)
         for x in naive_solutions(cnf):
-            full3 = complete_to_three_cnf(secret.three_map, evaluate_circuit(circuit, x))
+            full3 = evaluate_gates(secret.three_map, evaluate_circuit(circuit, x))
             vec = complete_solution(three, full3)
             assert check_linear(artifact.system, vec)
             got = sum(w * vec[v - 1] for v, w in artifact.costs.items())
@@ -181,7 +181,7 @@ def test_solution_set_method_preserves_costs():
         combined, circuit = compile_cost_circuit(inst)
         three, _ = to_three_cnf(combined)
         for x in naive_solutions(cnf):
-            full3 = complete_to_three_cnf(secret.three_map, evaluate_circuit(circuit, x))
+            full3 = evaluate_gates(secret.three_map, evaluate_circuit(circuit, x))
             full = gf_forward(full3, secret.inner, three)
             assert artifact.cnf.satisfies(full)
             # Output bits are fixed points of the substitution, so the
@@ -204,7 +204,7 @@ def test_derandomize_rejects_forged_cost_bits():
     combined, circuit = compile_cost_circuit(inst)
     three, _ = to_three_cnf(combined)
     x = {1: True, 2: True, 3: False}
-    vec = complete_solution(three, complete_to_three_cnf(secret.three_map, evaluate_circuit(circuit, x)))
+    vec = complete_solution(three, evaluate_gates(secret.three_map, evaluate_circuit(circuit, x)))
     assert derandomize_mincost(vec, secret, inst) == (x, 2)
 
     # Forge a cheaper cost by clearing a set output bit: caught by the

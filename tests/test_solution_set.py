@@ -12,6 +12,7 @@ from helpers import (
     random_three_cnf,
 )
 from satcloak.cnf import CnfInstance, InvalidSolutionError
+from satcloak.disguise import DISGUISES
 from satcloak.gf2 import BitMatrix
 from satcloak.oracles import brute_sat
 from satcloak.solsetrand import (
@@ -20,6 +21,8 @@ from satcloak.solsetrand import (
     gf_forward,
     gf_randomize,
 )
+
+GF2 = DISGUISES["solution_set"]
 
 
 def test_rejects_non_three_cnf():
@@ -51,7 +54,7 @@ def test_solution_sets_are_in_bijection():
         recovered = set()
         for bits in ys:
             y = {v: bool(b) for v, b in zip(range(1, n + 1), bits)}
-            x = gf_derandomize(y, secret, inst)
+            x, _ = GF2.check(y, secret, inst)
             assert inst.satisfies(x)
             recovered.add(tuple(int(x[v]) for v in range(1, n + 1)))
         models = {
@@ -77,7 +80,7 @@ def test_every_artifact_model_projects_soundly():
         for full in itertools.product([False, True], repeat=art.num_vars):
             assign = dict(zip(range(1, art.num_vars + 1), full))
             if art.satisfies(assign):
-                x = gf_derandomize(assign, secret, inst)
+                x, _ = GF2.check(assign, secret, inst)
                 assert inst.satisfies(x)
         checked += 1
     assert checked >= 5
@@ -92,7 +95,7 @@ def test_forward_then_backward_is_identity():
         for x in naive_solutions(inst):
             full = gf_forward(x, secret, inst)
             assert art.satisfies(full)
-            assert gf_derandomize(full, secret, inst) == x
+            assert GF2.check(full, secret, inst) == (x, None)
 
 
 def test_derandomize_error_paths():
@@ -106,7 +109,7 @@ def test_derandomize_error_paths():
         x = gf_derandomize(y, secret)
         if not inst.satisfies(x):
             with pytest.raises(InvalidSolutionError):
-                gf_derandomize(y, secret, inst)
+                GF2.check(y, secret, inst)
             break
     else:
         pytest.fail("every preimage satisfied a falsifiable instance")
