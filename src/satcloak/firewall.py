@@ -260,15 +260,17 @@ def map_fields(
     mapped = []
     for rule in policy.rules:
         _check_rule(rule, layout)
-        mapped.append(
-            FirewallRule(
-                map_ip(rule.src_ip),
-                map_port(rule.src_port),
-                map_ip(rule.dst_ip),
-                map_port(rule.dst_port),
-                rule.action,
-            )
+        out = FirewallRule(
+            map_ip(rule.src_ip),
+            map_port(rule.src_port),
+            map_ip(rule.dst_ip),
+            map_port(rule.dst_port),
+            rule.action,
         )
+        # A supplied map may be a bijection on a domain wider than the
+        # layout's fields; the mapped values must still fit them.
+        _check_rule(out, layout)
+        mapped.append(out)
     return FirewallPolicy(mapped, policy.default_action), secret
 
 

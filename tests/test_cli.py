@@ -619,6 +619,25 @@ def test_fw_map_rejects_malformed_key(tmp_path, capsys, edit, message):
     assert err == f"error: {message}\n"
 
 
+def test_fw_map_rejects_key_mapping_outside_layout(tmp_path, capsys):
+    # A bijection on 0..7 is a valid map, but 2-bit ports only hold 0..3.
+    src = tmp_path / "policy.fw"
+    src.write_text("1.2.3.0 1 * 3 accept\ndefault deny\n")
+    key = tmp_path / "policy.key"
+    code, _, _ = run(capsys, "fw-map", "--in", str(src), "--seed", "5",
+                     "--layout", "8,2,8,2", "--secret", str(key))
+    assert code == 0
+    obj = json.loads(key.read_text())
+    obj["port_map"] = [6, 7, 0, 1, 2, 3, 4, 5]
+    key.write_text(json.dumps(obj))
+    out = tmp_path / "again.fw"
+    code, _, err = run(capsys, "fw-map", "--in", str(src), "--use-secret",
+                       str(key), "--layout", "8,2,8,2", "--out", str(out))
+    assert code == 1
+    assert err == "error: src_port value 7 exceeds 2 bits\n"
+    assert not out.exists()
+
+
 def test_fw_map_needs_seed_or_secret(tmp_path, capsys):
     src = tmp_path / "policy.fw"
     src.write_text("default deny\n")

@@ -115,6 +115,63 @@ def test_rank_examples():
     assert gf2_rank(BitMatrix.from_rows([[1, 0, 1]])) == 1
 
 
+def _column_elimination_rank(m):
+    """Reference rank: the earlier column-by-column elimination, which for
+    each column finds a pivot row and clears that bit from every other row."""
+    rows = list(m.row_bits)
+    rank = 0
+    for col in range(m.cols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if (rows[i] >> col) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and (rows[i] >> col) & 1:
+                rows[i] ^= rows[rank]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@st.composite
+def _rank_case(draw):
+    """A matrix that is dense, or sparse (row weight <= 3), with as many,
+    more or fewer rows than columns, either count possibly zero."""
+    rows = draw(st.integers(min_value=0, max_value=24))
+    cols = draw(st.integers(min_value=0, max_value=24))
+    if cols and draw(st.booleans()):
+        position = st.integers(min_value=0, max_value=cols - 1)
+        bits = [sum({1 << j for j in draw(st.lists(position, max_size=3))})
+                for _ in range(rows)]
+    else:
+        word = st.integers(min_value=0, max_value=(1 << cols) - 1)
+        bits = draw(st.lists(word, min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        # Repeat a row or XOR two together, so rank deficiency is common.
+        i, j, k = (draw(st.integers(min_value=0, max_value=rows - 1))
+                   for _ in range(3))
+        bits[i] = bits[j] ^ bits[k]
+    return BitMatrix(rows, cols, bits)
+
+
+@given(_rank_case())
+@settings(max_examples=300)
+def test_rank_matches_column_elimination(m):
+    assert gf2_rank(m) == _column_elimination_rank(m)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 5), (5, 0), (7, 3), (3, 7)])
+def test_rank_matches_column_elimination_at_edges(rows, cols):
+    rng = random.Random(rows * 10 + cols)
+    m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+    assert gf2_rank(m) == _column_elimination_rank(m) == min(rows, cols)
+
+
 def test_invert_round_trip():
     rng = random.Random(9)
     for dim in [1, 2, 3, 5, 8, 13]:
@@ -242,6 +299,14 @@ def test_sparse_sampling_respects_weight():
     assert gf2_rank(p) == 8
     with pytest.raises(ValueError):
         random_sparse_full_rank(4, 0, seed=1)
+
+
+def test_sparse_sampling_at_scale():
+    # The draw rejects until gf2_rank reports full rank; at dimension 4096
+    # that is many ranks of a matrix with up to 3 ones per row.
+    m = random_sparse_full_rank(4096, 3, seed=1)
+    assert gf2_rank(m) == 4096
+    assert all(bits.bit_count() <= 3 for bits in m.row_bits)
 
 
 class _ZeroRandom(random.Random):
