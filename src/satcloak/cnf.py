@@ -21,13 +21,12 @@ rewrite's dummies and the cost circuit's adder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 
 __all__ = [
     "DimacsError",
     "InvalidSolutionError",
     "CnfInstance",
-    "clause_satisfied",
     "parse_dimacs",
     "emit_dimacs",
     "to_three_cnf",
@@ -103,10 +102,6 @@ class CnfInstance:
             if abs(lit) not in assignment:
                 raise KeyError(abs(lit))
         return False
-
-
-def clause_satisfied(clause: list[int], assignment: dict[int, bool]) -> bool:
-    return any(assignment[abs(lit)] == (lit > 0) for lit in clause)
 
 
 def _marked_lines(text: str) -> list[tuple[int, int]]:
@@ -203,13 +198,30 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     return CnfInstance(num_vars, clauses)
 
 
+class _ClauseFormats(dict):
+    """Line template of each clause width, e.g. ``3`` -> ``"%d %d %d 0\\n"``,
+    built the first time the width is looked up.  Width 0 gives ``" 0\\n"``."""
+
+    def __missing__(self, width: int) -> str:
+        text = self[width] = " ".join(["%d"] * width) + " 0\n"
+        return text
+
+
+_FORMATS = _ClauseFormats()
+
+
 def emit_dimacs(instance: CnfInstance) -> str:
-    """Serialize to canonical DIMACS text (one clause per line)."""
+    """Serialize to canonical DIMACS text: the ``p cnf`` line, then one
+    line per clause, its literals separated by spaces and closed by ``0``.
+
+    Literals must be ints; each is written with ``%d``.  A width-0 clause
+    is written as ``" 0"``.  The body is one template of per-width line
+    formats, filled with all literals in a single ``%`` operation.
+    """
+    clauses = instance.clauses
     head = f"p cnf {instance.num_vars} {instance.num_clauses}\n"
-    # Each clause's literals joined by spaces; the closing "" entry ends the
-    # last clause line too.
-    lines = map(" ".join, map(map, repeat(str), instance.clauses))
-    return head + " 0\n".join([*lines, ""])
+    template = "".join(map(_FORMATS.__getitem__, map(len, clauses)))
+    return head + template % tuple(chain.from_iterable(clauses))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "BitMatrix",
     "gf2_rank",
     "gf2_invert",
-    "gf2_mat_mul",
     "gf2_mat_vec",
     "int_mat_mul",
     "int_mat_vec",
@@ -187,22 +186,6 @@ def gf2_invert(m: BitMatrix) -> BitMatrix:
                 work[i] ^= work[col]
                 inv[i] ^= inv[col]
     return BitMatrix(dim, dim, inv)
-
-
-def gf2_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Product over GF(2)."""
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(a.rows):
-        bits = a.row_bits[i]
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc ^= b.row_bits[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
 
 
 def gf2_mat_vec(m: BitMatrix, vec: list[int]) -> list[int]:

@@ -10,6 +10,7 @@ import random
 
 from satcloak.cnf import CnfInstance
 from satcloak.firewall import FirewallPolicy, FirewallRule
+from satcloak.gf2 import BitMatrix
 from satcloak.oracles import restricted_sat
 
 
@@ -120,3 +121,19 @@ def random_policy(
         for _ in range(num_rules)
     ]
     return FirewallPolicy(rules, rng.choice(["accept", "deny"]))
+
+
+def gf2_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Product over GF(2)."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    out = []
+    for i in range(a.rows):
+        bits = a.row_bits[i]
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= b.row_bits[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, out)

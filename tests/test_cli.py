@@ -513,6 +513,26 @@ def test_row_weight_outside_gf2_exits_1(tmp_path, capsys, command, method):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["orig.cnf", "orig.wts"]
 
 
+@pytest.mark.parametrize("command", ["randomize", "mincost-randomize"])
+def test_failed_sparse_draw_exits_1(tmp_path, capsys, monkeypatch, command):
+    # No draws allowed: the sparse full-rank sampler gives up at once.
+    monkeypatch.setattr("satcloak.gf2.MAX_RANK_RETRIES", 0)
+    src = tmp_path / "orig.cnf"
+    src.write_text(SAT_CNF)
+    costs = tmp_path / "orig.wts"
+    costs.write_text("w 1 1\n")
+    extra = ["--costs", str(costs)] if command == "mincost-randomize" else []
+    code, out, err = run(
+        capsys, command, "--method", "gf2", "--seed", "7", "--in", str(src),
+        "--row-weight", "3", *extra,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no full-rank weight-3 matrix in 0 draws")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orig.cnf", "orig.wts"]
+
+
 # ---------------------------------------------------------------------------
 # firewall pipeline
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from satcloak.cnf import (
     CnfInstance,
     DimacsError,
     TseitinEncoder,
-    clause_satisfied,
     emit_dimacs,
     eval_formula,
     evaluate_gates,
@@ -49,8 +48,9 @@ def test_validate_rejects_bad_instances():
 
 
 def test_clause_satisfied():
-    assert clause_satisfied([1, -2], {1: False, 2: False})
-    assert not clause_satisfied([1, -2], {1: False, 2: True})
+    clause = CnfInstance(2, [[1, -2]])
+    assert clause.satisfies({1: False, 2: False})
+    assert not clause.satisfies({1: False, 2: True})
 
 
 def test_satisfies_with_missing_variables():

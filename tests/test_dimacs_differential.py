@@ -1,11 +1,15 @@
 """``parse_dimacs`` and ``emit_dimacs`` against line-by-line reference
 copies: equal clauses or the same DimacsError, and byte-equal text."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_three_cnf
 from satcloak.cnf import CnfInstance, DimacsError, emit_dimacs, parse_dimacs
+from satcloak.disguise import DISGUISES
 
 # ---------------------------------------------------------------------------
 # Reference codecs: one line, one token and one literal at a time
@@ -231,6 +235,34 @@ def test_emit_matches_reference(num_vars, clauses):
     # emit_dimacs serializes whatever it is given, valid or not.
     inst = CnfInstance(num_vars, clauses)
     assert emit_dimacs(inst) == reference_emit(inst)
+
+
+def _planted_three_cnf(rng, num_vars, num_clauses):
+    planted = {v: rng.random() < 0.5 for v in range(1, num_vars + 1)}
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = random_three_cnf(rng, num_vars, 1).clauses[0]
+        if any(planted[abs(lit)] == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    return CnfInstance(num_vars, clauses)
+
+
+def test_emit_matches_reference_at_scale():
+    rng = random.Random(11)
+    # A dense GF(2) artifact: the largest texts the library writes.
+    original = _planted_three_cnf(rng, 300, 1278)
+    artifact, _ = DISGUISES["solution_set"].randomize(original, 5)
+    assert artifact.num_clauses > 100_000
+    # Every width from 0 to 40, literals up to +-10^9 of both signs.
+    widths = [*range(41), *(rng.randint(0, 40) for _ in range(2000))]
+    clauses = [
+        [rng.choice([-1, 1]) * rng.randint(1, 10**9) for _ in range(w)]
+        for w in widths
+    ]
+    clauses.append([10**9, -(10**9)])
+    mixed = CnfInstance(10**9, clauses)
+    for inst in (artifact, mixed):
+        assert emit_dimacs(inst) == reference_emit(inst)
 
 
 def test_non_ascii_bytes_are_rejected_like_the_reference():

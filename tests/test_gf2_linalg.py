@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gf2_mat_mul
 from satcloak.gf2 import (
     MAX_RANK_RETRIES,
     BitMatrix,
     RankSamplingError,
     SingularMatrixError,
     gf2_invert,
-    gf2_mat_mul,
     gf2_mat_vec,
     gf2_rank,
     int_mat_mul,
