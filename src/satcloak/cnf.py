@@ -16,11 +16,20 @@ Every dummy variable a transformation adds is a gate of a
 :class:`TseitinMap`, and :func:`evaluate_gates` computes all of them: the
 3CNF conversion's split and padding variables (``or`` gates), the GF(2)
 rewrite's dummies and the cost circuit's adder.
+
+The library's entry points that build or walk clause-sized object graphs
+run with CPython's cyclic garbage collector paused (:func:`_nogc`).  Those
+graphs (clause lists, gate tuples, dicts of ints) hold no reference cycles,
+so reference counting frees them and the collector's passes only re-scan
+survivors.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain
 
 __all__ = [
@@ -46,6 +55,44 @@ __all__ = [
     "tseitin",
     "evaluate_gates",
 ]
+
+
+# The collector's on/off switch is process-wide, so the count of running
+# paused calls and the state to restore when the last one ends live at
+# module level too, under one lock: a thread that read ``gc.isenabled()``
+# while another re-enabled the collector could otherwise leave it off.
+_pause_lock = threading.Lock()
+_pauses = 0
+_gc_was_enabled = False
+
+
+def _nogc(func):
+    """Decorate ``func`` to run with the cyclic garbage collector paused.
+
+    While any decorated call runs, in any thread, the pause holds for the
+    whole process.  When the last running call ends, by returning or by
+    raising, the collector is put back as it was before the first one began.
+    Nothing is collected on the way out: the decorated code makes no
+    cycles, and reference counting keeps freeing its garbage meanwhile.
+    """
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        global _pauses, _gc_was_enabled
+        with _pause_lock:
+            if not _pauses:
+                _gc_was_enabled = gc.isenabled()
+                gc.disable()
+            _pauses += 1
+        try:
+            return func(*args, **kwargs)
+        finally:
+            with _pause_lock:
+                _pauses -= 1
+                if not _pauses and _gc_was_enabled:
+                    gc.enable()
+
+    return paused
 
 
 class DimacsError(ValueError):
@@ -123,6 +170,7 @@ def _marked_lines(text: str) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
+@_nogc
 def parse_dimacs(text: str | bytes) -> CnfInstance:
     """Parse DIMACS CNF text.
 
@@ -228,6 +276,7 @@ def emit_dimacs(instance: CnfInstance) -> str:
 # CNF -> exactly-3CNF conversion
 # ---------------------------------------------------------------------------
 
+@_nogc
 def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     """Convert any CNF to an equisatisfiable, exactly-3-literal CNF.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import CnfInstance
+from .cnf import CnfInstance, _nogc
 
 __all__ = ["IsoSecret", "apply_iso", "iso_randomize", "iso_derandomize", "iso_forward"]
 
@@ -57,6 +57,7 @@ def apply_iso(
     return CnfInstance(instance.num_vars, clauses)
 
 
+@_nogc
 def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSecret]:
     """Draw a uniform permutation and per-variable coin-flip polarity set,
     apply them, and shuffle clause order.  Deterministic given ``seed``."""

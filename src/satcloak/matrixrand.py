@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .cnf import CnfInstance
+from .cnf import CnfInstance, _nogc
 from .gf2 import BitMatrix, int_mat_mul, int_mat_vec, random_full_rank
 
 __all__ = [
@@ -74,6 +74,7 @@ class MatrixSecret:
     seed: int
 
 
+@_nogc
 def encode_linear(instance: CnfInstance) -> LinearSystem:
     """Encode an exactly-3CNF instance as ``AX = B``.
 
@@ -145,6 +146,7 @@ def apply_random_matrix(sys: LinearSystem, r: BitMatrix) -> LinearSystem:
     return LinearSystem(sys.num_vars, coeffs, rhs)
 
 
+@_nogc
 def randomize_system(
     sys: LinearSystem, seed: int, r: BitMatrix | None = None
 ) -> tuple[LinearSystem, MatrixSecret]:

@@ -24,6 +24,7 @@ from .cnf import (
     InvalidSolutionError,
     TseitinEncoder,
     TseitinMap,
+    _nogc,
     evaluate_gates,
     to_three_cnf,
 )
@@ -221,6 +222,7 @@ class MincostSecret:
     seed: int
 
 
+@_nogc
 def randomize_mincost(
     inst: MincostInstance,
     seed: int,
@@ -250,6 +252,7 @@ def randomize_mincost(
     )
 
 
+@_nogc
 def derandomize_mincost(
     sol, secret: MincostSecret, original: MincostInstance
 ) -> tuple[dict[int, bool], int]:

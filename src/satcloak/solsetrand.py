@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import CnfInstance, TseitinEncoder, evaluate_gates, to_three_cnf
+from .cnf import CnfInstance, TseitinEncoder, _nogc, evaluate_gates, to_three_cnf
 from .gf2 import (
     BitMatrix,
     gf2_invert,
@@ -120,7 +120,7 @@ def _draw_substitution(
 
     In sparse mode ``R^-1`` is drawn directly (its row weights bound the XOR
     widths and hence the output size); the dense draw is of ``R``, which is
-    then inverted.
+    then inverted.  With no coordinate fixed, the drawn block is ``R^-1``.
     """
     free = sorted(set(range(1, n + 1)) - fixed_vars)
     if not free:
@@ -129,6 +129,8 @@ def _draw_substitution(
         block = random_sparse_full_rank(len(free), row_weight, rng)
     else:
         block = gf2_invert(random_full_rank(len(free), rng))
+    if len(free) == n:
+        return block
     rows = [0] * n
     for v in range(1, n + 1):
         if v in fixed_vars:
@@ -141,6 +143,7 @@ def _draw_substitution(
     return BitMatrix(n, n, rows)
 
 
+@_nogc
 def gf_randomize(
     instance: CnfInstance,
     seed: int,
