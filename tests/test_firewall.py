@@ -335,16 +335,21 @@ def test_decode_witness_rejects_tampering():
 
 # (policy-pair seed, hoist_independent) -> sha256 of the DIMACS text of
 # equivalence_cnf, as written when the formula encoder also built the cost
-# circuit.  Clause and gate order are part of the pinned bytes.
+# circuit.  Clause and gate order are part of the pinned bytes.  "batch" is
+# the digest of _folding_batch_text, pinned before the encoder stopped
+# folding formulas.
 PINNED_EQUIVALENCE = {
     (31, False): "5eca41c0ca9421694c9fa9f2bbb15290ff4af8831f37d44a7bdf133506e1db60",
     (31, True): "69b73607b96ce87f1b497fa4d8a494991620e6405260383ae1296a8b9a12adad",
     (32, False): "21ea5751c0809a7563e8f5743bf7a8188f499ed4bd0ee05ca94175e5a2184044",
     (32, True): "d33bbe4071861357180026f5796c51207cb906bbf324de547d371a736b42d558",
+    "batch": "afb2b805150a62b5fd407579dfa0c16d8b52a83a7311d0717ac26670808b3c96",
 }
 
 
-@pytest.mark.parametrize("seed,hoist", sorted(PINNED_EQUIVALENCE))
+@pytest.mark.parametrize(
+    "seed,hoist", sorted(k for k in PINNED_EQUIVALENCE if k != "batch")
+)
 def test_equivalence_cnf_bytes_pinned(seed, hoist):
     rng = random.Random(seed)
     p1 = random_policy(rng, DEFAULT_LAYOUT, 6)
@@ -352,6 +357,40 @@ def test_equivalence_cnf_bytes_pinned(seed, hoist):
     text = emit_dimacs(equivalence_cnf(p1, p2, hoist_independent=hoist))
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == PINNED_EQUIVALENCE[seed, hoist]
+
+
+def _folding_batch_text() -> str:
+    """Concatenated DIMACS text of the equivalence CNFs the 96-bit pins
+    miss: policies that fold to a constant (empty ones, all-wildcard
+    rules), identical pairs and near-wildcard policies, on the TINY, SMALL
+    and 8,2,8,2 layouts, plain and hoisted."""
+    rng = random.Random(41)
+    accept_all = FirewallRule(None, None, None, None, "accept")
+    deny_all = FirewallRule(None, None, None, None, "deny")
+    texts = []
+    for layout in (TINY, SMALL, HeaderLayout(8, 2, 8, 2)):
+        fixed = [FirewallPolicy([], "deny"), FirewallPolicy([], "accept")]
+        fixed += [
+            FirewallPolicy([rule, *random_policy(rng, layout, 2).rules], default)
+            for rule in (accept_all, deny_all)
+            for default in ("deny", "accept")
+        ]
+        pairs = [(a, b) for a in fixed for b in fixed]
+        for wildcard_p in (0.35, 0.7, 0.95):
+            for num_rules in range(6):
+                p1 = random_policy(rng, layout, num_rules, wildcard_p)
+                p2 = random_policy(rng, layout, rng.randint(0, 5), wildcard_p)
+                pairs += [(p1, p2), (p1, p1), (p2, p1), (p1, rng.choice(fixed))]
+        for a, b in pairs:
+            for hoist in (False, True):
+                texts.append(emit_dimacs(equivalence_cnf(a, b, layout, hoist)))
+    return "".join(texts)
+
+
+def test_equivalence_cnf_folding_batch_pinned():
+    text = _folding_batch_text()
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == PINNED_EQUIVALENCE["batch"]
 
 
 def test_decode_witness_without_policies_just_slices():
