@@ -1,16 +1,16 @@
-"""CNF data model, DIMACS I/O, 3CNF conversion, and Tseitin encoding.
+"""CNF data model, DIMACS I/O, 3CNF conversion, and Tseitin gates.
 
 Literals are DIMACS-style signed integers: ``v`` is the positive occurrence
 of variable ``v`` (``v >= 1``) and ``-v`` its negation.  A clause is a list of
 literals, an instance is a clause list plus a variable count.  Every
 transformation in the toolkit consumes and produces these objects.
 
-Boolean formulas (used by the firewall encoder) are immutable nested
-tuples, e.g. ``("and", (("var", 1), ("not", ("var", 2))))``.  Because tuples
-hash structurally, the Tseitin encoder can share gates between identical
-subformulas for free.  Fixed circuits (the cost-circuit compiler's adder)
-skip the formula layer and build two-input gates over literals with
-:meth:`TseitinEncoder.gate`.
+Circuits are built as gates over literals by :class:`TseitinEncoder`:
+``and`` and ``or`` of any number of inputs and ``xor`` of two, each a fresh
+variable with its definition clauses.  :meth:`TseitinEncoder.gate` and
+:meth:`TseitinEncoder.gate_n` share repeated gates, so the firewall
+encoder's equal predicates and terms and the cost circuit's repeated
+adder gates are each one variable.
 
 Every dummy variable a transformation adds is a gate of a
 :class:`TseitinMap`, and :func:`evaluate_gates` computes all of them: the
@@ -39,20 +39,8 @@ __all__ = [
     "parse_dimacs",
     "emit_dimacs",
     "to_three_cnf",
-    "TRUE",
-    "FALSE",
-    "f_var",
-    "f_not",
-    "f_and",
-    "f_or",
-    "f_xor",
-    "f_iff",
-    "eval_formula",
-    "formula_vars",
-    "formula_size",
     "TseitinMap",
     "TseitinEncoder",
-    "tseitin",
     "evaluate_gates",
 ]
 
@@ -331,124 +319,6 @@ def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     return cnf, TseitinMap(instance.num_vars, next_var - 1, gates)
 
 
-# ---------------------------------------------------------------------------
-# Boolean formulas
-# ---------------------------------------------------------------------------
-
-# Empty conjunction / disjunction double as the constants.
-TRUE = ("and", ())
-FALSE = ("or", ())
-
-
-def f_var(i: int):
-    if i < 1:
-        raise ValueError("variable indices start at 1")
-    return ("var", i)
-
-
-def f_not(f):
-    if f == TRUE:
-        return FALSE
-    if f == FALSE:
-        return TRUE
-    if f[0] == "not":
-        return f[1]
-    return ("not", f)
-
-
-def f_and(*fs):
-    children = []
-    for f in fs:
-        if f == FALSE:
-            return FALSE
-        if f == TRUE:
-            continue
-        children.append(f)
-    if len(children) == 1:
-        return children[0]
-    return ("and", tuple(children))
-
-
-def f_or(*fs):
-    children = []
-    for f in fs:
-        if f == TRUE:
-            return TRUE
-        if f == FALSE:
-            continue
-        children.append(f)
-    if len(children) == 1:
-        return children[0]
-    return ("or", tuple(children))
-
-
-def f_xor(a, b):
-    if a == FALSE:
-        return b
-    if b == FALSE:
-        return a
-    if a == TRUE:
-        return f_not(b)
-    if b == TRUE:
-        return f_not(a)
-    return ("xor", (a, b))
-
-
-def f_iff(a, b):
-    return f_not(f_xor(a, b))
-
-
-def eval_formula(f, assignment: dict[int, bool]) -> bool:
-    op = f[0]
-    if op == "var":
-        return assignment[f[1]]
-    if op == "not":
-        return not eval_formula(f[1], assignment)
-    if op == "and":
-        return all(eval_formula(c, assignment) for c in f[1])
-    if op == "or":
-        return any(eval_formula(c, assignment) for c in f[1])
-    if op == "xor":
-        a, b = f[1]
-        return eval_formula(a, assignment) != eval_formula(b, assignment)
-    if op == "iff":
-        a, b = f[1]
-        return eval_formula(a, assignment) == eval_formula(b, assignment)
-    raise ValueError(f"unknown formula node {op!r}")
-
-
-def formula_vars(f) -> set[int]:
-    op = f[0]
-    if op == "var":
-        return {f[1]}
-    if op == "not":
-        return formula_vars(f[1])
-    out: set[int] = set()
-    for c in f[1]:
-        out |= formula_vars(c)
-    return out
-
-
-def formula_size(f) -> int:
-    """Number of distinct subformula nodes (the DAG size after sharing)."""
-    seen: set = set()
-
-    def walk(g) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        if g[0] == "var":
-            return
-        if g[0] == "not":
-            walk(g[1])
-        else:
-            for c in g[1]:
-                walk(c)
-
-    walk(f)
-    return len(seen)
-
-
 @dataclass
 class TseitinMap:
     """Gate dictionary of a Tseitin encoding.
@@ -467,14 +337,14 @@ class TseitinMap:
 
 
 class TseitinEncoder:
-    """Incremental Tseitin encoder with structural sharing.
+    """Incremental Tseitin encoder over literals.
 
-    Identical subformulas (as tuples) are encoded once; NOT nodes reuse the
-    child's gate with flipped sign, so the CNF stays linear in the number of
-    distinct nodes.  :meth:`gate` adds two-input gates over literals
-    directly, sharing repeated ones the same way.  Callers may build
-    several outputs against one shared gate pool (the cost-circuit compiler
-    does).
+    :meth:`add_gate` takes a fresh variable for every call.  :meth:`gate`
+    and :meth:`gate_n` look ``(op, input literals)`` up in one table first,
+    so a repeated gate is one variable and the CNF stays linear in the
+    number of distinct gates.  Callers may build several outputs against
+    one shared gate pool (the cost-circuit compiler and the firewall
+    encoder do).
     """
 
     def __init__(self, num_input_vars: int):
@@ -482,12 +352,12 @@ class TseitinEncoder:
         self._next = num_input_vars + 1
         self.clauses: list[list[int]] = []
         self.gates: dict[int, tuple[str, tuple[int, ...]]] = {}
-        self._memo: dict = {}
-        self._shared: dict[tuple[str, int, int], int] = {}
+        self._shared: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def add_gate(self, op: str, lits: tuple[int, ...]) -> int:
         """A fresh variable defined as ``op(lits)``, with its definition
-        clauses; ``op`` is ``"and"``, ``"or"`` or ``"xor"`` (two inputs)."""
+        clauses; ``op`` is ``"and"`` or ``"or"`` (any number of inputs; none
+        gives a forced constant) or ``"xor"`` (two inputs)."""
         g = self._next
         self._next += 1
         self.gates[g] = (op, lits)
@@ -508,42 +378,28 @@ class TseitinEncoder:
         """Literal of ``op(a, b)`` for ``op`` in ``"and"``, ``"or"``,
         ``"xor"``.  The literal 0 is constant false and folds away: ``and``
         with 0 gives 0, ``or`` and ``xor`` with 0 give the other input.
-        Repeated calls with the same ``(op, a, b)`` share one gate."""
+        Otherwise this is ``gate_n(op, (a, b))``, written out because the
+        cost circuit's adder calls it for every bit."""
         if not a or not b:
             return 0 if op == "and" else a or b
-        g = self._shared.get((op, a, b))
+        lits = (a, b)
+        g = self._shared.get((op, lits))
         if g is None:
-            g = self._shared[op, a, b] = self.add_gate(op, (a, b))
+            g = self._shared[op, lits] = self.add_gate(op, lits)
         return g
 
-    def encode(self, formula) -> int:
-        """Encode ``formula``, returning its root as a signed literal."""
-        hit = self._memo.get(formula)
-        if hit is not None:
-            return hit
-        op = formula[0]
-        if op == "var":
-            lit = formula[1]
-            if lit > self.num_input_vars:
-                raise ValueError(
-                    f"variable {lit} exceeds reserved input range "
-                    f"1..{self.num_input_vars}"
-                )
-        elif op == "not":
-            lit = -self.encode(formula[1])
-        elif op == "iff":
-            a, b = formula[1]
-            lit = -self.encode(("xor", (a, b)))
-        elif op == "xor":
-            a, b = formula[1]
-            lit = self.add_gate("xor", (self.encode(a), self.encode(b)))
-        elif op in ("and", "or"):
-            lits = tuple(self.encode(c) for c in formula[1])
-            lit = lits[0] if len(lits) == 1 else self.add_gate(op, lits)
-        else:
-            raise ValueError(f"unknown formula node {op!r}")
-        self._memo[formula] = lit
-        return lit
+    def gate_n(self, op: str, lits: tuple[int, ...]) -> int:
+        """Literal of ``op(lits)`` over nonzero literals: the input itself
+        when there is one, else the gate of ``(op, lits)``, made on the
+        first call and shared by every later one (and by :meth:`gate`).
+        No inputs give the forced constant gate: ``and`` true, ``or``
+        false."""
+        if len(lits) == 1:
+            return lits[0]
+        g = self._shared.get((op, lits))
+        if g is None:
+            g = self._shared[op, lits] = self.add_gate(op, lits)
+        return g
 
     @property
     def num_vars(self) -> int:
@@ -554,25 +410,6 @@ class TseitinEncoder:
 
     def mapping(self) -> TseitinMap:
         return TseitinMap(self.num_input_vars, self.num_vars, dict(self.gates))
-
-
-def tseitin(formula, num_input_vars: int | None = None):
-    """Tseitin-encode ``formula``.
-
-    Returns ``(cnf, root_literal, mapping)``.  The CNF contains only gate
-    definition clauses (the root is not asserted); its size is linear in the
-    number of distinct formula nodes.  ``root_literal`` is a signed literal:
-    for plain variables and NOT chains no gate is allocated at the root.
-
-    ``num_input_vars`` reserves variable indices ``1..num_input_vars`` for
-    inputs (defaults to the largest variable mentioned in the formula).
-    """
-    if num_input_vars is None:
-        vs = formula_vars(formula)
-        num_input_vars = max(vs) if vs else 0
-    enc = TseitinEncoder(num_input_vars)
-    root = enc.encode(formula)
-    return enc.cnf(), root, enc.mapping()
 
 
 def evaluate_gates(mapping: TseitinMap, inputs: dict[int, bool]) -> dict[int, bool]:

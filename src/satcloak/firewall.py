@@ -1,16 +1,18 @@
-"""Firewall policies as Boolean formulas, and their randomization.
+"""Firewall policies as Tseitin gates, and their randomization.
 
 A policy is an ordered rule list with first-match semantics over a packet
 header of ``k`` bits (source IP, source port, destination IP, destination
-port, in that bit order).  Each rule becomes a conjunction over the bits
-of its concrete fields; the whole policy becomes the first-match chain
+port, in that bit order).  Each rule's predicate is an ``and`` gate over
+the bits of its concrete fields; the whole policy is the ``or`` gate of
+the first-match chain
 
     accepts(h)  =  OR_i [ M_i(h) AND NOT M_1(h) ... NOT M_{i-1}(h) ]
 
 over its accept rules (plus a catch-all term for an accept default).  Two
-policies are equivalent iff the XOR of their formulas is unsatisfiable;
-the Tseitin CNF of that XOR is the checkable artifact, and any satisfying
-assignment decodes to a concrete witness packet the policies disagree on.
+policies are equivalent iff the ``xor`` gate of their two roots is
+unsatisfiable; the gate clauses with that root asserted are the checkable
+artifact, and any satisfying assignment decodes to a concrete witness
+packet the policies disagree on.
 
 Before outsourcing, field values are disguised by per-position bijections:
 one map per IP chunk position (shared between source and destination
@@ -30,16 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import (
-    CnfInstance,
-    InvalidSolutionError,
-    TseitinEncoder,
-    f_and,
-    f_not,
-    f_or,
-    f_var,
-    f_xor,
-)
+from .cnf import CnfInstance, InvalidSolutionError, TseitinEncoder
 
 __all__ = [
     "FirewallRule",
@@ -154,6 +147,23 @@ def _check_rule(rule: FirewallRule, layout: HeaderLayout) -> None:
 # Field mapping (value randomization)
 # ---------------------------------------------------------------------------
 
+# A field map is a full table of 2**w values, so maps stop at the default
+# port width: a 33-bit IP field is one chunk, and its table would not fit.
+_MAX_MAP_BITS = 16
+
+
+def _check_map_widths(layout: HeaderLayout) -> None:
+    """ValueError naming the first field whose value map would be wider
+    than ``_MAX_MAP_BITS``; runs before any table is built."""
+    for name, bits in layout.fields():
+        width = layout.ip_chunks(bits)[0] if name.endswith("_ip") else bits
+        if width > _MAX_MAP_BITS:
+            raise ValueError(
+                f"{name} needs a {width}-bit value map; "
+                f"field maps hold at most {_MAX_MAP_BITS} bits"
+            )
+
+
 @dataclass
 class FieldMappingSecret:
     """Per-chunk-position bijections for IP values plus one port bijection.
@@ -178,6 +188,7 @@ class FieldMappingSecret:
     @classmethod
     def random(cls, layout: HeaderLayout, seed: int) -> "FieldMappingSecret":
         """Uniform random bijections over the full value domains."""
+        _check_map_widths(layout)
         if layout.ip_chunks(layout.src_ip_bits) != layout.ip_chunks(layout.dst_ip_bits):
             raise ValueError("source/destination IP chunking differs; cannot share maps")
         if layout.src_port_bits != layout.dst_port_bits:
@@ -201,6 +212,7 @@ class FieldMappingSecret:
     ) -> "FieldMappingSecret":
         """Identity maps with the given transpositions applied — handy for
         spelling out small concrete mappings (a <-> b per position)."""
+        _check_map_widths(layout)
 
         def build(size: int, swaps: list[tuple[int, int]]) -> dict[int, int]:
             m = {v: v for v in range(size)}
@@ -287,19 +299,21 @@ def _field_offsets(layout: HeaderLayout) -> dict[str, int]:
     return offsets
 
 
-def _value_conjuncts(value: int, offset: int, width: int) -> list:
+def _value_literals(value: int, offset: int, width: int) -> list[int]:
     """Bit literals fixing ``width`` header bits (MSB first) to ``value``."""
-    out = []
-    for i in range(width):
-        var = f_var(offset + i + 1)
-        out.append(var if (value >> (width - 1 - i)) & 1 else f_not(var))
-    return out
+    return [
+        offset + i + 1 if (value >> (width - 1 - i)) & 1 else -(offset + i + 1)
+        for i in range(width)
+    ]
 
 
-def match_predicate(rule: FirewallRule, layout: HeaderLayout = DEFAULT_LAYOUT):
-    """Boolean formula over header bits, true exactly on headers the rule
-    matches.  Wildcarded fields and chunks contribute nothing; an
-    all-wildcard rule is the constant true."""
+def match_predicate(
+    rule: FirewallRule, layout: HeaderLayout = DEFAULT_LAYOUT
+) -> tuple[int, ...]:
+    """Header-bit literals whose ``and`` is true exactly on headers the
+    rule matches: the inputs of the rule's predicate gate.  Wildcarded
+    fields and chunks contribute nothing, so an all-wildcard rule gives
+    ``()``, which matches every header."""
     _check_rule(rule, layout)
     offsets = _field_offsets(layout)
     conjuncts = []
@@ -311,11 +325,11 @@ def match_predicate(rule: FirewallRule, layout: HeaderLayout = DEFAULT_LAYOUT):
             pos = offsets[name]
             for v, w in zip(value, layout.ip_chunks(bits)):
                 if v is not None:
-                    conjuncts.extend(_value_conjuncts(v, pos, w))
+                    conjuncts.extend(_value_literals(v, pos, w))
                 pos += w
         else:
-            conjuncts.extend(_value_conjuncts(value, offsets[name], bits))
-    return f_and(*conjuncts)
+            conjuncts.extend(_value_literals(value, offsets[name], bits))
+    return tuple(conjuncts)
 
 
 def _disjoint(r1: FirewallRule, r2: FirewallRule, layout: HeaderLayout) -> bool:
@@ -335,31 +349,49 @@ def _disjoint(r1: FirewallRule, r2: FirewallRule, layout: HeaderLayout) -> bool:
 
 
 def encode_policy(
+    enc: TseitinEncoder,
     policy: FirewallPolicy,
     layout: HeaderLayout = DEFAULT_LAYOUT,
     hoist_independent: bool = False,
-):
-    """Formula true exactly on headers the policy accepts.
+) -> int | bool:
+    """Literal of a gate of ``enc`` that is true exactly on headers the
+    policy accepts; ``True`` or ``False``, with no gate made, if the policy
+    accepts every header or none.
 
-    Builds the general first-match chain.  With ``hoist_independent`` the
-    not-an-earlier-match guards that are provably redundant (the earlier
-    rule cannot overlap this one) are dropped — a pure size optimization,
-    never a semantic change.
+    Builds the general first-match chain: each accept rule's term is the
+    ``and`` of its predicate and the negated predicates of the rules before
+    it.  With ``hoist_independent`` the not-an-earlier-match guards that
+    are provably redundant (the earlier rule cannot overlap this one) are
+    dropped — a pure size optimization, never a semantic change.
+
+    The constants are decided before any gate is made: a guard on an
+    all-wildcard rule is false and kills its term, and a term with nothing
+    to check makes the policy true.  Then gates are made depth first, term
+    by term, through ``enc``'s shared gate table, so equal predicates and
+    terms are one gate, also across policies encoded into the same ``enc``.
     """
     preds = [match_predicate(rule, layout) for rule in policy.rules]
     terms = []
     for i, rule in enumerate(policy.rules):
-        if rule.action != "accept":
-            continue
-        guards = []
-        for j in range(i):
-            if hoist_independent and _disjoint(rule, policy.rules[j], layout):
-                continue
-            guards.append(f_not(preds[j]))
-        terms.append(f_and(preds[i], *guards))
+        if rule.action == "accept":
+            guards = [
+                j for j in range(i)
+                if not (hoist_independent and _disjoint(rule, policy.rules[j], layout))
+            ]
+            terms.append((preds[i], guards))
     if policy.default_action == "accept":
-        terms.append(f_and(*[f_not(p) for p in preds]))
-    return f_or(*terms)
+        terms.append(((), range(len(preds))))
+    terms = [(pred, guards) for pred, guards in terms if all(preds[j] for j in guards)]
+    if any(not pred and not guards for pred, guards in terms):
+        return True
+    if not terms:
+        return False
+    roots = []
+    for pred, guards in terms:
+        lits = [enc.gate_n("and", pred)] if pred else []
+        lits += [-enc.gate_n("and", preds[j]) for j in guards]
+        roots.append(enc.gate_n("and", tuple(lits)))
+    return enc.gate_n("or", tuple(roots))
 
 
 def rule_matches(rule: FirewallRule, header: int, layout: HeaderLayout) -> bool:
@@ -406,16 +438,29 @@ def equivalence_cnf(
     """CNF satisfiable iff the two policies disagree on some header.
 
     Variables ``1..layout.total_bits`` are the header bits; the rest are
-    Tseitin gates of ``encode(p1) XOR encode(p2)``, with the root asserted
-    by a unit clause.  A satisfying assignment's header bits are a packet
-    the policies classify differently (see :func:`decode_witness`).
+    the gates of :func:`encode_policy` for ``p1`` then ``p2`` and the
+    ``xor`` of their roots, asserted by a unit clause.  A policy that is
+    constant adds no gate: it leaves the other root or its negation, and
+    two constant policies leave one forced gate.  A satisfying
+    assignment's header bits are a packet the policies classify
+    differently (see :func:`decode_witness`).
     """
-    diff = f_xor(encode_policy(p1, layout, hoist_independent),
-                 encode_policy(p2, layout, hoist_independent))
     enc = TseitinEncoder(layout.total_bits)
-    root = enc.encode(diff)
-    clauses = enc.clauses + [[root]]
-    return CnfInstance(max(enc.num_vars, abs(root)), clauses)
+    lits = []
+    differ = False
+    for policy in (p1, p2):
+        root = encode_policy(enc, policy, layout, hoist_independent)
+        if isinstance(root, bool):
+            differ ^= root
+        else:
+            lits.append(root)
+    if len(lits) == 2:
+        root = enc.gate("xor", *lits)
+    elif lits:
+        root = -lits[0] if differ else lits[0]
+    else:
+        root = enc.gate_n("and" if differ else "or", ())
+    return CnfInstance(enc.num_vars, enc.clauses + [[root]])
 
 
 def decode_witness(
@@ -465,6 +510,15 @@ def decode_witness(
 # Policy file format
 # ---------------------------------------------------------------------------
 
+def _decimal(token: str) -> int:
+    """Value of a token of ASCII decimal digits.  ``int()`` alone also
+    takes signs, underscores and non-ASCII digits ("+2", "8_0", "１"),
+    which :func:`emit_policy` would write back as other text."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def _parse_ip(token: str):
     if token == "*":
         return None
@@ -474,10 +528,10 @@ def _parse_ip(token: str):
             chunks.append(None)
         else:
             try:
-                chunks.append(int(part))
+                chunks.append(_decimal(part.removeprefix("-")))
             except ValueError as exc:
                 raise ValueError(f"bad IP chunk {part!r} in {token!r}") from exc
-            if chunks[-1] < 0:
+            if part.startswith("-"):
                 raise ValueError(f"negative IP chunk in {token!r}")
     return tuple(chunks)
 
@@ -486,10 +540,10 @@ def _parse_port(token: str):
     if token == "*":
         return None
     try:
-        value = int(token)
+        value = _decimal(token.removeprefix("-"))
     except ValueError as exc:
         raise ValueError(f"bad port {token!r}") from exc
-    if value < 0:
+    if token.startswith("-"):
         raise ValueError(f"negative port {token!r}")
     return value
 

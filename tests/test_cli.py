@@ -666,6 +666,25 @@ def test_fw_map_needs_seed_or_secret(tmp_path, capsys):
     assert "--seed or --use-secret" in err
 
 
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ("33,16,33,16", "error: src_ip needs a 33-bit value map"),
+        ("8,32,8,32", "error: src_port needs a 32-bit value map"),
+    ],
+)
+def test_fw_map_rejects_wide_fields(tmp_path, capsys, layout, message):
+    # A full map of a 33- or 32-bit field would be a table of 2**33 or
+    # 2**32 values; the layout is refused before any table is built.
+    src = tmp_path / "policy.fw"
+    src.write_text("default deny\n")
+    code, _, err = run(
+        capsys, "fw-map", "--in", str(src), "--seed", "1", "--layout", layout,
+    )
+    assert code == 1
+    assert err.startswith(message)
+
+
 def test_fw_bad_layout(tmp_path, capsys):
     src = tmp_path / "policy.fw"
     src.write_text("default deny\n")

@@ -1,4 +1,4 @@
-"""CNF model, DIMACS I/O, 3CNF conversion, and Tseitin encoding."""
+"""CNF model, DIMACS I/O, 3CNF conversion, and Tseitin gates."""
 
 import itertools
 import random
@@ -9,25 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import all_assignments, naive_count, naive_solutions, random_mixed_cnf
 from satcloak.cnf import (
-    FALSE,
-    TRUE,
     CnfInstance,
     DimacsError,
     TseitinEncoder,
     emit_dimacs,
-    eval_formula,
     evaluate_gates,
-    f_and,
-    f_iff,
-    f_not,
-    f_or,
-    f_var,
-    f_xor,
-    formula_size,
-    formula_vars,
     parse_dimacs,
     to_three_cnf,
-    tseitin,
 )
 
 # ---------------------------------------------------------------------------
@@ -189,96 +177,57 @@ def test_three_cnf_preserves_models():
 
 
 # ---------------------------------------------------------------------------
-# Formulas
+# Tseitin gates
 # ---------------------------------------------------------------------------
 
-
-def test_constant_folding():
-    assert f_and() == TRUE
-    assert f_or() == FALSE
-    assert f_not(TRUE) == FALSE
-    assert f_not(f_not(f_var(1))) == f_var(1)
-    assert f_and(f_var(1), TRUE) == f_var(1)
-    assert f_and(f_var(1), FALSE) == FALSE
-    assert f_or(f_var(1), FALSE) == f_var(1)
-    assert f_or(f_var(1), TRUE) == TRUE
-    assert f_xor(f_var(1), FALSE) == f_var(1)
-    assert f_xor(f_var(1), TRUE) == f_not(f_var(1))
-    with pytest.raises(ValueError):
-        f_var(0)
+_OPS = {"and": all, "or": any, "xor": lambda values: values[0] != values[1]}
 
 
-def _random_formula(rng: random.Random, num_vars: int, depth: int):
-    if depth == 0 or rng.random() < 0.3:
-        return f_var(rng.randint(1, num_vars))
-    op = rng.choice(["and", "or", "not", "xor", "iff"])
-    if op == "not":
-        return f_not(_random_formula(rng, num_vars, depth - 1))
-    if op in ("xor", "iff"):
-        a = _random_formula(rng, num_vars, depth - 1)
-        b = _random_formula(rng, num_vars, depth - 1)
-        return f_xor(a, b) if op == "xor" else f_iff(a, b)
-    k = rng.randint(2, 3)
-    parts = [_random_formula(rng, num_vars, depth - 1) for _ in range(k)]
-    return f_and(*parts) if op == "and" else f_or(*parts)
-
-
-def test_eval_formula_truth_tables():
-    a, b = f_var(1), f_var(2)
-    table = {
-        f_and(a, b): [False, False, False, True],
-        f_or(a, b): [False, True, True, True],
-        f_xor(a, b): [False, True, True, False],
-        f_iff(a, b): [True, False, False, True],
-    }
-    for formula, wants in table.items():
-        got = [
-            eval_formula(formula, {1: x, 2: y})
-            for x in (False, True)
-            for y in (False, True)
-        ]
-        assert got == wants
-    assert eval_formula(TRUE, {}) is True
-    assert eval_formula(FALSE, {}) is False
-
-
-def test_formula_vars_and_size():
-    f = f_and(f_var(1), f_or(f_var(2), f_not(f_var(1))))
-    assert formula_vars(f) == {1, 2}
-    assert formula_vars(TRUE) == set()
-    # Shared subterms count once: repeating x adds no nodes.
-    x = f_xor(f_var(1), f_var(2))
-    assert formula_size(f_and(x, x, f_var(3))) == formula_size(f_and(x, f_var(3)))
-
-
-# ---------------------------------------------------------------------------
-# Tseitin
-# ---------------------------------------------------------------------------
+def _random_circuit(rng, enc, n):
+    """Random gates from gate/gate_n over inputs 1..n: and/or of one to
+    four inputs, xor of two, inputs negated at random.  Returns the
+    ``(op, lits, literal)`` triples in the order made."""
+    pool = list(range(1, n + 1))
+    made = []
+    for _ in range(rng.randint(1, 6)):
+        op = rng.choice(sorted(_OPS))
+        k = 2 if op == "xor" else rng.randint(1, 4)
+        lits = tuple(rng.choice(pool) * rng.choice((1, -1)) for _ in range(k))
+        lit = enc.gate(op, *lits) if k == 2 else enc.gate_n(op, lits)
+        made.append((op, lits, lit))
+        pool.append(abs(lit))
+    return made
 
 
 def test_tseitin_agrees_with_eval():
+    # The extension evaluate_gates computes satisfies the definition
+    # clauses, and every gate literal takes the value of its op.
     rng = random.Random(71)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        f = _random_formula(rng, n, rng.randint(1, 3))
-        cnf, root, mapping = tseitin(f, num_input_vars=n)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        enc = TseitinEncoder(n)
+        made = _random_circuit(rng, enc, n)
+        cnf, mapping = enc.cnf(), enc.mapping()
         for inputs in all_assignments(n):
             full = evaluate_gates(mapping, inputs)
             assert cnf.satisfies(full)
-            root_val = full[abs(root)] == (root > 0)
-            assert root_val == eval_formula(f, inputs)
+
+            def value(l):
+                return full[abs(l)] == (l > 0)
+
+            for op, lits, lit in made:
+                assert value(lit) == _OPS[op]([value(l) for l in lits])
 
 
 def test_tseitin_gate_extension_unique():
     # Definition clauses pin every gate: a satisfying total assignment is
     # exactly the computed extension of its input part.
     rng = random.Random(72)
-    for _ in range(12):
+    for _ in range(60):
         n = rng.randint(1, 3)
-        f = _random_formula(rng, n, 2)
-        cnf, _, mapping = tseitin(f, num_input_vars=n)
-        if cnf.num_vars > 12:
-            continue
+        enc = TseitinEncoder(n)
+        _random_circuit(rng, enc, n)
+        cnf, mapping = enc.cnf(), enc.mapping()
         for full in all_assignments(cnf.num_vars):
             if cnf.satisfies(full):
                 inputs = {v: full[v] for v in range(1, n + 1)}
@@ -286,29 +235,42 @@ def test_tseitin_gate_extension_unique():
 
 
 def test_tseitin_shares_identical_subformulas():
-    x = f_xor(f_var(1), f_var(2))
+    # A repeated (op, lits) finds the literal of its first gate, also one
+    # that gate made, and adds neither a variable nor a clause.
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        enc = TseitinEncoder(n)
+        made = _random_circuit(rng, enc, n)
+        size = (enc.num_vars, len(enc.clauses))
+        for op, lits, lit in made:
+            assert enc.gate_n(op, lits) == lit
+            if len(lits) == 2:
+                assert enc.gate(op, *lits) == lit
+        assert (enc.num_vars, len(enc.clauses)) == size
     enc = TseitinEncoder(2)
-    first = enc.encode(x)
-    vars_after_first = enc.num_vars
-    assert enc.encode(x) == first
-    assert enc.num_vars == vars_after_first
-    # NOT reuses the child gate with flipped sign.
-    assert enc.encode(f_not(x)) == -first
-
-
-def test_tseitin_constants_become_forced_gates():
-    cnf, root, mapping = tseitin(TRUE, num_input_vars=0)
-    assert cnf.clauses == [[root]]
-    assert evaluate_gates(mapping, {})[root] is True
-    cnf, root, _ = tseitin(FALSE, num_input_vars=0)
-    assert cnf.clauses == [[-root]]
+    x = enc.gate("xor", 1, 2)
+    assert enc.gate_n("xor", (1, 2)) == x and enc.num_vars == 3
 
 
 def test_tseitin_plain_variable_allocates_nothing():
-    cnf, root, _ = tseitin(f_var(2), num_input_vars=3)
-    assert root == 2
-    assert cnf.num_vars == 3
-    assert cnf.clauses == []
+    # A one-input and/or is its input literal: no variable, no clause.
+    enc = TseitinEncoder(3)
+    assert enc.gate_n("and", (2,)) == 2
+    assert enc.gate_n("or", (-3,)) == -3
+    assert enc.num_vars == 3
+    assert enc.clauses == [] and enc.mapping().gates == {}
+
+
+def test_tseitin_constants_become_forced_gates():
+    # A gate of no inputs is a forced constant: "and" true, "or" false.
+    enc = TseitinEncoder(0)
+    true = enc.gate_n("and", ())
+    false = enc.gate_n("or", ())
+    assert enc.clauses == [[true], [-false]]
+    assert enc.gate_n("and", ()) == true
+    full = evaluate_gates(enc.mapping(), {})
+    assert full[true] is True and full[false] is False
 
 
 def test_gate_folds_false_and_shares_repeats():
@@ -331,9 +293,3 @@ def test_gate_folds_false_and_shares_repeats():
         assert full[g] == (inputs[1] == inputs[2])
         assert full[h] == (inputs[1] == inputs[2] and inputs[2])
         assert enc.cnf().satisfies(full)
-
-
-def test_tseitin_reserved_range_enforced():
-    enc = TseitinEncoder(1)
-    with pytest.raises(ValueError, match="reserved input range"):
-        enc.encode(f_var(2))

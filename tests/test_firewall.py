@@ -8,15 +8,11 @@ import pytest
 
 from helpers import random_policy
 from satcloak.cnf import (
-    FALSE,
-    TRUE,
     CnfInstance,
     InvalidSolutionError,
+    TseitinEncoder,
     emit_dimacs,
-    eval_formula,
-    f_and,
-    f_not,
-    f_var,
+    evaluate_gates,
 )
 from satcloak.firewall import (
     DEFAULT_LAYOUT,
@@ -42,6 +38,20 @@ TINY = HeaderLayout(1, 1, 1, 1)
 
 def _headers(layout):
     return range(1 << layout.total_bits)
+
+
+def _gate_values(enc: TseitinEncoder, root, layout) -> list[bool]:
+    """Value of ``root``, a literal of ``enc``'s gates or a constant, on
+    every header of ``layout``, computed by evaluate_gates."""
+    if isinstance(root, bool):
+        return [root] * (1 << layout.total_bits)
+    k = layout.total_bits
+    mapping = enc.mapping()
+    values = []
+    for h in _headers(layout):
+        full = evaluate_gates(mapping, {v: bool((h >> (k - v)) & 1) for v in range(1, k + 1)})
+        values.append(full[abs(root)] == (root > 0))
+    return values
 
 
 def _cnf_disagrees(cnf: CnfInstance, layout) -> bool:
@@ -164,6 +174,17 @@ def test_mapping_rejects_non_bijections_and_domain_misses():
         map_fields(policy, secret=small, layout=HeaderLayout(8, 4, 8, 4))
 
 
+def test_mapping_rejects_fields_wider_than_16_bits():
+    # Checked before any table is built: a 33-bit IP is one chunk.
+    with pytest.raises(ValueError, match="src_ip needs a 33-bit value map"):
+        FieldMappingSecret.random(HeaderLayout(33, 16, 33, 16), 1)
+    with pytest.raises(ValueError, match="src_port needs a 32-bit value map"):
+        FieldMappingSecret.from_swaps([[]] * 4, [], HeaderLayout(8, 32, 8, 32))
+    # 16 bits, the default port width, is the widest map.
+    secret = FieldMappingSecret.random(HeaderLayout(4, 16, 4, 16), 1)
+    assert len(secret.port_map) == 1 << 16
+
+
 def test_random_mapping_same_secret_reusable():
     layout = SMALL
     p1 = random_policy(random.Random(1), layout, 4)
@@ -202,28 +223,32 @@ def test_mapping_preserves_equivalence_verdict():
 def test_match_predicate_port_bits():
     # src_port = 3 at 2-bit width: both port bits set (vars 3 and 4).
     rule = FirewallRule(None, 3, None, None, "accept")
-    assert match_predicate(rule, SMALL) == f_and(f_var(3), f_var(4))
+    assert match_predicate(rule, SMALL) == (3, 4)
     # src_port = 2: high bit set, low bit clear.
     rule2 = FirewallRule(None, 2, None, None, "accept")
-    assert match_predicate(rule2, SMALL) == f_and(f_var(3), f_not(f_var(4)))
+    assert match_predicate(rule2, SMALL) == (3, -4)
 
 
 def test_match_predicate_wildcards_and_chunks():
-    assert match_predicate(FirewallRule(None, None, None, None, "deny"), SMALL) == TRUE
+    assert match_predicate(FirewallRule(None, None, None, None, "deny"), SMALL) == ()
     # 8-bit IPs chunk into four 2-bit pieces; a None chunk contributes nothing.
     layout = HeaderLayout(8, 2, 8, 2)
     rule = FirewallRule((1, None, None, None), None, None, None, "accept")
-    assert match_predicate(rule, layout) == f_and(f_not(f_var(1)), f_var(2))
+    assert match_predicate(rule, layout) == (-1, 2)
 
 
 def test_match_predicate_agrees_with_rule_matches():
+    # The rule's predicate gate (the forced-true gate for an all-wildcard
+    # rule) against direct matching, on every header.
     rng = random.Random(139)
-    for _ in range(25):
-        rule = random_policy(rng, TINY, 1).rules[0]
-        pred = match_predicate(rule, TINY)
-        for h in _headers(TINY):
-            bits = {v: bool((h >> (4 - v)) & 1) for v in range(1, 5)}
-            assert eval_formula(pred, bits) == rule_matches(rule, h, TINY)
+    for layout in (TINY, SMALL):
+        for _ in range(25):
+            rule = random_policy(rng, layout, 1, wildcard_p=0.5).rules[0]
+            enc = TseitinEncoder(layout.total_bits)
+            root = enc.gate_n("and", match_predicate(rule, layout))
+            assert _gate_values(enc, root, layout) == [
+                rule_matches(rule, h, layout) for h in _headers(layout)
+            ]
 
 
 def test_match_predicate_range_check():
@@ -232,33 +257,39 @@ def test_match_predicate_range_check():
 
 
 def test_encode_policy_trivials():
-    assert encode_policy(FirewallPolicy([], "deny"), SMALL) == FALSE
-    assert encode_policy(FirewallPolicy([], "accept"), SMALL) == TRUE
+    # Constant policies are decided without making a gate.
+    enc = TseitinEncoder(SMALL.total_bits)
+    assert encode_policy(enc, FirewallPolicy([], "deny"), SMALL) is False
+    assert encode_policy(enc, FirewallPolicy([], "accept"), SMALL) is True
     accept_all = FirewallPolicy(
         [FirewallRule(None, None, None, None, "accept")], "deny"
     )
-    assert encode_policy(accept_all, SMALL) == TRUE
+    assert encode_policy(enc, accept_all, SMALL) is True
+    assert enc.num_vars == SMALL.total_bits and enc.clauses == []
 
 
 def test_encode_policy_matches_simulation():
     rng = random.Random(149)
-    for _ in range(20):
-        policy = random_policy(rng, SMALL, rng.randint(0, 4))
-        formula = encode_policy(policy, SMALL)
-        for h in _headers(SMALL):
-            bits = {v: bool((h >> (8 - v)) & 1) for v in range(1, 9)}
-            assert eval_formula(formula, bits) == policy_accepts(policy, h, SMALL)
+    for layout in (TINY, SMALL):
+        for _ in range(20):
+            policy = random_policy(rng, layout, rng.randint(0, 4))
+            accepts = [policy_accepts(policy, h, layout) for h in _headers(layout)]
+            for hoist in (False, True):
+                enc = TseitinEncoder(layout.total_bits)
+                root = encode_policy(enc, policy, layout, hoist)
+                assert _gate_values(enc, root, layout) == accepts
 
 
 def test_hoisting_never_changes_semantics():
+    # Both encodings into one encoder: they share every gate they can, and
+    # still agree on every header.
     rng = random.Random(151)
     for _ in range(15):
         policy = random_policy(rng, SMALL, rng.randint(2, 5))
-        plain = encode_policy(policy, SMALL)
-        hoisted = encode_policy(policy, SMALL, hoist_independent=True)
-        for h in _headers(SMALL):
-            bits = {v: bool((h >> (8 - v)) & 1) for v in range(1, 9)}
-            assert eval_formula(plain, bits) == eval_formula(hoisted, bits)
+        enc = TseitinEncoder(SMALL.total_bits)
+        plain = encode_policy(enc, policy, SMALL)
+        hoisted = encode_policy(enc, policy, SMALL, hoist_independent=True)
+        assert _gate_values(enc, plain, SMALL) == _gate_values(enc, hoisted, SMALL)
 
 
 def test_policy_accepts_range_check():
@@ -434,6 +465,10 @@ def test_policy_file_round_trip():
         ("1.2.3.4 1 5.6.7.8 2 drop\ndefault deny\n", "unknown action"),
         ("1.2.x.4 1 5.6.7.8 2 accept\ndefault deny\n", "bad IP chunk"),
         ("1.2.3.4 -1 5.6.7.8 2 accept\ndefault deny\n", "negative port"),
+        # int() would read these as 80, 2 and 1.
+        ("1.2.3.4 8_0 5.6.7.8 2 accept\ndefault deny\n", "bad port"),
+        ("1.+2.3.4 1 5.6.7.8 2 accept\ndefault deny\n", "bad IP chunk"),
+        ("1.2.3.4 1 5.6.7.8 \uff11 accept\ndefault deny\n", "bad port"),
     ],
 )
 def test_policy_file_rejects_malformed(text, fragment):
