@@ -21,7 +21,9 @@ The library's entry points that build or walk clause-sized object graphs
 run with CPython's cyclic garbage collector paused (:func:`_nogc`).  Those
 graphs (clause lists, gate tuples, dicts of ints) hold no reference cycles,
 so reference counting frees them and the collector's passes only re-scan
-survivors.
+survivors.  For the same reason the survivors are moved to the oldest
+generation when the pause ends, instead of being scanned by the young
+collections that the allocations made during the call would start.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import gc
 import threading
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain
+from itertools import chain, combinations, compress, count
+from operator import eq
 
 __all__ = [
     "DimacsError",
@@ -60,8 +63,18 @@ def _nogc(func):
     While any decorated call runs, in any thread, the pause holds for the
     whole process.  When the last running call ends, by returning or by
     raising, the collector is put back as it was before the first one began.
+
     Nothing is collected on the way out: the decorated code makes no
     cycles, and reference counting keeps freeing its garbage meanwhile.
+    Instead, if the collector was on, every object it tracks is promoted to
+    the oldest generation (``gc.freeze()`` then ``gc.unfreeze()``, which
+    splice lists in constant time and reset the young count).  Otherwise
+    the first allocation after the pause would start a young collection
+    over everything the call allocated and kept, clause lists that cannot
+    be cyclic garbage, and the next older collection would scan them again.
+    The promotion is skipped while the caller has objects frozen, so they
+    stay frozen.  The trade-off: cyclic garbage that was still young when
+    the call ended waits for the next full collection.
     """
 
     @wraps(func)
@@ -78,6 +91,9 @@ def _nogc(func):
             with _pause_lock:
                 _pauses -= 1
                 if not _pauses and _gc_was_enabled:
+                    if not gc.get_freeze_count():
+                        gc.freeze()
+                        gc.unfreeze()
                     gc.enable()
 
     return paused
@@ -212,26 +228,55 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
         error = f"variable {abs(lits[stop])} exceeds declared maximum {num_vars}"
         del lits[stop:]
 
-    clauses: list[list[int]] = []
-    start = 0
-    for _ in range(lits.count(0)):
-        end = lits.index(0, start)
-        if end == start:
-            raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
-        clause = lits[start:end]
-        if len(set(clause)) != len(clause):
-            clause = list(dict.fromkeys(clause))
-        clauses.append(clause)
-        start = end + 1
-    if error is not None:
-        raise DimacsError(error)
-    if start != len(lits):
-        raise DimacsError("unterminated clause at end of input")
+    clauses = None if error is not None else _uniform_clauses(lits)
+    if clauses is None:
+        clauses = []
+        start = 0
+        for _ in range(lits.count(0)):
+            end = lits.index(0, start)
+            if end == start:
+                raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
+            clause = lits[start:end]
+            if len(set(clause)) != len(clause):
+                clause = list(dict.fromkeys(clause))
+            clauses.append(clause)
+            start = end + 1
+        if error is not None:
+            raise DimacsError(error)
+        if start != len(lits):
+            raise DimacsError("unterminated clause at end of input")
     if len(clauses) != num_clauses:
         raise DimacsError(
             f"clause count mismatch: header says {num_clauses}, found {len(clauses)}"
         )
     return CnfInstance(num_vars, clauses)
+
+
+def _uniform_clauses(lits: list[int]) -> list[list[int]] | None:
+    """The clauses of a literal stream whose clauses all have one width
+    from 1 to 4, repeated literals collapsed to their first occurrence, or
+    None for any other stream.
+
+    The stream is cut into one column per literal position by slicing and
+    the clauses are zipped from the columns, so no Python code runs per
+    clause; repeats are found by comparing each pair of columns.  Wider
+    clauses take the per-clause loop: the pairs grow with the square of the
+    width, while the loop's cost per clause is spread over more literals.
+    """
+    k = lits.count(0)
+    if not k:
+        return None
+    w = lits.index(0)
+    if not 1 <= w <= 4 or len(lits) != k * (w + 1) or any(lits[w :: w + 1]):
+        return None
+    columns = [lits[i :: w + 1] for i in range(w)]
+    clauses = list(map(list, zip(*columns)))
+    repeats = set()
+    for a, b in combinations(columns, 2):
+        repeats.update(compress(count(), map(eq, a, b)))
+    for i in repeats:
+        clauses[i] = list(dict.fromkeys(clauses[i]))
+    return clauses
 
 
 class _ClauseFormats(dict):

@@ -39,22 +39,26 @@ def apply_iso(
     """Map literal ``(v, p)`` to ``(permutation(v), p xor flip(v))``.
 
     Clause shuffling is optional here so tests can apply hand-built secrets
-    deterministically; :func:`iso_randomize` always shuffles.
+    deterministically; :func:`iso_randomize` always shuffles.  Raises
+    ValueError naming the first literal that is 0 or out of range.
     """
-    if len(secret.permutation) != instance.num_vars:
+    n = instance.num_vars
+    if len(secret.permutation) != n:
         raise ValueError("secret size does not match instance")
-    clauses = []
-    for clause in instance.clauses:
-        mapped = []
-        for lit in clause:
-            v = abs(lit)
-            polarity = (lit > 0) != (v in secret.flips)
-            w = secret.permutation[v - 1]
-            mapped.append(w if polarity else -w)
-        clauses.append(mapped)
+    image = {}
+    for v, w in enumerate(secret.permutation, 1):
+        if v in secret.flips:
+            w = -w
+        image[v] = w
+        image[-v] = -w
+    get = image.__getitem__
+    try:
+        clauses = [list(map(get, clause)) for clause in instance.clauses]
+    except KeyError as exc:
+        raise ValueError(f"literal {exc.args[0]} out of range 1..{n}") from None
     if shuffle_clauses:
         random.Random(secret.seed ^ 0x5CA7).shuffle(clauses)
-    return CnfInstance(instance.num_vars, clauses)
+    return CnfInstance(n, clauses)
 
 
 @_nogc

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_three_cnf
-from satcloak.cnf import CnfInstance, DimacsError, emit_dimacs, parse_dimacs
+from satcloak.cnf import (
+    CnfInstance,
+    DimacsError,
+    _uniform_clauses,
+    emit_dimacs,
+    parse_dimacs,
+)
 from satcloak.disguise import DISGUISES
 
 # ---------------------------------------------------------------------------
@@ -270,3 +276,96 @@ def test_non_ascii_bytes_are_rejected_like_the_reference():
     for parse in (parse_dimacs, reference_parse):
         with pytest.raises(UnicodeDecodeError):
             parse(data)
+
+
+# ---------------------------------------------------------------------------
+# Streams of one clause width, which parse_dimacs splits in one pass
+# ---------------------------------------------------------------------------
+
+UNIFORM_CLAUSES = 10_000
+
+
+def _uniform_tokens(rng, width, num_vars):
+    """Tokens of ``UNIFORM_CLAUSES`` clauses of ``width`` literals.  Few
+    variables make repeated literals and tautologies common; every tenth
+    clause repeats one of its literals or holds a variable of both signs."""
+    tokens = []
+    for i in range(UNIFORM_CLAUSES):
+        clause = [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(width)]
+        if width > 1 and i % 10 == 0:
+            j, k = rng.sample(range(width), 2)
+            clause[k] = clause[j] if i % 20 else -clause[j]
+        tokens.extend(map(str, clause))
+        tokens.append("0")
+    return tokens
+
+
+def _text(num_vars, num_clauses, tokens):
+    return f"p cnf {num_vars} {num_clauses}\n" + " ".join(tokens) + "\n"
+
+
+def _same_as_reference(text):
+    got = _outcome(parse_dimacs, text)
+    assert got == _outcome(reference_parse, text)
+    return got
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_uniform_width_streams_match_reference(width):
+    rng = random.Random(width)
+    num_vars = width + 2
+    tokens = _uniform_tokens(rng, width, num_vars)
+    text = _text(num_vars, UNIFORM_CLAUSES, tokens)
+    # Widths 1 to 4 take the one-pass split, wider ones the loop.
+    assert (_uniform_clauses(list(map(int, tokens))) is not None) == (width <= 4)
+    status, (_, clauses) = _same_as_reference(text)
+    assert status == "ok"
+    if width > 1:
+        assert sum(len(c) < width for c in clauses) >= UNIFORM_CLAUSES // 20
+        assert any(-c[0] in c for c in clauses)
+    # The one-pass split still checks the header's clause count.
+    for wrong in (UNIFORM_CLAUSES - 1, UNIFORM_CLAUSES + 1):
+        assert _same_as_reference(_text(num_vars, wrong, tokens))[0] == "error"
+
+
+def _near_uniform(tokens, width, defect):
+    """``tokens`` of one clause width, changed so that the one-pass split
+    must not take them."""
+    tokens = list(tokens)
+    middle = (UNIFORM_CLAUSES // 2) * (width + 1)
+    if defect == "last-wider":
+        tokens[-1:-1] = ["1"]
+    elif defect == "last-narrower":
+        del tokens[-2]
+    elif defect == "widths-swapped":
+        # One clause gives a literal to the next: the token and zero
+        # counts are unchanged, but a zero sits off the width's grid.
+        tokens[middle - 2], tokens[middle - 1] = tokens[middle - 1], tokens[middle - 2]
+    elif defect == "no-final-zero":
+        tokens.pop()
+    elif defect == "leading-zero":
+        tokens.insert(0, "0")
+    elif defect == "bad-token":
+        tokens[middle] = "x"
+    elif defect == "out-of-range":
+        tokens[middle] = "-99"
+    return tokens
+
+
+NEAR_UNIFORM_DEFECTS = [
+    "last-wider", "last-narrower", "widths-swapped", "no-final-zero",
+    "leading-zero", "bad-token", "out-of-range",
+]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("defect", NEAR_UNIFORM_DEFECTS)
+def test_near_uniform_streams_match_reference(width, defect):
+    rng = random.Random(100 + width)
+    tokens = _uniform_tokens(rng, width, width + 2)
+    tokens = _near_uniform(tokens, width, defect)
+    if defect in ("last-wider", "last-narrower", "widths-swapped", "no-final-zero"):
+        assert _uniform_clauses(list(map(int, tokens))) is None
+    count = tokens.count("0")
+    for num_clauses in (count, count + 1):
+        _same_as_reference(_text(width + 2, num_clauses, tokens))

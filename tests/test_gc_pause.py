@@ -97,6 +97,79 @@ def test_state_restored_after_concurrent_calls(gc_state):
     assert gc.isenabled() is True
 
 
+def _young_ids():
+    return {id(obj) for obj in gc.get_objects(generation=0)}
+
+
+def _built_by(instance):
+    """Ids of the tracked objects a parse built: the instance and its
+    clause lists."""
+    return {id(instance), id(instance.clauses), *map(id, instance.clauses)}
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """Count the calls of ``gc.freeze``, which the pause makes once per
+    promotion."""
+    calls = []
+    freeze = gc.freeze
+
+    def counted():
+        calls.append(True)
+        freeze()
+
+    monkeypatch.setattr(gc, "freeze", counted)
+    return calls
+
+
+def test_survivors_promoted_after_return(gc_state, freezes):
+    gc_state(True)
+    inst = parse_dimacs(TINY_TEXT)
+    # The young count starts again from zero.
+    assert gc.get_count()[0] < 10
+    assert freezes == [True]
+    assert gc.isenabled() is True
+    assert not _built_by(inst) & _young_ids()
+
+
+def test_nothing_promoted_when_collector_was_off(gc_state, freezes):
+    gc_state(False)
+    inst = parse_dimacs(TINY_TEXT)
+    assert not freezes
+    assert gc.isenabled() is False
+    assert _built_by(inst) <= _young_ids()
+
+
+def test_caller_frozen_objects_stay_frozen(gc_state, freezes):
+    gc_state(True)
+    gc.freeze()
+    freezes.clear()  # the caller's own freeze
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        inst = parse_dimacs(TINY_TEXT)
+        assert gc.get_freeze_count() == frozen
+        assert not freezes
+        assert _built_by(inst) <= _young_ids()
+    finally:
+        gc.unfreeze()
+
+
+def test_nested_calls_promote_once_at_outermost_exit(gc_state, freezes):
+    gc_state(True)
+
+    @_nogc
+    def outer():
+        inner = parse_dimacs(TINY_TEXT)
+        # The inner call ended, but the outer one still runs.
+        return inner, list(freezes), _built_by(inner) <= _young_ids()
+
+    inner, promoted_inside, young_inside = outer()
+    assert (promoted_inside, young_inside) == ([], True)
+    assert freezes == [True]
+    assert not _built_by(inner) & _young_ids()
+
+
 def _no_cycles(func, *args, **kwargs):
     """``func(*args, **kwargs)``, asserting it left no cyclic garbage."""
     gc.collect()

@@ -40,6 +40,15 @@ def test_apply_iso_size_mismatch():
         apply_iso(CnfInstance(3, [[1]]), secret)
 
 
+@pytest.mark.parametrize("clause, bad", [
+    ([1, 0, 2], "0"), ([1, 4, 2], "4"), ([-3, 2, -4], "-4"),
+])
+def test_apply_iso_rejects_bad_literals(clause, bad):
+    secret = IsoSecret([2, 3, 1], frozenset({1}), seed=0)
+    with pytest.raises(ValueError, match=f"literal {bad} out of range 1..3"):
+        apply_iso(CnfInstance(3, [[1, -2, 3], clause]), secret)
+
+
 def test_shape_profile_is_invariant():
     rng = random.Random(13)
     for _ in range(20):
