@@ -5,6 +5,13 @@ of variable ``v`` (``v >= 1``) and ``-v`` its negation.  A clause is a list of
 literals, an instance is a clause list plus a variable count.  Every
 transformation in the toolkit consumes and produces these objects.
 
+:func:`parse_dimacs` reads a plain clause body (decimal literals and
+whitespace only) with numpy in one pass; a body whose clauses all have one
+width becomes clause lists with one ``tolist()`` of a table view.  Any
+other body is read one ``str`` token at a time, which gives the same
+clauses and names the first bad token.  Both readers cut a stream of mixed
+widths into clauses with the same loop, :func:`_split_clauses`.
+
 Circuits are built as gates over literals by :class:`TseitinEncoder`:
 ``and`` and ``or`` of any number of inputs and ``xor`` of two, each a fresh
 variable with its definition clauses.  :meth:`TseitinEncoder.gate` and
@@ -32,8 +39,9 @@ import gc
 import threading
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain, combinations, compress, count
-from operator import eq
+from itertools import chain, combinations
+
+import numpy as np
 
 __all__ = [
     "DimacsError",
@@ -184,16 +192,24 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     clause-count mismatches, out-of-range variables, or zero-length clauses.
     Repeated literals within a clause are collapsed to their first
     occurrence; tautologies (``v`` and ``-v`` together) are kept.
+
+    The clause body is read by numpy in one pass (:func:`_read_literals`)
+    when it holds only plain decimals, all in range: no ``str`` token and
+    no ``int()`` call per literal.  Any other body (``+1``, ``1_0`` or
+    ``١``, which ``int()`` reads, a bad token or an out-of-range literal)
+    takes the token reader (:func:`_token_clauses`), which names the first
+    bad token.  Both give the same clauses and the same errors.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    text = "\n".join(text.splitlines())
+    if not text.isascii() or any(map(text.__contains__, _LINE_BREAKS)):
+        text = "\n".join(text.splitlines())
     num_vars = -1
     num_clauses = -1
-    body: list[str] = []
+    pieces: list[str] = []
     done = 0
     for start, end in _marked_lines(text):
-        body.append(text[done:start])
+        pieces.append(text[done:start])
         done = end
         line = text[start:end].strip()
         if line.startswith("c"):
@@ -212,11 +228,104 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
             raise DimacsError(f"negative counts in problem line: {line!r}")
     if num_vars == -1:
         raise DimacsError("missing problem line")
-    body.append(text[done:])
-    tokens = " ".join(body).split()
+    pieces.append(text[done:])
+    body = " ".join(pieces)
 
-    # The first bad token ends the input: the clauses before it are still
-    # checked, so the error reported is the first one in reading order.
+    lits = _read_literals(body, num_vars)
+    if lits is None:
+        clauses = _token_clauses(body, num_vars)
+    else:
+        clauses = _uniform_clauses(lits)
+        if clauses is None:
+            clauses = _split_clauses(lits.tolist())
+    if len(clauses) != num_clauses:
+        raise DimacsError(
+            f"clause count mismatch: header says {num_clauses}, found {len(clauses)}"
+        )
+    return CnfInstance(num_vars, clauses)
+
+
+# Line breaks other than "\n" that str.splitlines() knows in ASCII text.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# The bytes of a plain clause body: decimal digits, the minus sign, and the
+# whitespace that both str.split() and numpy's separator skip.
+_PLAIN_BYTES = b"0123456789- \t\n\r\x0b\x0c"
+_INT64_MAX = 2**63 - 1
+
+
+def _read_literals(body: str, num_vars: int) -> np.ndarray | None:
+    """The literals of a clause body, each in range, read by numpy in one
+    pass; None when the body is not plain or a literal is out of range.
+
+    Plain means ASCII digits, ``-`` and whitespace only, at least one
+    token, and every ``-`` at the start of a token and before a digit: so
+    every token is ``-?[0-9]+`` and reads as ``int()`` reads it.  The checks
+    come first because ``np.fromstring`` differs from ``int()`` outside
+    that form, in ways that vary between numpy releases: a blank body reads
+    as ``[0]``, a lone sign as ``0``, ``"- 1"`` as ``-1``, and text it cannot
+    match raises in numpy 2 but only warns and stops in older releases.  A
+    token too long for int64 saturates at ``2**63 - 1`` (also when it is
+    negative), so with ``num_vars`` below that the range check refuses it.
+    """
+    if not body.isascii() or num_vars >= _INT64_MAX:
+        return None
+    raw = body.encode("ascii")
+    if not raw or raw.isspace() or raw.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    signs = np.flatnonzero(buf == ord("-"))
+    if signs.size:
+        # Whitespace is below "-" and the digits above it.
+        if signs[-1] == buf.size - 1 or (buf[signs + 1] < ord("0")).any():
+            return None
+        if signs[0] == 0:
+            signs = signs[1:]
+        if (buf[signs - 1] > ord(" ")).any():
+            return None
+    lits = np.fromstring(raw, np.int64, sep=" ")
+    if lits.max() > num_vars or lits.min() < -num_vars:
+        return None
+    return lits
+
+
+def _uniform_clauses(lits: np.ndarray | list[int]) -> list[list[int]] | None:
+    """The clauses of a literal stream whose clauses all have one width
+    from 1 to 4, repeated literals collapsed to their first occurrence, or
+    None for any other stream.
+
+    The stream is viewed as a table with one row per clause and its
+    literal columns are turned into lists by one ``tolist()``, so no Python
+    code runs per clause; repeats are found by comparing each pair of
+    columns.  Wider clauses take :func:`_split_clauses`: the pairs grow with
+    the square of the width.
+    """
+    lits = np.asarray(lits, np.int64)
+    ends = np.flatnonzero(lits == 0)
+    k = ends.size
+    if not k:
+        return None
+    w = int(ends[0])
+    if not 1 <= w <= 4 or lits.size != k * (w + 1):
+        return None
+    table = lits.reshape(k, w + 1)
+    if table[:, w].any():
+        return None
+    rows = table[:, :w]
+    clauses = rows.tolist()
+    repeats = np.zeros(k, bool)
+    for i, j in combinations(range(w), 2):
+        repeats |= rows[:, i] == rows[:, j]
+    for i in np.flatnonzero(repeats).tolist():
+        clauses[i] = list(dict.fromkeys(clauses[i]))
+    return clauses
+
+
+def _token_clauses(body: str, num_vars: int) -> list[list[int]]:
+    """The clauses of any clause body, read one ``str`` token at a time by
+    ``int()``.  Raises :class:`DimacsError` for the first error in reading
+    order: a bad token ends the input, and the clauses before it are still
+    checked."""
+    tokens = body.split()
     lits: list[int] = []
     error = None
     try:
@@ -227,55 +336,29 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
         stop = next(i for i, lit in enumerate(lits) if abs(lit) > num_vars)
         error = f"variable {abs(lits[stop])} exceeds declared maximum {num_vars}"
         del lits[stop:]
-
-    clauses = None if error is not None else _uniform_clauses(lits)
-    if clauses is None:
-        clauses = []
-        start = 0
-        for _ in range(lits.count(0)):
-            end = lits.index(0, start)
-            if end == start:
-                raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
-            clause = lits[start:end]
-            if len(set(clause)) != len(clause):
-                clause = list(dict.fromkeys(clause))
-            clauses.append(clause)
-            start = end + 1
-        if error is not None:
-            raise DimacsError(error)
-        if start != len(lits):
-            raise DimacsError("unterminated clause at end of input")
-    if len(clauses) != num_clauses:
-        raise DimacsError(
-            f"clause count mismatch: header says {num_clauses}, found {len(clauses)}"
-        )
-    return CnfInstance(num_vars, clauses)
+    return _split_clauses(lits, error)
 
 
-def _uniform_clauses(lits: list[int]) -> list[list[int]] | None:
-    """The clauses of a literal stream whose clauses all have one width
-    from 1 to 4, repeated literals collapsed to their first occurrence, or
-    None for any other stream.
-
-    The stream is cut into one column per literal position by slicing and
-    the clauses are zipped from the columns, so no Python code runs per
-    clause; repeats are found by comparing each pair of columns.  Wider
-    clauses take the per-clause loop: the pairs grow with the square of the
-    width, while the loop's cost per clause is spread over more literals.
-    """
-    k = lits.count(0)
-    if not k:
-        return None
-    w = lits.index(0)
-    if not 1 <= w <= 4 or len(lits) != k * (w + 1) or any(lits[w :: w + 1]):
-        return None
-    columns = [lits[i :: w + 1] for i in range(w)]
-    clauses = list(map(list, zip(*columns)))
-    repeats = set()
-    for a, b in combinations(columns, 2):
-        repeats.update(compress(count(), map(eq, a, b)))
-    for i in repeats:
-        clauses[i] = list(dict.fromkeys(clauses[i]))
+def _split_clauses(lits: list[int], error: str | None = None) -> list[list[int]]:
+    """The clauses of a literal stream cut at each ``0``, repeated literals
+    collapsed to their first occurrence.  Raises :class:`DimacsError` for an
+    empty clause, then for ``error`` (what stopped the stream early), then
+    for literals after the last ``0``."""
+    clauses = []
+    start = 0
+    for _ in range(lits.count(0)):
+        end = lits.index(0, start)
+        if end == start:
+            raise DimacsError(f"zero-length clause (clause {len(clauses) + 1})")
+        clause = lits[start:end]
+        if len(set(clause)) != len(clause):
+            clause = list(dict.fromkeys(clause))
+        clauses.append(clause)
+        start = end + 1
+    if error is not None:
+        raise DimacsError(error)
+    if start != len(lits):
+        raise DimacsError("unterminated clause at end of input")
     return clauses
 
 

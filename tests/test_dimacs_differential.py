@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_three_cnf
+from satcloak import cnf
 from satcloak.cnf import (
     CnfInstance,
     DimacsError,
@@ -110,7 +111,7 @@ BLANKS = st.sampled_from(["", " ", "\t", "  \t", " \x0c"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "])
 SEPARATORS = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\x1f"])
 BAD_TOKENS = st.sampled_from(
-    ["x", "1a", "--1", "0x1", "1.0", "c", "p", "cnf", "C", "P", "1-"]
+    ["x", "1a", "--1", "0x1", "1.0", "c", "p", "cnf", "C", "P", "1-", "-", "+"]
 )
 # Tokens that int() reads although they are not plain decimals.
 ODD_INTEGERS = st.sampled_from(["+1", "1_0", "01", "-0", "+0", "00", "١"])
@@ -215,6 +216,18 @@ def dimacs_texts(draw):
 @example("p cnf 1 2\n1 0\n1", False)
 @example("p cnf 1 1\np cnf x\n1 0\n", False)
 @example("  p cnf 3 1\n1 2 3 0 c not a comment\n", True)
+# Bodies that np.fromstring reads unlike int(): a blank body as [0], a lone
+# sign as 0, a sign before whitespace as part of the next number, and a
+# number too long for int64 as 2**63 - 1, also when it is negative.
+@example("p cnf 0 0\n \n", False)
+@example("p cnf 1 1\n1 0 -\n", False)
+@example("p cnf 1 1\n1 0 +\n", False)
+@example("p cnf 1 2\n1 0 1 -\n", False)
+@example("p cnf 1 2\n1 0 1 -", False)
+@example("p cnf 1 1\n- 1 0\n", False)
+@example("p cnf 1 1\n+ 1 0\n", False)
+@example("p cnf 99999999999999999999 1\n99999999999999999998 0\n", False)
+@example("p cnf 3 1\n-99999999999999999999 0\n", False)
 def test_parse_matches_reference(text, as_bytes):
     if as_bytes:
         try:
@@ -369,3 +382,93 @@ def test_near_uniform_streams_match_reference(width, defect):
     count = tokens.count("0")
     for num_clauses in (count, count + 1):
         _same_as_reference(_text(width + 2, num_clauses, tokens))
+
+
+# ---------------------------------------------------------------------------
+# Which reader parses which text: numpy's one pass or the token reader
+# ---------------------------------------------------------------------------
+
+# One-clause bodies that int() reads but numpy's one pass must not.
+ODD_BODIES = ["+1 0", "1_0 -1 0", "\u0661 0", "1\x1f-1 0", "+1 -2 0"]
+# Malformed bodies over 5 variables with a bad token or a literal out of
+# range.
+MALFORMED_BODIES = [
+    "x", "1 0 x", "1 0 6 0", "1 0 -6 0", "1 0 -", "1 0 +",
+    "- 1 0", "+ 1 0", "1-2 0", "--1 0", "1- 0", "0x1 0", "1.0 0", "-",
+    "99999999999999999999 0", "-99999999999999999999 0",
+]
+# Malformed bodies of plain literals in range: an empty clause or no final 0.
+PLAIN_MALFORMED_BODIES = ["0", "1 0 0", "1 2", "1 2 0 0", "1 0 1 2 0 3"]
+
+
+def _token_reads(monkeypatch):
+    """The bodies that reach the token reader from now on."""
+    reads = []
+    token_clauses = cnf._token_clauses
+
+    def spy(body, num_vars):
+        reads.append(body)
+        return token_clauses(body, num_vars)
+
+    monkeypatch.setattr(cnf, "_token_clauses", spy)
+    return reads
+
+
+def test_plain_text_takes_the_numpy_reader(monkeypatch):
+    rng = random.Random(15)
+    planted = _planted_three_cnf(rng, 200, 852)
+    mixed = CnfInstance(30, [
+        [rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
+        for _ in range(500)
+    ])
+    assert any(len(set(c)) < len(c) for c in mixed.clauses)
+    reads = _token_reads(monkeypatch)
+    for inst in (planted, mixed):
+        text = emit_dimacs(inst)
+        assert _same_as_reference(text) == ("ok", (inst.num_vars, [
+            list(dict.fromkeys(c)) for c in inst.clauses
+        ]))
+        # Comments, other line ends and a wrong clause count do not matter.
+        variant = "c x\r\n" + text.replace("\n", "\r\n").replace(" 0\r\n", " 0\t", 7)
+        assert _same_as_reference(variant)[0] == "ok"
+        assert _same_as_reference(text.replace(" 0\n", " 0 ", 1) + "1 0\n")[0] == "error"
+    assert _same_as_reference("p cnf 5 2\n-00005 1 0 00003 -5 0\n")[0] == "ok"
+    assert reads == []
+
+
+@pytest.mark.parametrize("body", ODD_BODIES)
+def test_odd_integers_take_the_token_reader(monkeypatch, body):
+    reads = _token_reads(monkeypatch)
+    assert _same_as_reference(f"p cnf 20 1\n{body}\n")[0] == "ok"
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_malformed_bodies_take_the_token_reader(monkeypatch, body):
+    reads = _token_reads(monkeypatch)
+    assert _same_as_reference(f"p cnf 5 1\n{body}\n")[0] == "error"
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("body", PLAIN_MALFORMED_BODIES)
+def test_plain_malformed_bodies_take_the_numpy_reader(monkeypatch, body):
+    reads = _token_reads(monkeypatch)
+    assert _same_as_reference(f"p cnf 5 1\n{body}\n")[0] == "error"
+    assert reads == []
+
+
+def test_blank_bodies_take_the_token_reader(monkeypatch):
+    reads = _token_reads(monkeypatch)
+    for text in ("p cnf 5 0\n", "p cnf 5 0\n \n\t\n"):
+        assert _same_as_reference(text) == ("ok", (5, []))
+    assert len(reads) == 2
+
+
+def test_huge_variable_count_takes_the_token_reader(monkeypatch):
+    reads = _token_reads(monkeypatch)
+    big = 2**63 - 1
+    for n in (big - 1, big, big + 1):
+        text = f"p cnf {n} 1\n{-n} {n} 0\n"
+        assert _same_as_reference(text)[0] == "ok"
+    # From 2**63 - 1 on, a literal that saturates int64 would be in range.
+    assert len(reads) == 2
