@@ -31,6 +31,9 @@ so reference counting frees them and the collector's passes only re-scan
 survivors.  For the same reason the survivors are moved to the oldest
 generation when the pause ends, instead of being scanned by the young
 collections that the allocations made during the call would start.
+Calls that build only one list per row or a few dicts, such as the matrix
+encoding and product and ``orchestrator.check_solution``, run unpaused; the
+clause-sized work inside them, :func:`to_three_cnf`, keeps its own pause.
 """
 
 from __future__ import annotations

@@ -33,15 +33,10 @@ class IsoSecret:
             raise ValueError("flip set mentions out-of-range variables")
 
 
-def apply_iso(
-    instance: CnfInstance, secret: IsoSecret, shuffle_clauses: bool = False
-) -> CnfInstance:
-    """Map literal ``(v, p)`` to ``(permutation(v), p xor flip(v))``.
-
-    Clause shuffling is optional here so tests can apply hand-built secrets
-    deterministically; :func:`iso_randomize` always shuffles.  Raises
-    ValueError naming the first literal that is 0 or out of range.
-    """
+def apply_iso(instance: CnfInstance, secret: IsoSecret) -> CnfInstance:
+    """Map literal ``(v, p)`` to ``(permutation(v), p xor flip(v))``,
+    keeping clause order.  Raises ValueError naming the first literal that
+    is 0 or out of range."""
     n = instance.num_vars
     if len(secret.permutation) != n:
         raise ValueError("secret size does not match instance")
@@ -56,8 +51,6 @@ def apply_iso(
         clauses = [list(map(get, clause)) for clause in instance.clauses]
     except KeyError as exc:
         raise ValueError(f"literal {exc.args[0]} out of range 1..{n}") from None
-    if shuffle_clauses:
-        random.Random(secret.seed ^ 0x5CA7).shuffle(clauses)
     return CnfInstance(n, clauses)
 
 
@@ -71,7 +64,9 @@ def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSec
     rng.shuffle(permutation)
     flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
     secret = IsoSecret(permutation, flips, seed)
-    return apply_iso(instance, secret, shuffle_clauses=True), secret
+    clauses = apply_iso(instance, secret).clauses
+    random.Random(seed ^ 0x5CA7).shuffle(clauses)
+    return CnfInstance(n, clauses), secret
 
 
 def iso_derandomize(solution: dict[int, bool], secret: IsoSecret) -> dict[int, bool]:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .cnf import CnfInstance, _nogc
+from .cnf import CnfInstance
 from .gf2 import BitMatrix, int_mat_mul, int_mat_vec, random_full_rank
 
 __all__ = [
@@ -74,7 +74,6 @@ class MatrixSecret:
     seed: int
 
 
-@_nogc
 def encode_linear(instance: CnfInstance) -> LinearSystem:
     """Encode an exactly-3CNF instance as ``AX = B``.
 
@@ -146,18 +145,11 @@ def apply_random_matrix(sys: LinearSystem, r: BitMatrix) -> LinearSystem:
     return LinearSystem(sys.num_vars, coeffs, rhs)
 
 
-@_nogc
-def randomize_system(
-    sys: LinearSystem, seed: int, r: BitMatrix | None = None
-) -> tuple[LinearSystem, MatrixSecret]:
-    """Multiply the encoded system by a seeded random full-rank ``R``.
-
-    The 0/1 solution sets of input and output are identical.  An explicit
-    ``r`` may be injected for tests; by default it is drawn from ``seed``.
-    """
+def randomize_system(sys: LinearSystem, seed: int) -> tuple[LinearSystem, MatrixSecret]:
+    """Multiply the encoded system by a random full-rank ``R`` drawn from
+    ``seed``.  The 0/1 solution sets of input and output are identical."""
     m = sys.num_constraints
-    if r is None:
-        r = random_full_rank(m, random.Random(seed))
+    r = random_full_rank(m, random.Random(seed))
     original_n = sys.num_vars - 2 * m
     negation_constants = [3 - b for b in sys.rhs]
     secret = MatrixSecret(original_n, negation_constants, seed)

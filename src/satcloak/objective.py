@@ -227,7 +227,6 @@ def randomize_mincost(
     inst: MincostInstance,
     seed: int,
     method: str = "matrix",
-    beta: int | None = None,
     row_weight: int | None = None,
 ) -> tuple[RandomizedMincost, MincostSecret]:
     """Randomize a Mincost instance so dummies and originals are
@@ -241,7 +240,7 @@ def randomize_mincost(
     result carries the original cost on its output bits.
     """
     inner = lookup(method, MINCOST_INNER)
-    combined, circuit = compile_cost_circuit(inst, beta)
+    combined, circuit = compile_cost_circuit(inst)
     three, three_map = to_three_cnf(combined)
     artifact, inner_secret = inner.randomize_source(
         three, seed, row_weight, frozenset(circuit.output_bits)

@@ -6,12 +6,13 @@ brute force, and the brute-force answer is the verdict of record.  All
 enumeration is in lexicographic order over assignments with variable 1 as
 the most significant bit, so "first witness" outputs are reproducible.
 
-The 0/1 linear-system checker switches to an exact meet-in-the-middle
-strategy above ``direct_limit`` variables: each half of the variables is
-enumerated once, partial row sums are matched through a deterministic
-64-bit linear fingerprint, and every candidate pair is re-verified with
-exact integer arithmetic before it is counted — fingerprint collisions can
-only create candidates, never wrong answers.
+The 0/1 linear-system checker meets in the middle (Horowitz & Sahni,
+1974): each half of the variables is enumerated once, partial row sums are
+matched through a deterministic 64-bit linear fingerprint, and every
+candidate pair is re-verified with exact integer arithmetic before it is
+counted — fingerprint collisions can only create candidates, never wrong
+answers.  ``_linear_direct``, a full cube enumeration, is kept as the
+reference the tests compare it against.
 
 Hard variable limits raise :class:`VarLimitError` rather than running
 forever; limits are arguments, not policy.
@@ -79,15 +80,20 @@ def _assignment_from_index(idx: int, n: int) -> dict[int, bool]:
     return {v: bool((idx >> (n - v)) & 1) for v in range(1, n + 1)}
 
 
+def _clause_mask(clause: list[int], idx: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of which assignment indices satisfy ``clause``."""
+    cm = np.zeros(len(idx), dtype=bool)
+    for lit in clause:
+        bit = ((idx >> (n - abs(lit))) & 1).astype(bool)
+        cm |= bit if lit > 0 else ~bit
+    return cm
+
+
 def _sat_mask(clauses: list[list[int]], idx: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of which assignment indices satisfy all clauses."""
     ok = np.ones(len(idx), dtype=bool)
     for clause in clauses:
-        cm = np.zeros(len(idx), dtype=bool)
-        for lit in clause:
-            bit = ((idx >> (n - abs(lit))) & 1).astype(bool)
-            cm |= bit if lit > 0 else ~bit
-        ok &= cm
+        ok &= _clause_mask(clause, idx, n)
         if not ok.any():
             break
     return ok
@@ -209,39 +215,26 @@ def _linear_mim(sys: LinearSystem) -> tuple[int, int | None, np.ndarray]:
     return len(allidx), int(allidx[0]), allidx
 
 
-def brute_linear(
-    sys: LinearSystem, var_limit: int = 44, direct_limit: int = 22
-) -> LinearResult:
-    """Exact feasibility, first 0/1 witness, and solution count.
-
-    Direct cube enumeration up to ``direct_limit`` variables, exact
-    meet-in-the-middle above it.
-    """
+def brute_linear(sys: LinearSystem, var_limit: int = 44) -> LinearResult:
+    """Exact feasibility, first 0/1 witness, and solution count, by
+    meet-in-the-middle enumeration."""
     nv = sys.num_vars
     if nv > var_limit:
         raise VarLimitError(f"{nv} variables exceed limit {var_limit}")
-    if nv <= direct_limit:
-        count, first, _ = _linear_direct(sys)
-    else:
-        count, first, _ = _linear_mim(sys)
+    count, first, _ = _linear_mim(sys)
     if first is None:
         return LinearResult(False, None, 0)
     bits = [(first >> (nv - v)) & 1 for v in range(1, nv + 1)]
     return LinearResult(True, bits, count)
 
 
-def all_linear_solutions(
-    sys: LinearSystem, var_limit: int = 44, direct_limit: int = 22
-) -> np.ndarray:
+def all_linear_solutions(sys: LinearSystem, var_limit: int = 44) -> np.ndarray:
     """All 0/1 solutions as an (count, num_vars) array in lexicographic
     order (variable 1 most significant)."""
     nv = sys.num_vars
     if nv > var_limit:
         raise VarLimitError(f"{nv} variables exceed limit {var_limit}")
-    if nv <= direct_limit:
-        _, _, idx = _linear_direct(sys)
-    else:
-        _, _, idx = _linear_mim(sys)
+    _, _, idx = _linear_mim(sys)
     return _index_bits(idx, nv).astype(np.uint8)
 
 
@@ -296,11 +289,7 @@ def brute_max3sat(inst, var_limit: int = 24) -> tuple[int, dict[int, bool]]:
         idx = np.arange(lo, hi, dtype=np.int64)
         sat_counts = np.zeros(len(idx), dtype=np.int32)
         for clause in cnf.clauses:
-            cm = np.zeros(len(idx), dtype=bool)
-            for lit in clause:
-                bit = ((idx >> (n - abs(lit))) & 1).astype(bool)
-                cm |= bit if lit > 0 else ~bit
-            sat_counts += cm
+            sat_counts += _clause_mask(clause, idx, n)
         pos = int(np.argmax(sat_counts))
         if int(sat_counts[pos]) > best:
             best = int(sat_counts[pos])

@@ -125,7 +125,6 @@ def make_record(
     return RandomizationRecord(method, secret, instance_digest(original), seed)
 
 
-@_nogc
 def check_solution(
     record: RandomizationRecord,
     solution: list[int] | None,

@@ -106,11 +106,12 @@ def test_randomize_with_injected_matrix():
     inst = CnfInstance(3, [[1, 2, 3], [-1, 2, -3]])
     sys_ = encode_linear(inst)
     r = BitMatrix.from_rows([[1, 1], [0, 1]])
-    art, secret = randomize_system(sys_, seed=0, r=r)
+    art = apply_random_matrix(sys_, r)
     # Row 0 is the sum of both equations, row 1 is the second unchanged.
     assert art.coeffs[0] == [0, 2, 0, 1, 1, 1, 1]
     assert art.rhs == [4, 1]
     assert art.coeffs[1] == sys_.coeffs[1]
+    _, secret = randomize_system(sys_, seed=0)
     assert secret.negation_constants == [0, 2]
 
 

@@ -17,7 +17,9 @@ from satcloak.cnf import CnfInstance
 from satcloak.matrixrand import LinearSystem, encode_linear
 from satcloak.objective import MincostInstance
 from satcloak.oracles import (
+    LinearResult,
     VarLimitError,
+    _linear_direct,
     all_linear_solutions,
     brute_linear,
     brute_max3sat,
@@ -120,18 +122,28 @@ def test_encoded_clause_system_count():
 
 
 def test_meet_in_middle_matches_direct():
+    """Both linear oracles agree with the full cube enumeration, for 0 to 16
+    variables, no constraints up to six and with solvable and random
+    right-hand sides."""
     rng = random.Random(37)
-    for _ in range(20):
-        nv = rng.randint(4, 14)
-        m = rng.randint(1, 6)
+    for nv, m in itertools.product(range(17), range(7)):
         coeffs = [[rng.randint(-2, 2) for _ in range(nv)] for _ in range(m)]
-        rhs = [rng.randint(-2, 4) for _ in range(m)]
+        if rng.random() < 0.5:
+            x = [rng.randint(0, 1) for _ in range(nv)]
+            rhs = [sum(c * v for c, v in zip(row, x)) for row in coeffs]
+        else:
+            rhs = [rng.randint(-2, 4) for _ in range(m)]
         sys_ = LinearSystem(nv, coeffs, rhs)
-        assert brute_linear(sys_) == brute_linear(sys_, direct_limit=0)
-        got = all_linear_solutions(sys_, direct_limit=0)
-        want = all_linear_solutions(sys_)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        count, _, idx = _linear_direct(sys_)
+        shifts = np.arange(nv - 1, -1, -1)
+        want_all = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
+        got = all_linear_solutions(sys_)
+        assert got.shape == (count, nv), (nv, m)
+        assert np.array_equal(got, want_all), (nv, m)
+        want = LinearResult(False, None, 0)
+        if count:
+            want = LinearResult(True, want_all[0].tolist(), count)
+        assert brute_linear(sys_) == want, (nv, m)
 
 
 def test_linear_var_limit():
