@@ -4,6 +4,7 @@ Everything runs in-process through ``main(argv)`` so exit codes, stdout,
 and written files can be checked without spawning subprocesses.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -585,10 +586,13 @@ def test_fw_encode_header_hint_guard(tmp_path, capsys):
     assert "beyond brute-force range" in err
 
 
+# 8-bit IP fields split into four 2-bit chunks, so IPs are dotted quads.
+ROUND_TRIP_POLICY = "1.2.3.0 2 * 3 accept\n* 1 0.1.*.2 * deny\ndefault deny\n"
+
+
 def test_fw_map_round_trip(tmp_path, capsys):
-    # 8-bit IP fields split into four 2-bit chunks, so IPs are dotted quads.
     src = tmp_path / "policy.fw"
-    src.write_text("1.2.3.0 2 * 3 accept\n* 1 0.1.*.2 * deny\ndefault deny\n")
+    src.write_text(ROUND_TRIP_POLICY)
     code, _, _ = run(
         capsys, "fw-map", "--in", str(src), "--seed", "5", "--layout", "8,2,8,2",
     )
@@ -613,6 +617,42 @@ def test_fw_map_round_trip(tmp_path, capsys):
     assert lines[1].split()[3] == "*"
     assert lines[1].split()[2].split(".")[2] == "*"
     assert lines[2] == "default deny"
+
+
+# sha256 of the files fw-map writes, pinned while the value maps were
+# dicts: ROUND_TRIP_POLICY mapped at --seed 5 --layout 8,2,8,2 and its key,
+# and the key of FieldMappingSecret.random(DEFAULT_LAYOUT, 7), which
+# --seed 7 writes at the default layout.
+PINNED_FW_MAP = {
+    "mapped": "a24405bdbed4fb384f9278ccab364adbc9847a076431cf9658f8309479b47537",
+    "key": "1f05f0715afef81aa9cf98afa8d9516b4b0115f472f70a72ccac747ac48896e5",
+    "default-layout-key": "dfa7f7198b85f84e31d9df836966c7da7041ff4693dfd090aa2c7a9103cc09a4",
+}
+
+
+def test_fw_map_bytes_pinned(tmp_path, capsys):
+    src = tmp_path / "policy.fw"
+    src.write_text(ROUND_TRIP_POLICY)
+    code, _, _ = run(
+        capsys, "fw-map", "--in", str(src), "--seed", "5", "--layout", "8,2,8,2",
+    )
+    assert code == 0
+    code, _, _ = run(
+        capsys, "fw-map", "--in", str(src), "--seed", "7",
+        "--out", str(tmp_path / "default.fw"),
+        "--secret", str(tmp_path / "default.key"),
+    )
+    assert code == 0
+    files = {
+        "mapped": "policy.mapped.fw",
+        "key": "policy.key",
+        "default-layout-key": "default.key",
+    }
+    digests = {
+        pin: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for pin, name in files.items()
+    }
+    assert digests == PINNED_FW_MAP
 
 
 @pytest.mark.parametrize("edit, message", [
