@@ -14,7 +14,6 @@ their own mistakes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -220,40 +219,11 @@ def _cmd_fw_encode(args) -> int:
     return 0
 
 
-def _mapping_from_json(text: str) -> FieldMappingSecret:
-    """The mapping a fw-map key file holds.  ValueError naming the field if
-    one is missing or not the list of integers (or, for ``seed``, the
-    integer or null) it must be."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("fw-map key file is not a JSON object")
-    for name in ("octet_maps", "port_map"):
-        if name not in obj:
-            raise ValueError(f"fw-map key file lacks field {name!r}")
-
-    def values(value, name: str) -> dict[int, int]:
-        if not isinstance(value, list) or not all(type(x) is int for x in value):
-            raise ValueError(f"fw-map key field {name!r}: expected a list of integers")
-        return dict(enumerate(value))
-
-    octet_maps = obj["octet_maps"]
-    if not isinstance(octet_maps, list):
-        raise ValueError("fw-map key field 'octet_maps': expected a list of lists")
-    seed = obj.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise ValueError("fw-map key field 'seed': expected an integer or null")
-    return FieldMappingSecret(
-        [values(m, f"octet_maps[{i}]") for i, m in enumerate(octet_maps)],
-        values(obj["port_map"], "port_map"),
-        seed,
-    )
-
-
 def _cmd_fw_map(args) -> int:
     layout = _parse_layout(args.layout)
     policy = parse_policy(_read(args.infile))
     if args.use_secret:
-        secret = _mapping_from_json(_read(args.use_secret))
+        secret = FieldMappingSecret.from_json(_read(args.use_secret))
         mapped, secret = map_fields(policy, secret=secret, layout=layout)
     else:
         if args.seed is None:
@@ -263,14 +233,7 @@ def _cmd_fw_map(args) -> int:
     out = args.out or base + ".mapped.fw"
     _write(out, emit_policy(mapped))
     keyfile = args.secret or base + ".key"
-    obj = {
-        "octet_maps": [
-            [m[i] for i in range(len(m))] for m in secret.octet_maps
-        ],
-        "port_map": [secret.port_map[i] for i in range(len(secret.port_map))],
-        "seed": secret.seed,
-    }
-    _write(keyfile, json.dumps(obj) + "\n")
+    _write(keyfile, secret.to_json())
     print(f"wrote {out} and {keyfile}")
     return 0
 
@@ -299,7 +262,13 @@ def _cmd_solve_brute(args) -> int:
     header_bits = None
     for line in text.splitlines():
         if line.startswith(_HEADER_HINT):
-            header_bits = int(line[len(_HEADER_HINT):].strip())
+            token = line[len(_HEADER_HINT):].strip()
+            header_bits = int(token) if token.isascii() and token.isdigit() else -1
+            if not 0 <= header_bits <= instance.num_vars:
+                raise ValueError(
+                    f"comment {line.strip()!r}: header bits must be an integer "
+                    f"from 0 to the variable count, {instance.num_vars}"
+                )
             break
     if header_bits is not None and instance.num_vars > args.var_limit:
         if header_bits > 20:

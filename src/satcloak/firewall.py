@@ -24,13 +24,16 @@ appears often under its new name; this leak is inherent to the scheme).
 
 IP fields whose width is a multiple of four are modeled as four dotted
 chunks (octets at the default 32 bits); narrower test layouts use a
-single chunk.
+single chunk.  Every walk over a rule's values reads one table,
+``HeaderLayout.slots()``.  A value map is a permutation list indexed by
+the original value, as in a fw-map key file.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cnf import CnfInstance, InvalidSolutionError, TseitinEncoder
 
@@ -98,9 +101,15 @@ class HeaderLayout:
     dst_port_bits: int = 16
 
     def __post_init__(self):
+        slots, offset = [], 0
         for name, bits in self.fields():
             if bits < 1:
                 raise ValueError(f"{name} must be at least 1 bit")
+            for width in self.ip_chunks(bits) if name.endswith("_ip") else [bits]:
+                slots.append((name, offset, width))
+                offset += width
+        # Not a dataclass field: equality, hashing and repr see the widths.
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def fields(self) -> list[tuple[str, int]]:
         return [
@@ -121,26 +130,36 @@ class HeaderLayout:
             return [bits // 4] * 4
         return [bits]
 
+    def slots(self) -> tuple[tuple[str, int, int], ...]:
+        """``(field, offset, width)`` of every value a rule can fix, in
+        header bit order: each chunk of an IP field, then a port whole."""
+        return self._slots
+
 
 DEFAULT_LAYOUT = HeaderLayout()
 
 
-def _check_rule(rule: FirewallRule, layout: HeaderLayout) -> None:
+def _values(rule: FirewallRule, layout: HeaderLayout) -> tuple[int | None, ...]:
+    """The rule's value in each of ``layout.slots()``, None for a wildcard;
+    ValueError if the rule does not fit the layout."""
+    values: list[int | None] = []
     for name, bits in layout.fields():
+        widths = layout.ip_chunks(bits) if name.endswith("_ip") else [bits]
         value = getattr(rule, name)
         if value is None:
-            continue
-        if name.endswith("_ip"):
-            chunks = layout.ip_chunks(bits)
-            if len(value) != len(chunks):
-                raise ValueError(
-                    f"{name} has {len(value)} chunks, layout wants {len(chunks)}"
-                )
-            for v, w in zip(value, chunks):
-                if v is not None and not 0 <= v < (1 << w):
-                    raise ValueError(f"{name} chunk {v} exceeds {w} bits")
-        elif not 0 <= value < (1 << bits):
-            raise ValueError(f"{name} value {value} exceeds {bits} bits")
+            value = (None,) * len(widths)
+        elif not name.endswith("_ip"):
+            value = (value,)
+        elif len(value) != len(widths):
+            raise ValueError(
+                f"{name} has {len(value)} chunks, layout wants {len(widths)}"
+            )
+        kind = "chunk" if name.endswith("_ip") else "value"
+        for v, w in zip(value, widths):
+            if v is not None and not 0 <= v < (1 << w):
+                raise ValueError(f"{name} {kind} {v} exceeds {w} bits")
+        values += value
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +174,7 @@ _MAX_MAP_BITS = 16
 def _check_map_widths(layout: HeaderLayout) -> None:
     """ValueError naming the first field whose value map would be wider
     than ``_MAX_MAP_BITS``; runs before any table is built."""
-    for name, bits in layout.fields():
-        width = layout.ip_chunks(bits)[0] if name.endswith("_ip") else bits
+    for name, _, width in layout.slots():
         if width > _MAX_MAP_BITS:
             raise ValueError(
                 f"{name} needs a {width}-bit value map; "
@@ -168,39 +186,76 @@ def _check_map_widths(layout: HeaderLayout) -> None:
 class FieldMappingSecret:
     """Per-chunk-position bijections for IP values plus one port bijection.
 
-    The same chunk maps serve source and destination addresses, and the
-    same port map serves both ports — consistency across all rules is what
-    keeps the mapped policy meaningful.
+    Each map is a permutation list: ``m[v]`` is the new name of value
+    ``v``, for ``v`` in ``0..len(m)-1``.  The same chunk maps serve source
+    and destination addresses, and the same port map serves both ports —
+    consistency across all rules is what keeps the mapped policy
+    meaningful.
     """
 
-    octet_maps: list[dict[int, int]]
-    port_map: dict[int, int]
+    octet_maps: list[list[int]]
+    port_map: list[int]
     seed: int | None = None
 
     def validate(self) -> None:
         for i, m in enumerate(self.octet_maps):
-            if len(set(m.values())) != len(m) or set(m.values()) != set(m.keys()):
+            if sorted(m) != list(range(len(m))):
                 raise ValueError(f"octet map {i} is not a bijection on its domain")
-        pm = self.port_map
-        if len(set(pm.values())) != len(pm) or set(pm.values()) != set(pm.keys()):
+        if sorted(self.port_map) != list(range(len(self.port_map))):
             raise ValueError("port map is not a bijection on its domain")
+
+    def to_json(self) -> str:
+        """The text of a fw-map key file."""
+        return json.dumps(asdict(self)) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "FieldMappingSecret":
+        """The mapping a fw-map key file holds.  ValueError naming the field
+        if one is missing or not the list of integers (or, for ``seed``,
+        the integer or null) it must be."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("fw-map key file is not a JSON object")
+        for name in ("octet_maps", "port_map"):
+            if name not in obj:
+                raise ValueError(f"fw-map key file lacks field {name!r}")
+
+        def values(value, name: str) -> list[int]:
+            if not isinstance(value, list) or not all(type(x) is int for x in value):
+                raise ValueError(
+                    f"fw-map key field {name!r}: expected a list of integers"
+                )
+            return value
+
+        octet_maps = obj["octet_maps"]
+        if not isinstance(octet_maps, list):
+            raise ValueError("fw-map key field 'octet_maps': expected a list of lists")
+        seed = obj.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise ValueError("fw-map key field 'seed': expected an integer or null")
+        return cls(
+            [values(m, f"octet_maps[{i}]") for i, m in enumerate(octet_maps)],
+            values(obj["port_map"], "port_map"),
+            seed,
+        )
 
     @classmethod
     def random(cls, layout: HeaderLayout, seed: int) -> "FieldMappingSecret":
         """Uniform random bijections over the full value domains."""
         _check_map_widths(layout)
-        if layout.ip_chunks(layout.src_ip_bits) != layout.ip_chunks(layout.dst_ip_bits):
+        chunk_widths = layout.ip_chunks(layout.src_ip_bits)
+        if chunk_widths != layout.ip_chunks(layout.dst_ip_bits):
             raise ValueError("source/destination IP chunking differs; cannot share maps")
         if layout.src_port_bits != layout.dst_port_bits:
             raise ValueError("source/destination port widths differ; cannot share map")
         rng = random.Random(seed)
 
-        def perm(size: int) -> dict[int, int]:
+        def perm(size: int) -> list[int]:
             values = list(range(size))
             rng.shuffle(values)
-            return dict(enumerate(values))
+            return values
 
-        octet_maps = [perm(1 << w) for w in layout.ip_chunks(layout.src_ip_bits)]
+        octet_maps = [perm(1 << w) for w in chunk_widths]
         return cls(octet_maps, perm(1 << layout.src_port_bits), seed)
 
     @classmethod
@@ -214,9 +269,11 @@ class FieldMappingSecret:
         spelling out small concrete mappings (a <-> b per position)."""
         _check_map_widths(layout)
 
-        def build(size: int, swaps: list[tuple[int, int]]) -> dict[int, int]:
-            m = {v: v for v in range(size)}
+        def build(size: int, swaps: list[tuple[int, int]]) -> list[int]:
+            m = list(range(size))
             for a, b in swaps:
+                if not (0 <= a < size and 0 <= b < size):
+                    raise ValueError(f"swap ({a}, {b}) outside 0..{size - 1}")
                 m[a], m[b] = m[b], m[a]
             return m
 
@@ -252,26 +309,27 @@ def map_fields(
     def map_ip(ip):
         if ip is None:
             return None
+        maps = secret.octet_maps
         out = []
         for i, v in enumerate(ip):
             if v is None:
                 out.append(None)
-            elif i >= len(secret.octet_maps) or v not in secret.octet_maps[i]:
+            elif i >= len(maps) or not 0 <= v < len(maps[i]):
                 raise ValueError(f"chunk value {v} outside mapping domain")
             else:
-                out.append(secret.octet_maps[i][v])
+                out.append(maps[i][v])
         return tuple(out)
 
     def map_port(p):
         if p is None:
             return None
-        if p not in secret.port_map:
+        if not 0 <= p < len(secret.port_map):
             raise ValueError(f"port {p} outside mapping domain")
         return secret.port_map[p]
 
     mapped = []
     for rule in policy.rules:
-        _check_rule(rule, layout)
+        _values(rule, layout)
         out = FirewallRule(
             map_ip(rule.src_ip),
             map_port(rule.src_port),
@@ -281,7 +339,7 @@ def map_fields(
         )
         # A supplied map may be a bijection on a domain wider than the
         # layout's fields; the mapped values must still fit them.
-        _check_rule(out, layout)
+        _values(out, layout)
         mapped.append(out)
     return FirewallPolicy(mapped, policy.default_action), secret
 
@@ -289,15 +347,6 @@ def map_fields(
 # ---------------------------------------------------------------------------
 # Bit-level encoding
 # ---------------------------------------------------------------------------
-
-def _field_offsets(layout: HeaderLayout) -> dict[str, int]:
-    offsets = {}
-    pos = 0
-    for name, bits in layout.fields():
-        offsets[name] = pos
-        pos += bits
-    return offsets
-
 
 def _value_literals(value: int, offset: int, width: int) -> list[int]:
     """Bit literals fixing ``width`` header bits (MSB first) to ``value``."""
@@ -314,36 +363,19 @@ def match_predicate(
     rule matches: the inputs of the rule's predicate gate.  Wildcarded
     fields and chunks contribute nothing, so an all-wildcard rule gives
     ``()``, which matches every header."""
-    _check_rule(rule, layout)
-    offsets = _field_offsets(layout)
-    conjuncts = []
-    for name, bits in layout.fields():
-        value = getattr(rule, name)
-        if value is None:
-            continue
-        if name.endswith("_ip"):
-            pos = offsets[name]
-            for v, w in zip(value, layout.ip_chunks(bits)):
-                if v is not None:
-                    conjuncts.extend(_value_literals(v, pos, w))
-                pos += w
-        else:
-            conjuncts.extend(_value_literals(value, offsets[name], bits))
-    return tuple(conjuncts)
+    return tuple(
+        lit
+        for (_, offset, width), v in zip(layout.slots(), _values(rule, layout))
+        if v is not None
+        for lit in _value_literals(v, offset, width)
+    )
 
 
-def _disjoint(r1: FirewallRule, r2: FirewallRule, layout: HeaderLayout) -> bool:
-    """True if no header can match both rules (some position pins two
-    different concrete values)."""
-    for name, bits in layout.fields():
-        v1, v2 = getattr(r1, name), getattr(r2, name)
-        if v1 is None or v2 is None:
-            continue
-        if name.endswith("_ip"):
-            for a, b in zip(v1, v2):
-                if a is not None and b is not None and a != b:
-                    return True
-        elif v1 != v2:
+def _disjoint(values1: tuple, values2: tuple) -> bool:
+    """True if no header can match both rules, given their
+    :func:`_values` (some slot pins two different concrete values)."""
+    for a, b in zip(values1, values2):
+        if a is not None and b is not None and a != b:
             return True
     return False
 
@@ -371,12 +403,13 @@ def encode_policy(
     terms are one gate, also across policies encoded into the same ``enc``.
     """
     preds = [match_predicate(rule, layout) for rule in policy.rules]
+    values = [_values(rule, layout) for rule in policy.rules]
     terms = []
     for i, rule in enumerate(policy.rules):
         if rule.action == "accept":
             guards = [
                 j for j in range(i)
-                if not (hoist_independent and _disjoint(rule, policy.rules[j], layout))
+                if not (hoist_independent and _disjoint(values[i], values[j]))
             ]
             terms.append((preds[i], guards))
     if policy.default_action == "accept":
@@ -394,37 +427,32 @@ def encode_policy(
     return enc.gate_n("or", tuple(roots))
 
 
-def rule_matches(rule: FirewallRule, header: int, layout: HeaderLayout) -> bool:
-    """Direct (non-symbolic) match test of one rule against a packed header."""
+def _matches(values: tuple, header: int, layout: HeaderLayout) -> bool:
+    """True if a rule with these :func:`_values` matches a packed header."""
     total = layout.total_bits
-    offsets = _field_offsets(layout)
-
-    def bits_at(offset: int, width: int) -> int:
-        return (header >> (total - offset - width)) & ((1 << width) - 1)
-
-    for name, width in layout.fields():
-        value = getattr(rule, name)
-        if value is None:
+    for (_, offset, width), v in zip(layout.slots(), values):
+        if v is None:
             continue
-        if name.endswith("_ip"):
-            pos = offsets[name]
-            for v, w in zip(value, layout.ip_chunks(width)):
-                if v is not None and bits_at(pos, w) != v:
-                    return False
-                pos += w
-        elif bits_at(offsets[name], width) != value:
+        if (header >> (total - offset - width)) & ((1 << width) - 1) != v:
             return False
     return True
+
+
+def rule_matches(rule: FirewallRule, header: int, layout: HeaderLayout) -> bool:
+    """Direct (non-symbolic) match test of one rule against a packed header."""
+    return _matches(_values(rule, layout), header, layout)
 
 
 def policy_accepts(
     policy: FirewallPolicy, header: int, layout: HeaderLayout = DEFAULT_LAYOUT
 ) -> bool:
-    """Reference first-match evaluation on a packed header value."""
+    """Reference first-match evaluation on a packed header value; refuses
+    a rule outside the layout, as :func:`encode_policy` does."""
     if not 0 <= header < (1 << layout.total_bits):
         raise ValueError("header value exceeds layout width")
-    for rule in policy.rules:
-        if rule_matches(rule, header, layout):
+    values = [_values(rule, layout) for rule in policy.rules]
+    for rule, v in zip(policy.rules, values):
+        if _matches(v, header, layout):
             return rule.action == "accept"
     return policy.default_action == "accept"
 
@@ -475,7 +503,10 @@ def decode_witness(
     Returns ``{"header": packed int, "src_ip": chunk tuple, "src_port":
     int, ...}``.  When both policies are supplied the witness is replayed
     through direct simulation and must actually separate them; otherwise
-    :class:`InvalidSolutionError` (a tampered or fabricated witness)."""
+    :class:`InvalidSolutionError` (a tampered or fabricated witness).
+    Giving only one of the two policies is a ValueError."""
+    if (p1 is None) != (p2 is None):
+        raise ValueError("give both policies or neither")
     total = layout.total_bits
     header = 0
     for v in range(1, total + 1):
@@ -485,20 +516,10 @@ def decode_witness(
             raise ValueError(f"solution is missing header bit {v}") from None
         header = (header << 1) | (1 if bit else 0)
     fields: dict = {"header": header}
-    pos = 0
-    for name, bits in layout.fields():
-        raw = (header >> (total - pos - bits)) & ((1 << bits) - 1)
-        if name.endswith("_ip"):
-            chunks = []
-            cpos = 0
-            for w in layout.ip_chunks(bits):
-                chunks.append((raw >> (bits - cpos - w)) & ((1 << w) - 1))
-                cpos += w
-            fields[name] = tuple(chunks)
-        else:
-            fields[name] = raw
-        pos += bits
-    if p1 is not None and p2 is not None:
+    for name, offset, width in layout.slots():
+        v = (header >> (total - offset - width)) & ((1 << width) - 1)
+        fields[name] = fields.get(name, ()) + (v,) if name.endswith("_ip") else v
+    if p1 is not None:
         if policy_accepts(p1, header, layout) == policy_accepts(p2, header, layout):
             raise InvalidSolutionError(
                 "decoded header does not distinguish the two policies"

@@ -586,6 +586,25 @@ def test_fw_encode_header_hint_guard(tmp_path, capsys):
     assert "beyond brute-force range" in err
 
 
+@pytest.mark.parametrize("bits", ["4", "-1", "x"])
+def test_solve_brute_rejects_bad_header_bits(tmp_path, capsys, bits):
+    # The header bits are the first K variables.  A K beyond the variable
+    # count enumerated phantom bits ("4" printed SAT count=14), and "-1"
+    # failed with "negative shift count".
+    cnf = tmp_path / "three.cnf"
+    cnf.write_text(f"c header-bits {bits}\np cnf 3 1\n1 2 3 0\n")
+    code, out, err = run(capsys, "solve-brute", "--in", str(cnf), "--var-limit", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: comment 'c header-bits {bits}': header bits must be an "
+        "integer from 0 to the variable count, 3\n"
+    )
+    # K equal to the variable count is the largest that is accepted.
+    cnf.write_text("c header-bits 3\np cnf 3 1\n1 2 3 0\n")
+    code, out, _ = run(capsys, "solve-brute", "--in", str(cnf), "--var-limit", "2")
+    assert (code, out) == (0, "SAT count=7 header=1\n")
+
+
 # 8-bit IP fields split into four 2-bit chunks, so IPs are dotted quads.
 ROUND_TRIP_POLICY = "1.2.3.0 2 * 3 accept\n* 1 0.1.*.2 * deny\ndefault deny\n"
 

@@ -29,15 +29,25 @@ from satcloak.firewall import (
     parse_policy,
     policy_accepts,
     rule_matches,
+    _disjoint,
+    _values,
 )
 from satcloak.oracles import restricted_sat
 
 SMALL = HeaderLayout(2, 2, 2, 2)
 TINY = HeaderLayout(1, 1, 1, 1)
+# 10 bits, each IP four 1-bit chunks: the smallest layout with multi-chunk IPs.
+QUAD = HeaderLayout(4, 1, 4, 1)
 
 
 def _headers(layout):
     return range(1 << layout.total_bits)
+
+
+def _solution(h: int, layout) -> dict[int, bool]:
+    """Header ``h`` as an assignment of the header-bit variables."""
+    k = layout.total_bits
+    return {v: bool((h >> (k - v)) & 1) for v in range(1, k + 1)}
 
 
 def _gate_values(enc: TseitinEncoder, root, layout) -> list[bool]:
@@ -45,23 +55,17 @@ def _gate_values(enc: TseitinEncoder, root, layout) -> list[bool]:
     every header of ``layout``, computed by evaluate_gates."""
     if isinstance(root, bool):
         return [root] * (1 << layout.total_bits)
-    k = layout.total_bits
     mapping = enc.mapping()
     values = []
     for h in _headers(layout):
-        full = evaluate_gates(mapping, {v: bool((h >> (k - v)) & 1) for v in range(1, k + 1)})
+        full = evaluate_gates(mapping, _solution(h, layout))
         values.append(full[abs(root)] == (root > 0))
     return values
 
 
 def _cnf_disagrees(cnf: CnfInstance, layout) -> bool:
     """Decide the equivalence CNF by enumerating header-bit restrictions."""
-    k = layout.total_bits
-    for h in _headers(layout):
-        partial = {v: bool((h >> (k - v)) & 1) for v in range(1, k + 1)}
-        if restricted_sat(cnf, partial):
-            return True
-    return False
+    return any(restricted_sat(cnf, _solution(h, layout)) for h in _headers(layout))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,17 @@ def test_layout_geometry():
         "dst_ip",
         "dst_port",
     ]
+    # One slot per IP chunk and per port, at its header bit offset.
+    assert QUAD.slots() == (
+        ("src_ip", 0, 1), ("src_ip", 1, 1), ("src_ip", 2, 1), ("src_ip", 3, 1),
+        ("src_port", 4, 1),
+        ("dst_ip", 5, 1), ("dst_ip", 6, 1), ("dst_ip", 7, 1), ("dst_ip", 8, 1),
+        ("dst_port", 9, 1),
+    )
+    assert HeaderLayout(5, 2, 5, 2).slots() == (
+        ("src_ip", 0, 5), ("src_port", 5, 2), ("dst_ip", 7, 5), ("dst_port", 12, 2),
+    )
+    assert DEFAULT_LAYOUT.slots()[4:6] == (("src_port", 32, 16), ("dst_ip", 48, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +177,17 @@ def test_mapping_requires_seed_or_secret():
 
 
 def test_mapping_rejects_non_bijections_and_domain_misses():
-    bad = FieldMappingSecret([{0: 1, 1: 1}], {0: 0}, None)
+    bad = FieldMappingSecret([[1, 1]], [0], None)
     with pytest.raises(ValueError, match="bijection"):
         bad.validate()
     # A secret over a smaller domain than the rule values.
-    small = FieldMappingSecret(
-        [{0: 0, 1: 1}] * 4, {0: 0, 1: 1}, None
-    )
+    small = FieldMappingSecret([[0, 1]] * 4, [0, 1], None)
     policy = FirewallPolicy([FirewallRule(None, 9, None, None, "accept")], "deny")
     with pytest.raises(ValueError, match="outside mapping domain"):
         map_fields(policy, secret=small, layout=HeaderLayout(8, 4, 8, 4))
+    # A list index would wrap a negative swap round to the end.
+    with pytest.raises(ValueError, match=r"swap \(-1, 3\) outside 0..3"):
+        FieldMappingSecret.from_swaps([[]], [(-1, 3)], SMALL)
 
 
 def test_mapping_rejects_fields_wider_than_16_bits():
@@ -241,7 +257,7 @@ def test_match_predicate_agrees_with_rule_matches():
     # The rule's predicate gate (the forced-true gate for an all-wildcard
     # rule) against direct matching, on every header.
     rng = random.Random(139)
-    for layout in (TINY, SMALL):
+    for layout in (TINY, SMALL, QUAD):
         for _ in range(25):
             rule = random_policy(rng, layout, 1, wildcard_p=0.5).rules[0]
             enc = TseitinEncoder(layout.total_bits)
@@ -254,6 +270,20 @@ def test_match_predicate_agrees_with_rule_matches():
 def test_match_predicate_range_check():
     with pytest.raises(ValueError, match="exceeds"):
         match_predicate(FirewallRule(None, 4, None, None, "accept"), SMALL)
+
+
+def test_disjoint_exactly_when_no_header_matches_both():
+    # --hoist drops the guard of an earlier rule that _disjoint says
+    # cannot overlap; that is sound only if _disjoint is exact.
+    rng = random.Random(141)
+    for layout in (SMALL, QUAD):
+        for _ in range(40):
+            r1, r2 = random_policy(rng, layout, 2, wildcard_p=0.5).rules
+            both = any(
+                rule_matches(r1, h, layout) and rule_matches(r2, h, layout)
+                for h in _headers(layout)
+            )
+            assert _disjoint(_values(r1, layout), _values(r2, layout)) == (not both)
 
 
 def test_encode_policy_trivials():
@@ -270,7 +300,7 @@ def test_encode_policy_trivials():
 
 def test_encode_policy_matches_simulation():
     rng = random.Random(149)
-    for layout in (TINY, SMALL):
+    for layout in (TINY, SMALL, QUAD):
         for _ in range(20):
             policy = random_policy(rng, layout, rng.randint(0, 4))
             accepts = [policy_accepts(policy, h, layout) for h in _headers(layout)]
@@ -295,6 +325,12 @@ def test_hoisting_never_changes_semantics():
 def test_policy_accepts_range_check():
     with pytest.raises(ValueError, match="exceeds layout"):
         policy_accepts(FirewallPolicy([], "deny"), 1 << 8, SMALL)
+    # A rule outside the layout is refused as match_predicate refuses it,
+    # also behind a rule that matches every header.
+    wide = FirewallRule(None, 9, None, None, "accept")
+    for rules in ([wide], [FirewallRule(None, None, None, None, "deny"), wide]):
+        with pytest.raises(ValueError, match="src_port value 9 exceeds 2 bits"):
+            policy_accepts(FirewallPolicy(rules, "deny"), 0, SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +353,9 @@ def test_disagreement_found_and_decoded():
     cnf = equivalence_cnf(p1, p2, SMALL)
     assert _cnf_disagrees(cnf, SMALL)
     # Solve by restriction, then decode the witness fields.
-    k = SMALL.total_bits
     hits = 0
     for h in _headers(SMALL):
-        partial = {v: bool((h >> (k - v)) & 1) for v in range(1, k + 1)}
+        partial = _solution(h, SMALL)
         if restricted_sat(cnf, partial):
             hits += 1
             witness = decode_witness(partial, SMALL, p1, p2)
@@ -362,6 +397,10 @@ def test_decode_witness_rejects_tampering():
         decode_witness(same, SMALL, p1, p2)
     with pytest.raises(ValueError, match="missing header bit"):
         decode_witness({1: True}, SMALL)
+    # One policy alone cannot be replayed; it is not silently skipped.
+    for one in ({"p1": p1}, {"p2": p1}):
+        with pytest.raises(ValueError, match="give both policies or neither"):
+            decode_witness(same, SMALL, **one)
 
 
 # (policy-pair seed, hoist_independent) -> sha256 of the DIMACS text of
@@ -432,6 +471,28 @@ def test_decode_witness_without_policies_just_slices():
     assert fields["src_port"] == 1
     assert fields["dst_ip"] == (0,)
     assert fields["dst_port"] == 1
+
+
+def test_decode_witness_slices_are_the_matched_rule_values():
+    # On every header a rule matches, each concrete field or chunk of the
+    # rule reads back from the decoded witness.
+    rng = random.Random(157)
+    for layout in (SMALL, QUAD):
+        for rule in random_policy(rng, layout, 12, wildcard_p=0.5).rules:
+            for h in _headers(layout):
+                if not rule_matches(rule, h, layout):
+                    continue
+                fields = decode_witness(_solution(h, layout), layout)
+                assert fields["header"] == h
+                for name in ("src_port", "dst_port"):
+                    if getattr(rule, name) is not None:
+                        assert fields[name] == getattr(rule, name)
+                for name in ("src_ip", "dst_ip"):
+                    value = getattr(rule, name)
+                    assert len(fields[name]) == len(layout.ip_chunks(layout.src_ip_bits))
+                    if value is not None:
+                        for got, want in zip(fields[name], value):
+                            assert want is None or got == want
 
 
 # ---------------------------------------------------------------------------
