@@ -6,16 +6,15 @@ Rows are stored as Python integers used as bitsets (bit ``j`` = column
 randomizer) or over the integers (for the linear-system randomizer); both
 views are provided here.
 
-Random full-rank generation is rejection sampling: a uniform 0/1 matrix is
-invertible over GF(2) with probability approaching ~0.2888, so a handful of
-draws suffices.  All randomness is seeded.
+The sparse random matrix is invertible by construction (a permuted unit
+lower-triangular matrix).  The dense one is rejection sampling: a uniform
+0/1 matrix is invertible over GF(2) with probability approaching ~0.2888,
+so a handful of draws suffices.  All randomness is seeded.
 
-Each draw is tested with :func:`gf2_rank`, a pivot-table elimination keyed by
-a row's lowest set bit.  A row meets only the pivots its own bits lead to,
-so on the sparse draw (row weight <= 3) a rank test costs about 20 ms at
-dimension 4300 where a column-by-column elimination, which shifts and tests
-every row for every column, took seconds.  :func:`gf2_invert` still
-eliminates column by column.
+Each dense draw is tested with :func:`gf2_rank`, a pivot-table elimination
+keyed by a row's lowest set bit.  A row meets only the pivots its own bits
+lead to, so no step scans every row for every column.  :func:`gf2_invert`
+still eliminates column by column.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ __all__ = [
     "random_sparse_full_rank",
 ]
 
-#: Rejection-sampling budget before giving up on full rank.
+#: Rejection-sampling budget of the dense draw before giving up on full rank.
 MAX_RANK_RETRIES = 64
 
 _BITS = re.compile("[01]*")
@@ -48,8 +47,7 @@ class SingularMatrixError(ValueError):
 
 
 class RankSamplingError(RuntimeError):
-    """No full-rank matrix was found within the retry budget (for the sparse
-    sampler this signals the caller to raise ``row_weight``)."""
+    """The dense draw found no full-rank matrix within the retry budget."""
 
 
 @dataclass
@@ -263,31 +261,30 @@ def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
 def random_sparse_full_rank(
     dim: int, row_weight: int, seed: int | random.Random
 ) -> BitMatrix:
-    """Random full-rank matrix with at most ``row_weight`` ones per row.
+    """Random invertible matrix with at most ``row_weight`` ones per row.
 
-    Built as a random permutation matrix plus up to ``row_weight - 1`` extra
-    random bits per row, re-tested for rank; total nonzeros stay linear in
-    ``dim``.  Raises :class:`RankSamplingError` when the budget runs out
-    (raise ``row_weight`` and retry).
+    The matrix is ``P L Q`` for uniform random permutation matrices ``P``
+    and ``Q`` and a unit lower-triangular ``L`` whose row ``i >= 1`` adds
+    ``randint(0, row_weight - 1)`` ones at columns drawn from ``0..i-1``
+    (repeats merge).  Its determinant is 1 over GF(2) and +-1 over the
+    integers, so no draw fails, and nonzeros stay linear in ``dim``.  This
+    is not uniform over sparse invertible matrices (nor was the rejection
+    sampler it replaced).  Deterministic given the seed.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if row_weight < 1:
         raise ValueError("row_weight must be >= 1")
     rng = _as_rng(seed)
-    for _ in range(MAX_RANK_RETRIES):
-        perm = list(range(dim))
-        rng.shuffle(perm)
-        bits = []
-        for i in range(dim):
-            row = 1 << perm[i]
-            extra = rng.randint(0, row_weight - 1)
-            for _ in range(extra):
-                row |= 1 << rng.randrange(dim)
-            bits.append(row)
-        m = BitMatrix(dim, dim, bits)
-        if gf2_rank(m) == dim:
-            return m
-    raise RankSamplingError(
-        f"no full-rank weight-{row_weight} matrix in {MAX_RANK_RETRIES} draws"
-    )
+    rows = list(range(dim))
+    rng.shuffle(rows)
+    cols = list(range(dim))
+    rng.shuffle(cols)
+    lower = []
+    for i in range(dim):
+        bits = 1 << cols[i]
+        if i:
+            for _ in range(rng.randint(0, row_weight - 1)):
+                bits |= 1 << cols[rng.randrange(i)]
+        lower.append(bits)
+    return BitMatrix(dim, dim, [lower[r] for r in rows])

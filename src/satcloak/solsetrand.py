@@ -23,8 +23,10 @@ original solution set under the bijection ``R`` — same solution count,
 scrambled structure.
 
 With ``row_weight`` set, the substitution matrix ``R^-1`` is drawn sparse
+and invertible by construction, a permuted unit lower-triangular matrix
 (so each original variable is an XOR of at most ``row_weight`` new ones);
-output size then stays linear in the input size.  Only ``R^-1`` is kept:
+output size then stays linear in the input size.  Without it, ``R`` is a
+uniform draw redrawn until it has full rank.  Only ``R^-1`` is kept:
 mapping a solution back reads nothing else, and the honest provider's
 forward map, the one user of ``R``, inverts it.
 """

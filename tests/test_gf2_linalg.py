@@ -302,11 +302,16 @@ def test_sparse_sampling_respects_weight():
 
 
 def test_sparse_sampling_at_scale():
-    # The draw rejects until gf2_rank reports full rank; at dimension 4096
-    # that is many ranks of a matrix with up to 3 ones per row.
-    m = random_sparse_full_rank(4096, 3, seed=1)
-    assert gf2_rank(m) == 4096
+    # The draw is a permuted unit lower-triangular matrix, full rank by
+    # construction, at a dimension where a draw redrawn until full rank
+    # would often give up.  Its extra ones (about one per row) must be
+    # there: without them it is a bare permutation, which passes every
+    # other sampler check.
+    dim = 16384
+    m = random_sparse_full_rank(dim, 3, seed=1)
+    assert gf2_rank(m) == dim
     assert all(bits.bit_count() <= 3 for bits in m.row_bits)
+    assert m.nonzero_count() > 1.5 * dim
 
 
 class _ZeroRandom(random.Random):
