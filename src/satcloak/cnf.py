@@ -2,15 +2,23 @@
 
 Literals are DIMACS-style signed integers: ``v`` is the positive occurrence
 of variable ``v`` (``v >= 1``) and ``-v`` its negation.  A clause is a list of
-literals, an instance is a clause list plus a variable count.  Every
+literals, an instance is a variable count plus its clauses in one of two
+stores: a list of clause lists, or a *table*, one ``(k, w)`` int64 array of
+clauses that all have width ``w``.  The instance keeps the store it was
+built with, and its operations (validating, checking an assignment,
+writing DIMACS, the isomorphism disguise) run on that store with the same
+results and errors on both; on a table they are numpy operations with no
+Python code per clause.  ``clauses`` of a table is a view made by one
+``tolist()`` on first read and cached; nothing may mutate it.  Every
 transformation in the toolkit consumes and produces these objects.
 
 :func:`parse_dimacs` reads a plain clause body (decimal literals and
 whitespace only) with numpy in one pass; a body whose clauses all have one
-width becomes clause lists with one ``tolist()`` of a table view.  Any
-other body is read one ``str`` token at a time, which gives the same
-clauses and names the first bad token.  Both readers cut a stream of mixed
-widths into clauses with the same loop, :func:`_split_clauses`.
+width from 1 to 4 and repeat no literal, such as any exactly-3CNF text,
+stays a table.  Any other body is read one ``str`` token at a time, which
+gives the same clauses and names the first bad token.  Both readers cut a
+stream of mixed widths into clauses with the same loop,
+:func:`_split_clauses`.
 
 Circuits are built as gates over literals by :class:`TseitinEncoder`:
 ``and`` and ``or`` of any number of inputs and ``xor`` of two, each a fresh
@@ -120,26 +128,80 @@ class InvalidSolutionError(Exception):
     implementation bug) apart from plain usage errors."""
 
 
-@dataclass
 class CnfInstance:
     """A CNF formula: ``num_vars`` variables, clauses over signed literals.
 
+    ``CnfInstance(num_vars, clauses)`` takes the clauses in one of two
+    stores and keeps that store:
+
+    * a list of clause lists, which the instance holds as given;
+    * a *table*: a ``(k, w)`` int64 array with one row per clause, all of
+      one width ``w >= 1``.  :func:`parse_dimacs` makes one of a body whose
+      clauses have one width from 1 to 4 and repeat no literal, and
+      :func:`~satcloak.isomorph.apply_iso` keeps it.  :attr:`table` is the
+      array (None for the list store).
+
+    :meth:`validate`, :meth:`satisfies`, :attr:`num_clauses`, ``==`` and
+    :func:`emit_dimacs` work on the store the instance holds, with the same
+    results and errors on both.  Nothing converts a list to a table.
+    :attr:`clauses` is the list store, or for a table a view built by one
+    ``tolist()`` on first read and then cached, for the code that walks
+    clauses one by one (the 3CNF conversion, the GF(2) rewrite, the matrix
+    encoding, the firewall and the oracles).
+
     Instances are treated as immutable after construction; all operations
-    return new objects.  Instances may share clause lists with each other
-    (a converted instance keeps the input's width-3 clauses), so nothing
-    mutates a clause in place.
+    return new objects.  Instances may share clause lists and tables with
+    each other (a converted instance keeps the input's width-3 clauses), so
+    nothing mutates a clause, the clause list, the cached view or the table
+    in place.
     """
 
-    num_vars: int
-    clauses: list[list[int]]
+    __slots__ = ("num_vars", "_clauses", "_table")
+    __hash__ = None
+
+    def __init__(self, num_vars: int, clauses: list[list[int]] | np.ndarray):
+        self.num_vars = num_vars
+        if isinstance(clauses, np.ndarray):
+            self._clauses = None
+            self._table = clauses
+        else:
+            self._clauses = clauses
+            self._table = None
+
+    @property
+    def clauses(self) -> list[list[int]]:
+        if self._clauses is None:
+            self._clauses = self._table.tolist()
+        return self._clauses
+
+    @property
+    def table(self) -> np.ndarray | None:
+        return self._table
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self._clauses if self._table is None else self._table)
+
+    def __eq__(self, other):
+        if not isinstance(other, CnfInstance):
+            return NotImplemented
+        if self.num_vars != other.num_vars:
+            return False
+        if self._table is not None and other._table is not None:
+            return np.array_equal(self._table, other._table)
+        return self.clauses == other.clauses
+
+    def __repr__(self) -> str:
+        return f"CnfInstance(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
     def validate(self) -> None:
         if self.num_vars < 0:
             raise ValueError("negative variable count")
+        if self._table is not None:
+            lit = _first_bad_literal(self._table, self.num_vars)
+            if lit is not None:
+                raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+            return
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -154,16 +216,30 @@ class CnfInstance:
         satisfied whether or not its other variables are assigned.  The
         first clause that no true literal satisfies decides the answer:
         False, or KeyError if it names a variable missing from
-        ``assignment``.
+        ``assignment``.  On a table the keys must be int64 values.
         """
-        true = {v if value else -v for v, value in assignment.items()}
-        falsified = next(filter(true.isdisjoint, self.clauses), None)
+        if self._table is None:
+            true = {v if value else -v for v, value in assignment.items()}
+            falsified = next(filter(true.isdisjoint, self.clauses), None)
+        else:
+            size = len(assignment)
+            keys = np.fromiter(assignment, np.int64, size)
+            values = np.fromiter(assignment.values(), bool, size)
+            hit = np.isin(self._table, np.where(values, keys, -keys)).any(axis=1)
+            falsified = None if hit.all() else self._table[hit.argmin()].tolist()
         if falsified is None:
             return True
         for lit in falsified:
             if abs(lit) not in assignment:
                 raise KeyError(abs(lit))
         return False
+
+
+def _first_bad_literal(table: np.ndarray, num_vars: int) -> int | None:
+    """The first literal of ``table``, in row order, that is 0 or names a
+    variable beyond ``num_vars``; None if there is none."""
+    bad = (table == 0) | (np.abs(table) > num_vars)
+    return int(table.flat[bad.argmax()]) if bad.any() else None
 
 
 def _marked_lines(text: str) -> list[tuple[int, int]]:
@@ -201,7 +277,9 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     no ``int()`` call per literal.  Any other body (``+1``, ``1_0`` or
     ``١``, which ``int()`` reads, a bad token or an out-of-range literal)
     takes the token reader (:func:`_token_clauses`), which names the first
-    bad token.  Both give the same clauses and the same errors.
+    bad token.  Both give the same clauses and the same errors.  The
+    instance holds a literal table when :func:`_uniform_clauses` gives one,
+    and clause lists otherwise.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -291,16 +369,19 @@ def _read_literals(body: str, num_vars: int) -> np.ndarray | None:
     return lits
 
 
-def _uniform_clauses(lits: np.ndarray | list[int]) -> list[list[int]] | None:
+def _uniform_clauses(
+    lits: np.ndarray | list[int],
+) -> np.ndarray | list[list[int]] | None:
     """The clauses of a literal stream whose clauses all have one width
-    from 1 to 4, repeated literals collapsed to their first occurrence, or
-    None for any other stream.
+    from 1 to 4, or None for any other stream: a ``(k, w)`` table when no
+    clause repeats a literal, else clause lists with repeated literals
+    collapsed to their first occurrence.
 
-    The stream is viewed as a table with one row per clause and its
-    literal columns are turned into lists by one ``tolist()``, so no Python
+    The stream is viewed as a table with one row per clause, so no Python
     code runs per clause; repeats are found by comparing each pair of
-    columns.  Wider clauses take :func:`_split_clauses`: the pairs grow with
-    the square of the width.
+    columns, and only a stream that has one is turned into lists, by one
+    ``tolist()``.  Wider clauses take :func:`_split_clauses`: the pairs
+    grow with the square of the width.
     """
     lits = np.asarray(lits, np.int64)
     ends = np.flatnonzero(lits == 0)
@@ -314,10 +395,12 @@ def _uniform_clauses(lits: np.ndarray | list[int]) -> list[list[int]] | None:
     if table[:, w].any():
         return None
     rows = table[:, :w]
-    clauses = rows.tolist()
     repeats = np.zeros(k, bool)
     for i, j in combinations(range(w), 2):
         repeats |= rows[:, i] == rows[:, j]
+    if not repeats.any():
+        return np.ascontiguousarray(rows)
+    clauses = rows.tolist()
     for i in np.flatnonzero(repeats).tolist():
         clauses[i] = list(dict.fromkeys(clauses[i]))
     return clauses
@@ -383,10 +466,15 @@ def emit_dimacs(instance: CnfInstance) -> str:
 
     Literals must be ints; each is written with ``%d``.  A width-0 clause
     is written as ``" 0"``.  The body is one template of per-width line
-    formats, filled with all literals in a single ``%`` operation.
+    formats, filled with all literals in a single ``%`` operation; a table's
+    template is its one line format repeated, its literals one ``tolist()``.
     """
-    clauses = instance.clauses
     head = f"p cnf {instance.num_vars} {instance.num_clauses}\n"
+    table = instance.table
+    if table is not None:
+        k, w = table.shape
+        return head + (_FORMATS[w] * k) % tuple(table.ravel().tolist())
+    clauses = instance.clauses
     template = "".join(map(_FORMATS.__getitem__, map(len, clauses)))
     return head + template % tuple(chain.from_iterable(clauses))
 

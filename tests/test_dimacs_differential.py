@@ -1,8 +1,11 @@
 """``parse_dimacs`` and ``emit_dimacs`` against line-by-line reference
-copies: equal clauses or the same DimacsError, and byte-equal text."""
+copies: equal clauses or the same DimacsError, and byte-equal text.  A
+parsed literal table against the same clauses held as lists: equal results
+and errors from every operation that works on either store."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,11 +15,19 @@ from satcloak import cnf
 from satcloak.cnf import (
     CnfInstance,
     DimacsError,
+    InvalidSolutionError,
     _uniform_clauses,
     emit_dimacs,
     parse_dimacs,
 )
 from satcloak.disguise import DISGUISES
+from satcloak.isomorph import IsoSecret, apply_iso, iso_forward, iso_randomize
+from satcloak.orchestrator import (
+    check_solution,
+    make_record,
+    record_from_json,
+    record_to_json,
+)
 
 # ---------------------------------------------------------------------------
 # Reference codecs: one line, one token and one literal at a time
@@ -472,3 +483,159 @@ def test_huge_variable_count_takes_the_token_reader(monkeypatch):
         assert _same_as_reference(text)[0] == "ok"
     # From 2**63 - 1 on, a literal that saturates int64 would be in range.
     assert len(reads) == 2
+
+
+# ---------------------------------------------------------------------------
+# The two clause stores: a literal table against the same clauses as lists
+# ---------------------------------------------------------------------------
+
+
+def _result(func, *args):
+    """What ``func(*args)`` gives: its value, or the type and arguments of
+    the ValueError or KeyError it raises."""
+    try:
+        return "ok", func(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc).__name__, exc.args
+
+
+def _iso_outcome(func, instance, arg):
+    """``_result`` of ``apply_iso`` or ``iso_randomize``, with the output
+    instance as its DIMACS text, whether it holds a table, and the secret
+    ``iso_randomize`` drew."""
+    status, value = _result(func, instance, arg)
+    if status != "ok":
+        return status, value
+    value, secret = value if func is iso_randomize else (value, None)
+    return "ok", emit_dimacs(value), value.table is not None, secret
+
+
+@st.composite
+def store_pairs(draw):
+    """``(table_or_lists, lists)``: two instances of the same clauses.  The
+    first is parsed from their DIMACS text, so it holds a table when the
+    clauses have one width from 1 to 4 and repeat no literal; or, for
+    literals that are 0 or out of range, which no parse gives, a table
+    built from the lists."""
+    num_vars = draw(st.integers(min_value=1, max_value=6))
+    bad = draw(st.sampled_from([False] * 4 + [True]))
+    top = num_vars + 2 if bad else num_vars
+    lit = st.integers(min_value=0 if bad else 1, max_value=top).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    width = draw(st.integers(min_value=1, max_value=4))
+    if bad or draw(st.booleans()):
+        sizes = st.just(width)
+    else:
+        sizes = st.integers(min_value=1, max_value=5)
+    clauses = draw(st.lists(
+        sizes.flatmap(lambda w: st.lists(lit, min_size=w, max_size=w)),
+        min_size=1, max_size=8,
+    ))
+    if bad:
+        table = CnfInstance(num_vars, np.array(clauses, np.int64))
+        return table, CnfInstance(num_vars, clauses)
+    parsed = parse_dimacs(emit_dimacs(CnfInstance(num_vars, clauses)))
+    uniform = len({len(c) for c in clauses}) == 1 and len(clauses[0]) <= 4
+    repeats = any(len(set(c)) < len(c) for c in clauses)
+    assert (parsed.table is not None) == (uniform and not repeats)
+    return parsed, CnfInstance(num_vars, [list(c) for c in parsed.clauses])
+
+
+@st.composite
+def partial_assignments(draw, num_vars):
+    variables = draw(st.lists(
+        st.integers(min_value=1, max_value=num_vars + 2), max_size=num_vars + 2
+    ))
+    values = st.sampled_from([True, False, 1, 0])
+    return {v: draw(values) for v in variables}
+
+
+@given(store_pairs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_and_lists_give_the_same_results(pair, data):
+    table, lists = pair
+    n = lists.num_vars
+    assert emit_dimacs(table) == emit_dimacs(lists)
+    assert _result(table.validate) == _result(lists.validate)
+    for _ in range(4):
+        assignment = data.draw(partial_assignments(n))
+        assert _result(table.satisfies, assignment) == _result(
+            lists.satisfies, assignment
+        )
+    assert table.num_clauses == lists.num_clauses
+    assert table == lists and lists == table
+    if table.table is not None:
+        assert table == CnfInstance(n, table.table.copy())
+        assert table != CnfInstance(n, table.table[:-1])
+    assert table != CnfInstance(n + 1, lists.clauses)
+    assert table != CnfInstance(n, lists.clauses[:-1])
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    permutation = rng.sample(range(1, n + 1), n)
+    flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
+    # The same output bytes or error, and each output keeps its store.
+    wrong_size = IsoSecret([], frozenset(), 0)
+    for func, arg in [(apply_iso, IsoSecret(permutation, flips, 0)),
+                      (apply_iso, wrong_size), (iso_randomize, rng.getrandbits(32))]:
+        got = _iso_outcome(func, table, arg)
+        want = _iso_outcome(func, lists, arg)
+        if got[0] == "ok":
+            assert want == ("ok", got[1], False, got[3])
+            assert got[2] == (table.table is not None)
+        else:
+            assert got == want
+
+
+def _planted_three_cnf_text(rng, num_vars, num_clauses):
+    """DIMACS text of ``num_clauses`` clauses over three distinct variables
+    each, satisfied by the returned assignment (``x[v]`` for variable v)."""
+    x = rng.random(num_vars + 1) < 0.5
+    vs = rng.integers(1, num_vars + 1, size=(num_clauses, 3))
+    while True:
+        dup = (vs[:, 0] == vs[:, 1]) | (vs[:, 0] == vs[:, 2]) | (vs[:, 1] == vs[:, 2])
+        if not dup.any():
+            break
+        vs[dup] = rng.integers(1, num_vars + 1, size=(int(dup.sum()), 3))
+    lits = np.where(rng.random((num_clauses, 3)) < 0.5, vs, -vs)
+    false = ~(x[np.abs(lits)] == (lits > 0)).any(axis=1)
+    lits[false, 0] *= -1
+    body = ("%d %d %d 0\n" * num_clauses) % tuple(lits.ravel().tolist())
+    return f"p cnf {num_vars} {num_clauses}\n" + body, lits, x
+
+
+def test_iso_round_trip_at_a_million_clauses_builds_no_clause_list(monkeypatch):
+    reads = []
+    view = CnfInstance.clauses
+
+    def spy(instance):
+        reads.append(instance.num_clauses)
+        return view.fget(instance)
+
+    monkeypatch.setattr(CnfInstance, "clauses", property(spy))
+    num_clauses = 10**6
+    num_vars = round(num_clauses / 4.26)
+    text, lits, x = _planted_three_cnf_text(
+        np.random.default_rng(20), num_vars, num_clauses
+    )
+    planted = {v: bool(x[v]) for v in range(1, num_vars + 1)}
+    falsifying = dict(planted)
+    for lit in lits[0].tolist():
+        falsifying[abs(lit)] = lit < 0
+
+    original = parse_dimacs(text)
+    assert original.table is not None
+    original.validate()
+    artifact, secret = iso_randomize(original, 7)
+    artifact_text = emit_dimacs(artifact)
+    key = record_to_json(make_record("iso", secret, original, 7))
+    record = record_from_json(key)
+    original = parse_dimacs(text)
+    honest = iso_forward(planted, secret)
+    assert parse_dimacs(artifact_text) == artifact
+    assert artifact.satisfies(honest)
+    vector = [int(honest[v]) for v in range(1, num_vars + 1)]
+    assert check_solution(record, vector, original) == (planted, None)
+    bad = iso_forward(falsifying, secret)
+    with pytest.raises(InvalidSolutionError):
+        check_solution(record, [int(bad[v]) for v in range(1, num_vars + 1)], original)
+    assert reads == []
