@@ -33,7 +33,6 @@ from .firewall import (
     parse_policy,
 )
 from .disguise import CLI_NAMES, MINCOST_INNER
-from .gf2 import RankSamplingError
 from .matrixrand import parse_opb
 from .objective import (
     MINCOST,
@@ -435,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSolutionError as exc:
         print(f"error: solution failed validation: {exc}", file=sys.stderr)
         return 2
-    except (DimacsError, ValueError, OSError, RankSamplingError) as exc:
+    except (DimacsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

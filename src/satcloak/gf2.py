@@ -6,15 +6,11 @@ Rows are stored as Python integers used as bitsets (bit ``j`` = column
 randomizer) or over the integers (for the linear-system randomizer); both
 views are provided here.
 
-The sparse random matrix is invertible by construction (a permuted unit
-lower-triangular matrix).  The dense one is rejection sampling: a uniform
-0/1 matrix is invertible over GF(2) with probability approaching ~0.2888,
-so a handful of draws suffices.  All randomness is seeded.
-
-Each dense draw is tested with :func:`gf2_rank`, a pivot-table elimination
-keyed by a row's lowest set bit.  A row meets only the pivots its own bits
-lead to, so no step scans every row for every column.  :func:`gf2_invert`
-still eliminates column by column.
+No random matrix draw can fail.  The sparse one is a permuted unit
+lower-triangular matrix; the dense one draws each row outside the span of
+the rows before it, tested against the pivot table that :func:`gf2_rank`
+also keeps.  All randomness is seeded.  :func:`gf2_invert` eliminates
+column by column.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SingularMatrixError",
-    "RankSamplingError",
     "BitMatrix",
     "gf2_rank",
     "gf2_invert",
@@ -36,18 +31,11 @@ __all__ = [
     "random_sparse_full_rank",
 ]
 
-#: Rejection-sampling budget of the dense draw before giving up on full rank.
-MAX_RANK_RETRIES = 64
-
 _BITS = re.compile("[01]*")
 
 
 class SingularMatrixError(ValueError):
     """Inversion was requested for a matrix without full GF(2) rank."""
-
-
-class RankSamplingError(RuntimeError):
-    """The dense draw found no full-rank matrix within the retry budget."""
 
 
 @dataclass
@@ -140,25 +128,30 @@ class BitMatrix:
         return cls(rows, cols, [int(s[::-1] or "0", 2) for s in strings])
 
 
-def gf2_rank(m: BitMatrix) -> int:
-    """Rank over GF(2) by pivot-table elimination on row bitsets.
+def _add_to_span(row: int, pivots: dict[int, int]) -> bool:
+    """Add ``row`` to the span held by ``pivots``; False if already in it.
 
-    ``pivots`` maps a lowest set bit to the one kept row that has it.  Each
-    input row is reduced by XORing in the pivot at its lowest set bit until
-    it is zero or its lowest bit is new, when it joins the table.  The rank
-    is the table size.  A row costs one XOR per pivot it meets, so sparse
-    rows (a permutation plus a few extra bits) stay cheap: no step scans
-    every row for every column.
+    ``pivots`` maps a lowest set bit to the one kept row that has it.  The
+    row is reduced by XORing in the pivot at its lowest set bit until it is
+    zero or its lowest bit is new, when it joins the table.  A row costs one
+    XOR per pivot it meets, so sparse rows (a permutation plus a few extra
+    bits) stay cheap: no step scans every row for every column.
     """
+    while row:
+        low = row & -row
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = row
+            return True
+        row ^= pivot
+    return False
+
+
+def gf2_rank(m: BitMatrix) -> int:
+    """Rank over GF(2): the size of the pivot table of all rows."""
     pivots: dict[int, int] = {}
     for row in m.row_bits:
-        while row:
-            low = row & -row
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
+        _add_to_span(row, pivots)
     return len(pivots)
 
 
@@ -241,6 +234,11 @@ def _as_rng(seed: int | random.Random) -> random.Random:
 def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
     """Uniform random ``dim`` x ``dim`` 0/1 matrix with full GF(2) rank.
 
+    Row ``i`` is ``getrandbits(dim)``, redrawn while it is in the span of
+    rows ``0..i-1`` (probability ``2**(i - dim)``; about ``dim + 1.6`` draws
+    in all).  So each row, kept as drawn, is uniform outside that span, and
+    every invertible matrix is equally likely.
+
     Full GF(2) rank forces an odd integer determinant, so the matrix is
     also invertible over the rationals — both multiplication semantics used
     by the randomizers are covered by the one condition.  Deterministic
@@ -249,13 +247,13 @@ def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = _as_rng(seed)
-    for _ in range(MAX_RANK_RETRIES):
-        m = BitMatrix(dim, dim, [rng.getrandbits(dim) for _ in range(dim)])
-        if gf2_rank(m) == dim:
-            return m
-    raise RankSamplingError(
-        f"no full-rank {dim}x{dim} matrix in {MAX_RANK_RETRIES} draws"
-    )
+    pivots: dict[int, int] = {}
+    rows: list[int] = []
+    while len(rows) < dim:
+        row = rng.getrandbits(dim)
+        if _add_to_span(row, pivots):
+            rows.append(row)
+    return BitMatrix(dim, dim, rows)
 
 
 def random_sparse_full_rank(

@@ -25,10 +25,10 @@ scrambled structure.
 With ``row_weight`` set, the substitution matrix ``R^-1`` is drawn sparse
 and invertible by construction, a permuted unit lower-triangular matrix
 (so each original variable is an XOR of at most ``row_weight`` new ones);
-output size then stays linear in the input size.  Without it, ``R`` is a
-uniform draw redrawn until it has full rank.  Only ``R^-1`` is kept:
-mapping a solution back reads nothing else, and the honest provider's
-forward map, the one user of ``R``, inverts it.
+output size then stays linear in the input size.  Without it, ``R^-1`` is
+a uniform invertible matrix.  Only ``R^-1`` is drawn and kept: mapping a
+solution back reads nothing else, and the honest provider's forward map,
+the one user of ``R``, inverts it.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def _draw_substitution(
 ) -> BitMatrix:
     """Draw ``R^-1``, identity on ``fixed_vars`` coordinates.
 
-    In sparse mode ``R^-1`` is drawn directly (its row weights bound the XOR
-    widths and hence the output size); the dense draw is of ``R``, which is
-    then inverted.  With no coordinate fixed, the drawn block is ``R^-1``.
+    Sparse, the row weights of ``R^-1`` bound the XOR widths and hence the
+    output size.  Dense, a uniform ``R^-1`` is the inverse of a uniform
+    ``R``, so nothing is inverted.  With no coordinate fixed, the drawn
+    block is ``R^-1``.
     """
     free = sorted(set(range(1, n + 1)) - fixed_vars)
     if not free:
@@ -130,7 +131,7 @@ def _draw_substitution(
     if row_weight is not None:
         block = random_sparse_full_rank(len(free), row_weight, rng)
     else:
-        block = gf2_invert(random_full_rank(len(free), rng))
+        block = random_full_rank(len(free), rng)
     if len(free) == n:
         return block
     rows = [0] * n

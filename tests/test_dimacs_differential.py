@@ -119,14 +119,25 @@ def _outcome(parse, text):
 # ---------------------------------------------------------------------------
 
 BLANKS = st.sampled_from(["", " ", "\t", "  \t", " \x0c"])
-LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "])
 SEPARATORS = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\x1f"])
 BAD_TOKENS = st.sampled_from(
     ["x", "1a", "--1", "0x1", "1.0", "c", "p", "cnf", "C", "P", "1-", "-", "+"]
 )
 # Tokens that int() reads although they are not plain decimals.
 ODD_INTEGERS = st.sampled_from(["+1", "1_0", "01", "-0", "+0", "00", "١"])
-COMMENT_WORDS = st.sampled_from(["c", "comment", "p", "cnf", "0", "1", "-2", "x", ""])
+# Comment lines (a "c" first, after blanks or not) and blank lines.
+EXTRA_LINES = st.sampled_from([
+    "c", "cc", "c comment", "ccomment p", "cp cnf 1 1", "c0 1 -2 x", " c",
+    "\tc cnf 0", "", " ", "\t", "  \t", " \x0c",
+])
+# Read by index from drawn bytes, one byte per token or line: what goes
+# before a clause token (a separator, or a line break "\n" with blanks
+# around it), and what ends a line.
+GLUE = [
+    " ", " ", " ", " ", " ", "\t", "  ", " \t ", "\x1f", " ",
+    "\n", " \n", "\n\t", "  \t\n \x0c", "\n\n",
+]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", " "]
 
 
 @st.composite
@@ -153,11 +164,24 @@ def headers(draw, num_vars, num_clauses):
 
 @st.composite
 def dimacs_texts(draw):
+    """DIMACS text, mostly valid.  Each run of literals, separators or line
+    ends is drawn as one byte string, so an example makes at most about 40
+    choices however long it is: hypothesis's ``data_too_large`` health
+    check fails a test whose examples routinely make many more choices than
+    the simplest one does."""
     num_vars = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6] + [6] * 5))
-    clause_lits = st.integers(min_value=1, max_value=max(num_vars, 1)).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
-    clauses = draw(st.lists(st.lists(clause_lits, min_size=1, max_size=5), max_size=8))
+    # One byte per literal: bits 1-6 pick the variable and bit 0 the sign.
+    # Clauses have one drawn width, which the one-pass split takes, or end
+    # at each byte from 0xAA up (one in three).
+    width = draw(st.sampled_from([None, None, 1, 2, 3, 4]))
+    size = draw(st.integers(min_value=0, max_value=24))
+    clauses = [[]]
+    for b in draw(st.binary(min_size=size, max_size=size)):
+        var = (b & 0x7F) // 2 % max(num_vars, 1) + 1
+        clauses[-1].append(-var if b & 1 else var)
+        if len(clauses[-1]) == width or (width is None and b >= 0xAA):
+            clauses.append([])
+    clauses = [clause for clause in clauses if clause]
     tokens = [str(lit) for clause in clauses for lit in (*clause, 0)]
 
     # Defects, each rare enough that most texts still parse.
@@ -182,41 +206,31 @@ def dimacs_texts(draw):
 
     # Clause tokens spread over lines: several clauses on one line, or one
     # clause over several.
-    token_lines = []
-    while tokens:
-        take = draw(st.integers(min_value=0, max_value=min(len(tokens), 6)))
-        sep = draw(SEPARATORS)
-        token_lines.append(
-            draw(BLANKS) + sep.join(tokens[:take]) + draw(BLANKS)
-        )
-        del tokens[:take]
+    glue = draw(st.binary(min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    body = "".join(GLUE[g % len(GLUE)] + tok for g, tok in zip(glue, [*tokens, ""]))
+    lines = body.split("\n")
 
-    comment = st.builds(
-        lambda pad, words: pad + "c" + " ".join(words),
-        BLANKS,
-        st.lists(COMMENT_WORDS, max_size=4),
-    )
-    extras = draw(st.lists(st.one_of(comment, BLANKS), max_size=5))
+    extras = draw(st.lists(EXTRA_LINES, max_size=5))
     header_count = draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2]))
     head_lines = [
         draw(BLANKS) + draw(headers(num_vars, num_clauses))
         for _ in range(header_count)
     ]
-    lines = token_lines
     for line in extras + head_lines:
         # Headers mostly go first, comments anywhere.
         first = line in head_lines and draw(st.booleans())
         at = 0 if first else draw(st.integers(min_value=0, max_value=len(lines)))
         lines.insert(at, line)
 
-    text = "".join(line + draw(LINE_ENDS) for line in lines)
-    if lines and draw(st.booleans()):
+    ends = draw(st.binary(min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + LINE_ENDS[e % len(LINE_ENDS)] for line, e in zip(lines, ends))
+    if draw(st.booleans()):
         text = text[: -1]  # no final line end (or half of a "\r\n")
     return text
 
 
 @given(dimacs_texts(), st.booleans())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @example("c only a comment\n", False)
 @example("p cnf 2 1\n\tc indented comment\r\n1 -2 0\r\n", False)
 @example("p cnf 2 2\n1 1 -1 0 2 -2 2 0\n", False)

@@ -49,19 +49,22 @@ SEED = 7
 # gate, whose four clauses come in another order than before (SORTED_SHA
 # shows the clauses themselves did not change).  The gf2-w3 artifact and
 # key are as written since the sparse substitution is a permuted unit
-# lower-triangular matrix, drawn without rejection.
+# lower-triangular matrix, drawn without rejection.  The matrix, gf2 and
+# mincost-gf2 artifacts, and the gf2 and mincost-gf2 keys, are as written
+# since the dense matrix is drawn one row at a time outside the span of
+# the rows before it, and the dense gf2 draw is of R^-1 itself.
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
         "ce59db738a3e792980396521f94abbda759ac91b17cc4044cd10f73bb9ac3c82",
     ),
     ("matrix", "matrix", False, None): (
-        "bfbc7cc3c22fc7764b2221e4c9bfbac24c453020a0fdfd92a72c06cb9979844f",
+        "f161e1e59b1ae69d40bdf567107e484366c98aa54f3cda395adb7e399217627b",
         "75d82e2b3148e11ad2d4ac3a5b662687ae768ced3a85d1e21bb90daf8d11942b",
     ),
     ("gf2", "solution_set", False, None): (
-        "d90eba1c9c4dd3508f8f63956568ce0ba4e0faf434a060dc56a973fa5051f288",
-        "afc475f179f37adc7528589526848bdeff4e74b85031dfe2c1cd35b74c7bd86a",
+        "9f7034022961d7588e3e0a3515dad5a6c3774cfe3c8938cf25a189f092ad8ae2",
+        "6e1289feac3115453e4ba1f35c656aa9342d5925cb00a09ddab1ed19e2c8564e",
     ),
     ("gf2-w3", "solution_set", False, 3): (
         "94d72da94bb499c37a0cdf1cff104f242afae8c5d02dad4b046691e5e5a36051",
@@ -72,19 +75,19 @@ PINNED = {
         "5f494f0d40b33961b4ea6547ad0834e369425c9b0a0506034c0ec298236ff03a",
     ),
     ("mincost-gf2", "solution_set", True, None): (
-        "6a060b874b2c205cee6e46fa9b104e01e7028dcc92abe80ccdf2f2c0354e22b8",
-        "cf028cec6f143cb423549b78dc56fa2838b72a452cdd79459e5fc41e498801b9",
+        "005372656770cec4a7ad3dda3c3ebf7d12ca290623c7389f0abf8e30f9d7b697",
+        "572519cfc16d59f009c46be7ac298d8d8cce581226ffacdd9bfc5e9bf888a093",
     ),
 }
 
 # sha256 of the sorted-clause form (literals sorted in each clause, then
-# the clauses sorted, as DIMACS) of each gf2 artifact, as the code wrote it
-# before the XOR chain links were encoder gates; gf2-w3's as written since
-# the sparse substitution is drawn triangular.
+# the clauses sorted, as DIMACS) of each gf2 artifact; gf2-w3's as written
+# since the sparse substitution is drawn triangular, the other two since
+# the dense one is drawn row by row outside the span.
 SORTED_SHA = {
-    "gf2": "08acdba77a848849d9f88f0fd9e4e21a4e06c69951637d36aa3f4719c56a2217",
+    "gf2": "43f336aa2412e415f9cc4bec6ca881948ca7f1594a337b95baa7424f718f691f",
     "gf2-w3": "02cca2e09bc1512686c6757b62c4804349570fc0ea6573f482429e004a44bfb1",
-    "mincost-gf2": "cd6290d7d7c2c3c215930235927d33a2b2ab059f9483a79c8f2bf087262804a4",
+    "mincost-gf2": "9e0fd75387ef0f31a547ac5139b6361155bdbaf964768d7fd12fbe9e59f69a49",
 }
 
 # Three TINY keys as written before keys were cut to what derandomizing

@@ -1,16 +1,16 @@
 """Bitset matrices: GF(2) and integer semantics, rank, inversion, sampling."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gf2_mat_mul
+from helpers import gf2_mat_mul, random_three_cnf
+from satcloak import solsetrand
 from satcloak.gf2 import (
-    MAX_RANK_RETRIES,
     BitMatrix,
-    RankSamplingError,
     SingularMatrixError,
     gf2_invert,
     gf2_mat_vec,
@@ -278,7 +278,7 @@ def test_dimension_mismatches():
 
 
 def test_full_rank_sampling():
-    for dim in [1, 2, 4, 9, 16]:
+    for dim in [*range(1, 65), 600]:
         m = random_full_rank(dim, seed=dim)
         assert gf2_rank(m) == dim
         # Deterministic per seed, varies across seeds (dim 1 has one choice).
@@ -314,22 +314,28 @@ def test_sparse_sampling_at_scale():
     assert m.nonzero_count() > 1.5 * dim
 
 
-class _ZeroRandom(random.Random):
-    """Degenerate randomness source: every draw is zero."""
+@pytest.mark.parametrize("dim,chi2_999", [(2, 20.52), (3, 229.21)])
+def test_dense_draw_is_uniform(dim, chi2_999):
+    # Every element of GL_dim(F_2) is drawn about 300 times; chi2_999 is the
+    # 99.9% point of the chi-squared distribution with one degree of
+    # freedom fewer than the group has elements (scipy's chi2.ppf).
+    order = 1
+    for i in range(dim):
+        order *= 2**dim - 2**i
+    rng = random.Random(21)
+    counts = Counter(
+        tuple(random_full_rank(dim, rng).row_bits) for _ in range(order * 300)
+    )
+    assert len(counts) == order
+    assert all(gf2_rank(BitMatrix(dim, dim, list(rows))) == dim for rows in counts)
+    assert sum((c - 300) ** 2 / 300 for c in counts.values()) < chi2_999
 
-    def getrandbits(self, k):  # noqa: D102 - stdlib signature
-        return 0
 
-    def shuffle(self, x):
-        pass
+def test_dense_gf2_secret_is_the_drawn_matrix(monkeypatch):
+    def no_inversion(m):
+        raise AssertionError("the client inverted a matrix")
 
-    def randint(self, a, b):
-        return a
-
-    def randrange(self, *args):
-        return 0
-
-
-def test_rank_sampling_budget_exhausts():
-    with pytest.raises(RankSamplingError, match=str(MAX_RANK_RETRIES)):
-        random_full_rank(3, _ZeroRandom())
+    monkeypatch.setattr(solsetrand, "gf2_invert", no_inversion)
+    original = random_three_cnf(random.Random(3), 12, 40)
+    _, secret = solsetrand.gf_randomize(original, 5)
+    assert secret.r_inv == random_full_rank(12, random.Random(5))
