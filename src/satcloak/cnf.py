@@ -8,9 +8,10 @@ clauses that all have width ``w``.  The instance keeps the store it was
 built with, and its operations (validating, checking an assignment,
 writing DIMACS, the isomorphism disguise) run on that store with the same
 results and errors on both; on a table they are numpy operations with no
-Python code per clause.  ``clauses`` of a table is a view made by one
-``tolist()`` on first read and cached; nothing may mutate it.  Every
-transformation in the toolkit consumes and produces these objects.
+Python code per clause.  ``clauses`` of a table is a new list made by one
+``tolist()`` on each read, which lives only as long as its reader keeps
+it.  Every transformation in the toolkit consumes and produces these
+objects.
 
 :func:`parse_dimacs` reads a plain clause body (decimal literals and
 whitespace only) with numpy in one pass; a body whose clauses all have one
@@ -27,10 +28,11 @@ variable with its definition clauses.  :meth:`TseitinEncoder.gate` and
 encoder's equal predicates and terms and the cost circuit's repeated
 adder gates are each one variable.
 
-Every dummy variable a transformation adds is a gate of a
-:class:`TseitinMap`, and :func:`evaluate_gates` computes all of them: the
-3CNF conversion's split and padding variables (``or`` gates), the GF(2)
-rewrite's dummies and the cost circuit's adder.
+The dummy variables of the 3CNF conversion (split and padding variables,
+``or`` gates) and of the cost circuit's adder are gates of a
+:class:`TseitinMap`, and :func:`evaluate_gates` computes them.  The GF(2)
+rewrite writes its exactly-3CNF output as one literal table and computes
+its own dummies from that layout (:mod:`satcloak.solsetrand`).
 
 The library's entry points that build or walk clause-sized object graphs
 run with CPython's cyclic garbage collector paused (:func:`_nogc`).  Those
@@ -40,8 +42,9 @@ survivors.  For the same reason the survivors are moved to the oldest
 generation when the pause ends, instead of being scanned by the young
 collections that the allocations made during the call would start.
 Calls that build only one list per row or a few dicts, such as the matrix
-encoding and product and ``orchestrator.check_solution``, run unpaused; the
-clause-sized work inside them, :func:`to_three_cnf`, keeps its own pause.
+encoding and product and ``orchestrator.check_solution``, and the GF(2)
+rewrite, which writes one literal table, run unpaused; the clause-sized
+work inside them, :func:`to_three_cnf`, keeps its own pause.
 """
 
 from __future__ import annotations
@@ -137,23 +140,25 @@ class CnfInstance:
     * a list of clause lists, which the instance holds as given;
     * a *table*: a ``(k, w)`` int64 array with one row per clause, all of
       one width ``w >= 1``.  :func:`parse_dimacs` makes one of a body whose
-      clauses have one width from 1 to 4 and repeat no literal, and
-      :func:`~satcloak.isomorph.apply_iso` keeps it.  :attr:`table` is the
-      array (None for the list store).
+      clauses have one width from 1 to 4 and repeat no literal,
+      :func:`~satcloak.isomorph.apply_iso` keeps it and
+      :func:`~satcloak.solsetrand.gf_randomize` writes one.  :attr:`table`
+      is the array (None for the list store).
 
     :meth:`validate`, :meth:`satisfies`, :attr:`num_clauses`, ``==`` and
     :func:`emit_dimacs` work on the store the instance holds, with the same
-    results and errors on both.  Nothing converts a list to a table.
-    :attr:`clauses` is the list store, or for a table a view built by one
-    ``tolist()`` on first read and then cached, for the code that walks
-    clauses one by one (the 3CNF conversion, the GF(2) rewrite, the matrix
-    encoding, the firewall and the oracles).
+    results and errors on both.  Nothing converts a list store to a table
+    store.  :attr:`clauses` is the list store, or for a table a new list
+    built by one ``tolist()`` on each read, for the code that walks clauses
+    one by one (the 3CNF conversion of other widths, the matrix encoding,
+    the firewall and the oracles).  It is not cached: a cached view would
+    keep a second copy of the clauses, about seven times the table's size,
+    for as long as the instance lives, after a reader that needed it once.
 
     Instances are treated as immutable after construction; all operations
     return new objects.  Instances may share clause lists and tables with
     each other (a converted instance keeps the input's width-3 clauses), so
-    nothing mutates a clause, the clause list, the cached view or the table
-    in place.
+    nothing mutates a clause, the clause list or the table in place.
     """
 
     __slots__ = ("num_vars", "_clauses", "_table")
@@ -170,9 +175,9 @@ class CnfInstance:
 
     @property
     def clauses(self) -> list[list[int]]:
-        if self._clauses is None:
-            self._clauses = self._table.tolist()
-        return self._clauses
+        if self._table is None:
+            return self._clauses
+        return self._table.tolist()
 
     @property
     def table(self) -> np.ndarray | None:
@@ -222,11 +227,21 @@ class CnfInstance:
             true = {v if value else -v for v, value in assignment.items()}
             falsified = next(filter(true.isdisjoint, self.clauses), None)
         else:
+            table = self._table
             size = len(assignment)
             keys = np.fromiter(assignment, np.int64, size)
             values = np.fromiter(assignment.values(), bool, size)
-            hit = np.isin(self._table, np.where(values, keys, -keys)).any(axis=1)
-            falsified = None if hit.all() else self._table[hit.argmin()].tolist()
+            true = np.where(values, keys, -keys)
+            span = max(-int(table.min(initial=0)), int(table.max(initial=0)))
+            if span <= 4 * (table.size + size):
+                # A truth table over the literals -span..span: one gather
+                # per literal, without np.isin's per-call set-up.
+                truth = np.zeros(2 * span + 1, bool)
+                truth[true[(true >= -span) & (true <= span)] + span] = True
+                hit = truth[table + span].any(axis=1)
+            else:  # literals too large for a truth table of that size
+                hit = np.isin(table, true).any(axis=1)
+            falsified = None if hit.all() else table[hit.argmin()].tolist()
         if falsified is None:
             return True
         for lit in falsified:
@@ -497,11 +512,15 @@ def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     original literals: a split variable is the ``or`` of its clause suffix,
     a padding variable the empty ``or`` (false).  :func:`evaluate_gates`
     extends a model of the input to a model of the output.  Width-3 clauses
-    are shared with the input, not copied.
+    are shared with the input, not copied, and a width-3 table is returned
+    as it is, with an empty map.
 
     Raises ValueError if the input contains an empty clause (trivially
     unsatisfiable; flagged rather than encoded).
     """
+    table = instance.table
+    if table is not None and table.shape[1] == 3:
+        return instance, TseitinMap(instance.num_vars, instance.num_vars)
     next_var = instance.num_vars + 1
     out: list[list[int]] = []
     gates: dict[int, tuple[str, tuple[int, ...]]] = {}

@@ -18,6 +18,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "SingularMatrixError",
@@ -25,6 +28,7 @@ __all__ = [
     "gf2_rank",
     "gf2_invert",
     "gf2_mat_vec",
+    "row_ones_csr",
     "int_mat_mul",
     "int_mat_vec",
     "random_full_rank",
@@ -188,6 +192,35 @@ def gf2_mat_vec(m: BitMatrix, vec: list[int]) -> list[int]:
         if entry:
             packed |= 1 << j
     return [(m.row_bits[i] & packed).bit_count() & 1 for i in range(m.rows)]
+
+
+# Unpacking costs a few ns per bit of the grid and walking ``row_ones`` a few
+# hundred ns per one, so the grid is unpacked down to one one in 64 bits.
+_UNPACK_DENSITY = 64
+
+
+def row_ones_csr(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's :meth:`~BitMatrix.row_ones`, listed once as CSR: row
+    ``i``'s column indices are ``cols[starts[i]:starts[i + 1]]``, ascending.
+
+    A matrix with at least one one in 64 bits is unpacked as one bit grid
+    by numpy; a sparser one is walked one row at a time, one step per one,
+    instead of unpacking its ``rows * cols`` bits.
+    """
+    starts = np.zeros(m.rows + 1, np.int64)
+    np.cumsum(np.fromiter(map(int.bit_count, m.row_bits), np.int64, m.rows),
+              out=starts[1:])
+    ones = int(starts[-1])
+    if m.rows * m.cols <= _UNPACK_DENSITY * ones:
+        width = (m.cols + 7) // 8
+        grid = b"".join(bits.to_bytes(width, "little") for bits in m.row_bits)
+        bits = np.unpackbits(np.frombuffer(grid, np.uint8), bitorder="little")
+        cols = np.flatnonzero(bits) % (8 * width)
+    else:
+        cols = np.fromiter(
+            chain.from_iterable(map(m.row_ones, range(m.rows))), np.int64, ones
+        )
+    return starts, cols
 
 
 def int_mat_mul(r: BitMatrix, a: list[list[int]]) -> list[list[int]]:

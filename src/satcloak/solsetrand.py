@@ -14,9 +14,15 @@ clause's disjunction of XOR expressions is re-encoded into CNF:
   clause as a single literal.  Chains are built once per variable and
   shared.
 
-Both kinds of dummy are :meth:`~satcloak.cnf.TseitinEncoder.add_gate`
-gates, so :func:`~satcloak.cnf.evaluate_gates` computes them.  The
-rewritten clauses (width up to 6) are then regularized to exactly-3CNF.
+The rewritten clauses (width 3 to 6) are then split into exactly-3CNF as
+:func:`~satcloak.cnf.to_three_cnf` splits them, and the width-2 gate
+clauses padded as it pads them.  Every piece has a fixed shape, so the
+output is built as one ``(k, 3)`` literal table by numpy over the input's
+literal table and ``R^-1``'s ones listed once
+(:func:`~satcloak.gf2.row_ones_csr`): no gate tuples, no clause lists.
+:func:`gf_forward` computes every dummy from the same layout (a chain link
+is a prefix parity of its row, an ``and`` gate the AND of its inputs, a
+padding variable false, a split variable the OR of its clause suffix).
 Solutions map back by ``X = R^-1 Y``; all dummies are functionally
 determined by ``Y``, so the projected solution set is the image of the
 original solution set under the bijection ``R`` — same solution count,
@@ -35,14 +41,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
-from .cnf import CnfInstance, TseitinEncoder, _nogc, evaluate_gates, to_three_cnf
+import numpy as np
+
+from .cnf import CnfInstance
 from .gf2 import (
     BitMatrix,
     gf2_invert,
     gf2_mat_vec,
     random_full_rank,
     random_sparse_full_rank,
+    row_ones_csr,
 )
 
 __all__ = [
@@ -67,49 +77,181 @@ class GfSecret:
     seed: int
 
 
-def _rewrite(instance: CnfInstance, r_inv: BitMatrix) -> TseitinEncoder:
-    """Deterministic rewrite of an instance under a substitution matrix: an
-    encoder over the ``y`` variables whose clauses are the rewritten
-    clauses, each after the gate clauses of the dummies it reads.
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each of ``counts``'s runs in one array."""
+    return np.cumsum(counts) - counts
 
-    Rebuilding it from ``(instance, r_inv)`` is how forward mapping
-    recovers the dummy-variable layout without storing it in the secret.
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each item of runs of ``counts`` items laid end to end: its run
+    and its index within the run."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - _exclusive_cumsum(counts)[owner]
+
+
+class _Rewrite:
+    """Layout of the rewrite of an exactly-3CNF table under ``R^-1``.
+
+    The output is, for each input clause in order: the gate clauses of
+    each of its literals in order, then the rewritten clause split into
+    width-3 pieces.  By the length ``L`` of its variable's row of ``R^-1``
+    a literal gives
+
+    * ``L = 1``: no gate; it becomes the row's ``y`` literal;
+    * ``L = 2``: two ``and`` gates, 10 clauses with 4 padding variables
+      (each width-2 gate clause padded twice), and two positive literals;
+    * ``L >= 3``: at the variable's first literal in stream order, a chain
+      of ``L - 1`` xnor links (4 clauses each), link ``t`` equal to the
+      parity of the row's first ``t + 2`` ones XOR ``(t + 1) mod 2``; every
+      literal of the variable becomes its last link, negated for even
+      ``L``, and the literal's own sign.
+
+    A rewritten clause has width 3 plus its number of ``L = 2`` literals
+    and is split into that many plus one clauses by as many split
+    variables, as :func:`~satcloak.cnf.to_three_cnf` splits it.  Gate
+    variables are numbered from ``n + 1`` in creation order, padding and
+    split variables after all of them in clause order.  Every count and
+    offset comes from ``cumsum`` over per-literal and per-clause arrays,
+    so :meth:`table` and :meth:`values` run no Python code per clause.
+    Rebuilding it from ``(table, r_inv)`` is how :func:`gf_forward` recovers
+    the dummy-variable layout without storing it in the secret.
     """
-    n = instance.num_vars
-    enc = TseitinEncoder(n)
-    chain_rep: dict[int, int] = {}
-    subs = [tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)]
-    for clause in instance.clauses:
-        big: list[int] = []
-        for lit in clause:
-            v = abs(lit)
-            positive = lit > 0
-            s = subs[v - 1]
-            if len(s) == 1:
-                big.append(s[0] if positive else -s[0])
-            elif len(s) == 2:
-                a, b = s
-                if positive:  # value 1: (a and not b) or (b and not a)
-                    pairs = [(a, -b), (b, -a)]
-                else:  # value 0: (a and b) or (not a and not b)
-                    pairs = [(a, b), (-a, -b)]
-                big.extend([enc.add_gate("and", pair) for pair in pairs])
-            else:
-                rep = chain_rep.get(v)
-                if rep is None:
-                    rep = chain_rep[v] = _chain(enc, s)
-                big.append(rep if positive else -rep)
-        enc.clauses.append(big)
-    return enc
+
+    def __init__(self, table: np.ndarray, r_inv: BitMatrix):
+        n = r_inv.rows
+        starts, cols = row_ones_csr(r_inv)
+        self.ys = cols + 1
+        k = len(table)
+        lits = table.ravel()
+        var = np.abs(lits) - 1
+        self.positive = lits > 0
+        self.first = starts[var]
+        self.length = starts[var + 1] - self.first
+        self.pair = self.length == 2
+        builds = np.zeros(lits.size, bool)
+        builds[np.unique(var, return_index=True)[1]] = True
+        builds &= self.length >= 3
+        links = np.where(builds, self.length - 1, 0)
+        gates = 2 * self.pair + links
+        self.gate0 = n + 1 + _exclusive_cumsum(gates)
+        num_gates = int(gates.sum())
+        # Per clause, four slots: its three literals, then the clause itself.
+        self.extra = self.pair.reshape(k, 3).sum(1)
+        rows = np.column_stack([(10 * self.pair + 4 * links).reshape(k, 3),
+                                1 + self.extra]).ravel()
+        dummies = np.column_stack([(4 * self.pair).reshape(k, 3),
+                                   self.extra]).ravel()
+        self.row0 = _exclusive_cumsum(rows).reshape(k, 4)
+        self.dummy0 = (n + num_gates + 1 + _exclusive_cumsum(dummies)).reshape(k, 4)
+        self.num_rows = int(rows.sum())
+        self.num_vars = n + num_gates + int(dummies.sum())
+        self.n = n
+        # Every chain link: the literal that builds it, its index in the chain.
+        self.chain_lit, self.link = _runs(links)
+        last = np.zeros(n, np.int64)
+        last[var[builds]] = self.gate0[builds] + links[builds] - 1
+        rep = np.where(self.length % 2 == 1, last[var], -last[var])
+        head = np.where(self.length == 1, self.ys[self.first], rep)
+        head = np.where(self.pair, self.gate0, np.where(self.positive, head, -head))
+        # The rewritten clauses, width 3 to 6, left-aligned in six columns.
+        width = 1 + self.pair.reshape(k, 3)
+        at = (np.cumsum(width, axis=1) - width).ravel()
+        clause = np.repeat(np.arange(k), 3)
+        self.wide = np.zeros((k, 6), np.int64)
+        self.wide[clause, at] = head
+        self.wide[clause[self.pair], at[self.pair] + 1] = self.gate0[self.pair] + 1
+
+    def _slot(self, lit: np.ndarray, array: np.ndarray) -> np.ndarray:
+        """``array``'s entry for the slots of flat literal indices ``lit``."""
+        return array.ravel()[lit + lit // 3]
+
+    def table(self) -> np.ndarray:
+        """The ``(k, 3)`` literal table of the rewritten exactly-3CNF."""
+        out = np.empty((self.num_rows, 3), np.int64)
+        ys = self.ys
+        # and gates: (a xor b) is (a and -b) or (b and -a); its negation is
+        # (a and b) or (-a and -b).  Each gate's clauses are (-g, x, p),
+        # (-g, x, -p), (-g, z, q), (-g, z, -q), (g, -x, -z) for inputs x, z
+        # and padding variables p, q.
+        lit = np.flatnonzero(self.pair)
+        a = ys[self.first[lit]]
+        b = ys[self.first[lit] + 1]
+        pos = self.positive[lit]
+        g = self.gate0[lit]
+        p = self._slot(lit, self.dummy0)
+        blocks = []
+        for gate, x, z, pad in (
+            (g, a, np.where(pos, -b, b), p),
+            (g + 1, np.where(pos, b, -a), np.where(pos, -a, -b), p + 2),
+        ):
+            blocks += [[-gate, x, pad], [-gate, x, -pad], [-gate, z, pad + 1],
+                       [-gate, z, -pad - 1], [gate, -x, -z]]
+        block = np.array(blocks, np.int64).transpose(2, 0, 1)
+        rows = self._slot(lit, self.row0)[:, None] + np.arange(10)
+        out[rows] = block
+        # xnor links: g = not(prev xor next), clauses (-g, prev, -next),
+        # (-g, -prev, next), (g, prev, next), (g, -prev, -next).
+        lit, t = self.chain_lit, self.link
+        g = self.gate0[lit] + t
+        prev = np.where(t == 0, ys[self.first[lit]], g - 1)
+        nxt = ys[self.first[lit] + t + 1]
+        block = np.array([[-g, prev, -nxt], [-g, -prev, nxt],
+                          [g, prev, nxt], [g, -prev, -nxt]], np.int64)
+        rows = (self._slot(lit, self.row0) + 4 * t)[:, None] + np.arange(4)
+        out[rows] = block.transpose(2, 0, 1)
+        # Split clause c_0..c_{w-1} by s_0..s_{w-4}: (c_0, c_1, s_0),
+        # (-s_{i-1}, c_{i+1}, s_i), ..., (-s_{w-4}, c_{w-2}, c_{w-1}).
+        c, i = _runs(1 + self.extra)
+        s = self.dummy0[c, 3] + i
+        rows = self.row0[c, 3] + i
+        out[rows, 0] = np.where(i == 0, self.wide[c, 0], 1 - s)
+        out[rows, 1] = self.wide[c, i + 1]
+        out[rows, 2] = np.where(i == self.extra[c], self.wide[c, 2 + self.extra[c]], s)
+        return out
+
+    def values(self, y: list[int]) -> list[bool]:
+        """Values of variables ``1..num_vars`` for the ``y`` block ``y``:
+        the unique values of the gates and split variables, padding
+        variables false."""
+        val = np.zeros(self.num_vars + 1, bool)
+        val[1 : self.n + 1] = y
+        a = val[self.ys[self.first[self.pair]]]
+        b = val[self.ys[self.first[self.pair] + 1]]
+        pos = self.positive[self.pair]
+        g = self.gate0[self.pair]
+        val[g] = np.where(pos, a & ~b, a & b)
+        val[g + 1] = np.where(pos, b & ~a, ~a & ~b)
+        prefix = np.concatenate(([0], np.cumsum(val[self.ys])))
+        lit, t = self.chain_lit, self.link
+        start = self.first[lit]
+        parity = (prefix[start + t + 2] - prefix[start]) & 1
+        val[self.gate0[lit] + t] = parity != (t + 1) % 2
+        wide = val[np.abs(self.wide)] != (self.wide < 0)
+        wide &= self.wide != 0
+        suffix = np.logical_or.accumulate(wide[:, ::-1], axis=1)[:, ::-1]
+        c, i = _runs(self.extra)
+        val[self.dummy0[c, 3] + i] = suffix[c, i + 2]
+        return val[1:].tolist()
 
 
-def _chain(enc: TseitinEncoder, s: tuple[int, ...]) -> int:
-    """Signed literal equal to ``xor(s)``, built from xnor links."""
-    prev = s[0]
-    for nxt in s[1:]:
-        prev = enc.add_gate("xor", (prev, -nxt))  # not(prev xor nxt)
-    # After k-1 links the last one equals xor(s) + (k-1 mod 2).
-    return prev if (len(s) - 1) % 2 == 0 else -prev
+def _three_table(instance: CnfInstance) -> np.ndarray:
+    """The instance's clauses as a ``(k, 3)`` table; ValueError naming the
+    first clause of another width."""
+    table = instance.table
+    if table is None:
+        widths = map(len, instance.clauses)
+    else:  # a table's first clause has the width of all of them
+        widths = table.shape[1:] if len(table) else ()
+    for i, width in enumerate(widths):
+        if width != 3:
+            raise ValueError(
+                f"clause {i + 1} has width {width}; "
+                "run to_three_cnf first (exactly 3 literals required)"
+            )
+    if table is None:
+        clauses = instance.clauses
+        table = np.fromiter(chain.from_iterable(clauses), np.int64, 3 * len(clauses))
+    return table.reshape(-1, 3)
 
 
 def _draw_substitution(
@@ -146,7 +288,6 @@ def _draw_substitution(
     return BitMatrix(n, n, rows)
 
 
-@_nogc
 def gf_randomize(
     instance: CnfInstance,
     seed: int,
@@ -156,27 +297,24 @@ def gf_randomize(
     """Randomize the solution set of an exactly-3CNF instance.
 
     Returns an exactly-3CNF instance over the ``y`` variables plus dummies,
-    together with the secret substitution.  An assignment ``Y`` extends to a
-    solution of the output iff ``X = R^-1 Y`` satisfies the input.
+    held as one ``(k, 3)`` literal table, together with the secret
+    substitution.  An assignment ``Y`` extends to a solution of the output
+    iff ``X = R^-1 Y`` satisfies the input.  The input may hold a table or
+    clause lists; ValueError names its first clause of another width.
 
     ``fixed_vars`` coordinates are left unmixed (identity rows in ``R^-1``) —
     the cost randomizer uses this to keep circuit output bits addressable.
     With the identity matrix (e.g. zero free coordinates) the output equals
     the input.
     """
-    for i, clause in enumerate(instance.clauses):
-        if len(clause) != 3:
-            raise ValueError(
-                f"clause {i + 1} has width {len(clause)}; "
-                "run to_three_cnf first (exactly 3 literals required)"
-            )
+    table = _three_table(instance)
     n = instance.num_vars
     rng = random.Random(seed)
     if n == 0:
         return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0, seed)
     r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
-    out, _ = to_three_cnf(_rewrite(instance, r_inv).cnf())
-    return out, GfSecret(r_inv, n, seed)
+    rewrite = _Rewrite(table, r_inv)
+    return CnfInstance(rewrite.num_vars, rewrite.table()), GfSecret(r_inv, n, seed)
 
 
 def gf_derandomize(sol: dict[int, bool], secret: GfSecret) -> dict[int, bool]:
@@ -210,7 +348,5 @@ def gf_forward(
     n = secret.original_n
     x = [1 if assignment[v] else 0 for v in range(1, n + 1)]
     y = gf2_mat_vec(gf2_invert(secret.r_inv), x)
-    base = {v: bool(y[v - 1]) for v in range(1, n + 1)}
-    enc = _rewrite(instance, secret.r_inv)
-    _, three_map = to_three_cnf(enc.cnf())
-    return evaluate_gates(three_map, evaluate_gates(enc.mapping(), base))
+    values = _Rewrite(_three_table(instance), secret.r_inv).values(y)
+    return dict(enumerate(values, start=1))

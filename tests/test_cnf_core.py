@@ -147,6 +147,17 @@ def test_three_cnf_shapes():
     assert m5.gates[7] == ("or", (-4, 5))
 
 
+def test_three_cnf_returns_a_width_three_table_as_it_is():
+    inst = parse_dimacs("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")
+    assert inst.table is not None
+    three, mapping = to_three_cnf(inst)
+    assert three.table is inst.table
+    assert (mapping.num_input_vars, mapping.num_vars, mapping.gates) == (4, 4, {})
+    # Another width still goes through the clause lists.
+    wide, _ = to_three_cnf(parse_dimacs("p cnf 4 1\n1 -2 3 4 0\n"))
+    assert wide.table is None and wide.num_vars == 5
+
+
 def test_three_cnf_rejects_empty_clause():
     with pytest.raises(ValueError):
         to_three_cnf(CnfInstance(1, [[]]))

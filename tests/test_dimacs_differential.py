@@ -19,9 +19,11 @@ from satcloak.cnf import (
     _uniform_clauses,
     emit_dimacs,
     parse_dimacs,
+    to_three_cnf,
 )
 from satcloak.disguise import DISGUISES
 from satcloak.isomorph import IsoSecret, apply_iso, iso_forward, iso_randomize
+from satcloak.solsetrand import gf_randomize
 from satcloak.orchestrator import (
     check_solution,
     make_record,
@@ -600,6 +602,21 @@ def test_table_and_lists_give_the_same_results(pair, data):
             assert got == want
 
 
+@pytest.mark.parametrize("clauses,assignment", [
+    ([[1, -2, 3], [-1, 2, 4]], {}),  # nothing assigned
+    ([[1, -2, 3], [-1, 2, 4]], {-1: True, -2: 0}),  # keys that are literals
+    ([[0, 1, 2]], {0: True}),
+    ([[10**12, 1, 2], [-1, -2, 3]], {10**12: 1, 1: False, 2: True, 3: 0}),
+    ([[10**12, 1, 2]], {1: False, 2: False}),  # a missing variable decides
+    ([[-(2**63 - 1), 1, 2]], {2**63 - 1: False, 1: False, 2: False}),
+    ([[1, 2, 3]], {-(2**63): True, 10**15: True, 3: True}),
+])
+def test_table_satisfies_matches_lists_at_extreme_literals(clauses, assignment):
+    table = CnfInstance(3, np.array(clauses, np.int64))
+    lists = CnfInstance(3, clauses)
+    assert _result(table.satisfies, assignment) == _result(lists.satisfies, assignment)
+
+
 def _planted_three_cnf_text(rng, num_vars, num_clauses):
     """DIMACS text of ``num_clauses`` clauses over three distinct variables
     each, satisfied by the returned assignment (``x[v]`` for variable v)."""
@@ -652,4 +669,27 @@ def test_iso_round_trip_at_a_million_clauses_builds_no_clause_list(monkeypatch):
     bad = iso_forward(falsifying, secret)
     with pytest.raises(InvalidSolutionError):
         check_solution(record, [int(bad[v]) for v in range(1, num_vars + 1)], original)
+    assert reads == []
+
+
+def test_sparse_gf2_round_trip_at_32k_variables_builds_no_clause_list(monkeypatch):
+    reads = []
+    view = CnfInstance.clauses
+
+    def spy(instance):
+        reads.append(instance.num_clauses)
+        return view.fget(instance)
+
+    monkeypatch.setattr(CnfInstance, "clauses", property(spy))
+    num_vars = 32_000
+    text, _, _ = _planted_three_cnf_text(
+        np.random.default_rng(22), num_vars, round(4.26 * num_vars)
+    )
+    original = parse_dimacs(text)
+    three, three_map = to_three_cnf(original)
+    assert three.table is original.table and not three_map.gates
+    artifact, secret = gf_randomize(three, 7, row_weight=3)
+    assert artifact.num_clauses > 1_700_000
+    assert secret.r_inv.rows == num_vars
+    assert parse_dimacs(emit_dimacs(artifact)) == artifact
     assert reads == []

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from satcloak.gf2 import (
     int_mat_vec,
     random_full_rank,
     random_sparse_full_rank,
+    row_ones_csr,
 )
 
 
@@ -170,6 +172,31 @@ def test_rank_matches_column_elimination_at_edges(rows, cols):
     rng = random.Random(rows * 10 + cols)
     m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
     assert gf2_rank(m) == _column_elimination_rank(m) == min(rows, cols)
+
+
+def _csr_rows(m):
+    starts, cols = row_ones_csr(m)
+    assert starts[0] == 0 and len(starts) == m.rows + 1
+    assert cols.dtype == starts.dtype == np.int64
+    return [cols[starts[i]:starts[i + 1]].tolist() for i in range(m.rows)]
+
+
+@given(_rank_case())
+@settings(max_examples=300)
+def test_row_ones_csr_lists_every_row(m):
+    assert _csr_rows(m) == [m.row_ones(i) for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("m", [
+    BitMatrix(0, 0, []),
+    BitMatrix(3, 0, [0, 0, 0]),
+    BitMatrix.zeros(4, 70),
+    random_full_rank(130, 2),  # unpacked: half the bits are ones
+    random_sparse_full_rank(400, 3, 2),  # walked: about one bit in 200
+    BitMatrix(3, 200, [0, 1 << 199, (1 << 200) - 1]),
+], ids=["0x0", "3x0", "zeros", "dense", "sparse", "edges"])
+def test_row_ones_csr_on_both_paths(m):
+    assert _csr_rows(m) == [m.row_ones(i) for i in range(m.rows)]
 
 
 def test_invert_round_trip():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     naive_count,
@@ -11,9 +13,17 @@ from helpers import (
     projected_solutions,
     random_three_cnf,
 )
-from satcloak.cnf import CnfInstance, InvalidSolutionError
+from satcloak.cnf import (
+    CnfInstance,
+    InvalidSolutionError,
+    TseitinEncoder,
+    emit_dimacs,
+    evaluate_gates,
+    parse_dimacs,
+    to_three_cnf,
+)
 from satcloak.disguise import DISGUISES
-from satcloak.gf2 import BitMatrix
+from satcloak.gf2 import BitMatrix, gf2_invert, gf2_mat_vec
 from satcloak.oracles import brute_sat
 from satcloak.solsetrand import (
     GfSecret,
@@ -26,8 +36,27 @@ GF2 = DISGUISES["solution_set"]
 
 
 def test_rejects_non_three_cnf():
-    with pytest.raises(ValueError, match="width 2"):
+    with pytest.raises(ValueError, match="clause 1 has width 2"):
         gf_randomize(CnfInstance(2, [[1, -2]]), seed=0)
+    with pytest.raises(ValueError, match="clause 2 has width 4"):
+        gf_randomize(CnfInstance(4, [[1, 2, 3], [1, 2, 3, 4]]), seed=0)
+    table = parse_dimacs("p cnf 2 2\n1 -2 0\n2 1 0\n")
+    assert table.table is not None
+    with pytest.raises(ValueError, match="clause 1 has width 2"):
+        gf_randomize(table, seed=0)
+
+
+def test_table_and_lists_give_the_same_artifact():
+    rng = random.Random(59)
+    inst = random_three_cnf(rng, 12, 40)
+    table = parse_dimacs(emit_dimacs(inst))
+    assert table.table is not None and inst.table is None
+    for row_weight in (None, 2, 3):
+        art, secret = gf_randomize(inst, 4, row_weight)
+        assert art.table is not None
+        assert gf_randomize(table, 4, row_weight) == (art, secret)
+        x = {v: rng.random() < 0.5 for v in range(1, 13)}
+        assert gf_forward(x, secret, table) == gf_forward(x, secret, inst)
 
 
 def test_output_is_strict_three_cnf():
@@ -77,9 +106,12 @@ def test_every_artifact_model_projects_soundly():
             continue
         res = brute_sat(art, var_limit=18)
         assert res.count >= naive_count(inst)
+        # The artifact is a table; its list store checks one small
+        # assignment without numpy's per-call cost, with the same result.
+        lists = CnfInstance(art.num_vars, art.clauses)
         for full in itertools.product([False, True], repeat=art.num_vars):
             assign = dict(zip(range(1, art.num_vars + 1), full))
-            if art.satisfies(assign):
+            if lists.satisfies(assign):
                 x, _ = GF2.check(assign, secret, inst)
                 assert inst.satisfies(x)
         checked += 1
@@ -162,3 +194,116 @@ def test_deterministic_per_seed():
     assert a1 == a2 and s1 == s2
     _, s3 = gf_randomize(inst, 22)
     assert s3.r_inv != s1.r_inv
+
+
+# ---------------------------------------------------------------------------
+# The table rewrite against the gate-by-gate rewrite it replaced
+# ---------------------------------------------------------------------------
+
+
+def _rewrite(instance: CnfInstance, r_inv: BitMatrix) -> TseitinEncoder:
+    """Reference rewrite, one gate at a time: an encoder over the ``y``
+    variables whose clauses are the rewritten clauses, each after the gate
+    clauses of the dummies it reads."""
+    n = instance.num_vars
+    enc = TseitinEncoder(n)
+    chain_rep: dict[int, int] = {}
+    subs = [tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)]
+    for clause in instance.clauses:
+        big: list[int] = []
+        for lit in clause:
+            v = abs(lit)
+            positive = lit > 0
+            s = subs[v - 1]
+            if len(s) == 1:
+                big.append(s[0] if positive else -s[0])
+            elif len(s) == 2:
+                a, b = s
+                if positive:  # value 1: (a and not b) or (b and not a)
+                    pairs = [(a, -b), (b, -a)]
+                else:  # value 0: (a and b) or (not a and not b)
+                    pairs = [(a, b), (-a, -b)]
+                big.extend([enc.add_gate("and", pair) for pair in pairs])
+            else:
+                rep = chain_rep.get(v)
+                if rep is None:
+                    rep = chain_rep[v] = _chain(enc, s)
+                big.append(rep if positive else -rep)
+        enc.clauses.append(big)
+    return enc
+
+
+def _chain(enc: TseitinEncoder, s: tuple[int, ...]) -> int:
+    """Signed literal equal to ``xor(s)``, built from xnor links."""
+    prev = s[0]
+    for nxt in s[1:]:
+        prev = enc.add_gate("xor", (prev, -nxt))  # not(prev xor nxt)
+    # After k-1 links the last one equals xor(s) + (k-1 mod 2).
+    return prev if (len(s) - 1) % 2 == 0 else -prev
+
+
+def _check_against_reference(inst, seed, row_weight, fixed, x):
+    """The artifact's bytes and variable count, and ``gf_forward``'s value
+    of every variable, equal the reference rewrite's then
+    ``to_three_cnf`` and its two gate maps."""
+    art, secret = gf_randomize(inst, seed, row_weight, fixed)
+    enc = _rewrite(inst, secret.r_inv)
+    ref, three_map = to_three_cnf(enc.cnf())
+    assert emit_dimacs(art) == emit_dimacs(ref)
+    assert art.num_vars == ref.num_vars
+    n = inst.num_vars
+    y = gf2_mat_vec(gf2_invert(secret.r_inv), [int(x[v]) for v in range(1, n + 1)])
+    base = {v: bool(y[v - 1]) for v in range(1, n + 1)}
+    expected = evaluate_gates(three_map, evaluate_gates(enc.mapping(), base))
+    full = gf_forward(x, secret, inst)
+    assert list(full.items()) == list(expected.items())
+    assert all(type(value) is bool for value in full.values())
+
+
+def _random_clauses(rng, n, k):
+    """Clauses of three literals drawn with replacement, so a clause may
+    name a variable twice or hold a tautology; one of each is forced."""
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(3)]
+               for _ in range(k)]
+    if k >= 2:
+        v, u = rng.randint(1, n), rng.randint(1, n)
+        clauses[0] = [v, -v, u]
+        clauses[1] = [-u, v, -u]
+    return clauses
+
+
+def test_table_rewrite_matches_reference_rewrite():
+    rng = random.Random(89)
+    for n in range(41):
+        for row_weight in (None, 1, 2, 3, 4, 5):
+            k = rng.randint(0, 12) if n else 0
+            inst = CnfInstance(n, _random_clauses(rng, n, k))
+            fixed = frozenset(v for v in range(1, n + 1) if rng.random() < 0.2)
+            x = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+            _check_against_reference(inst, rng.getrandbits(32), row_weight, fixed, x)
+
+
+@st.composite
+def rewrite_cases(draw):
+    n = draw(st.integers(1, 9))
+    lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lits, min_size=3, max_size=3), max_size=8))
+    fixed = draw(st.frozensets(st.integers(1, n)))
+    row_weight = draw(st.sampled_from((None, 1, 2, 3, 4)))
+    x = dict(enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n)), 1))
+    return CnfInstance(n, clauses), draw(st.integers(0, 2**32)), row_weight, fixed, x
+
+
+@given(rewrite_cases())
+@settings(max_examples=300, deadline=None)
+def test_table_rewrite_matches_reference_rewrite_on_generated_cases(case):
+    _check_against_reference(*case)
+
+
+def test_sparse_rewrite_matches_reference_at_a_thousand_variables():
+    # The sparse R^-1 is listed by walking its rows, not by unpacking.
+    rng = random.Random(97)
+    inst = random_three_cnf(rng, 1000, 4000)
+    x = {v: rng.random() < 0.5 for v in range(1, 1001)}
+    for row_weight in (2, 3, 5):
+        _check_against_reference(inst, 3, row_weight, frozenset(), x)
