@@ -2,23 +2,21 @@
 
 Literals are DIMACS-style signed integers: ``v`` is the positive occurrence
 of variable ``v`` (``v >= 1``) and ``-v`` its negation.  A clause is a list of
-literals, an instance is a variable count plus its clauses in one of two
-stores: a list of clause lists, or a *table*, one ``(k, w)`` int64 array of
-clauses that all have width ``w``.  The instance keeps the store it was
-built with, and its operations (validating, checking an assignment,
-writing DIMACS, the isomorphism disguise) run on that store with the same
-results and errors on both; on a table they are numpy operations with no
-Python code per clause.  ``clauses`` of a table is a new list made by one
-``tolist()`` on each read, which lives only as long as its reader keeps
-it.  Every transformation in the toolkit consumes and produces these
-objects.
+literals, an instance is a variable count plus its clauses, stored as one
+int64 array of all literals in clause order and one offsets array giving
+where each clause starts (the layout SAT solvers keep clauses in).  Every
+operation on an instance (validating, checking an assignment, writing
+DIMACS, converting to 3CNF, the isomorphism disguise) is a numpy operation
+over those two arrays, with no Python code per clause; only the 3CNF
+conversion's gate map takes a step per fresh variable.  ``clauses`` is a
+new list of clause lists made on each read, for the code that walks
+clauses one by one, and lives only as long as its reader keeps it.  Every
+transformation in the toolkit consumes and produces these objects.
 
 :func:`parse_dimacs` reads a plain clause body (decimal literals and
-whitespace only) with numpy in one pass; a body whose clauses all have one
-width from 1 to 4 and repeat no literal, such as any exactly-3CNF text,
-stays a table.  Any other body is read one ``str`` token at a time, which
-gives the same clauses and names the first bad token.  Both readers cut a
-stream of mixed widths into clauses with the same loop,
+whitespace only) with numpy in one pass and cuts it into clauses at its
+zeros.  Any other body is read one ``str`` token at a time, which gives the
+same clauses and names the first bad token; that reader cuts clauses with
 :func:`_split_clauses`.
 
 Circuits are built as gates over literals by :class:`TseitinEncoder`:
@@ -33,27 +31,13 @@ The dummy variables of the 3CNF conversion (split and padding variables,
 :class:`TseitinMap`, and :func:`evaluate_gates` computes them.  The GF(2)
 rewrite writes its exactly-3CNF output as one literal table and computes
 its own dummies from that layout (:mod:`satcloak.solsetrand`).
-
-The library's entry points that build or walk clause-sized object graphs
-run with CPython's cyclic garbage collector paused (:func:`_nogc`).  Those
-graphs (clause lists, gate tuples, dicts of ints) hold no reference cycles,
-so reference counting frees them and the collector's passes only re-scan
-survivors.  For the same reason the survivors are moved to the oldest
-generation when the pause ends, instead of being scanned by the young
-collections that the allocations made during the call would start.
-Calls that build only one list per row or a few dicts, such as the matrix
-encoding and product and ``orchestrator.check_solution``, and the GF(2)
-rewrite, which writes one literal table, run unpaused; the clause-sized
-work inside them, :func:`to_three_cnf`, keeps its own pause.
 """
 
 from __future__ import annotations
 
-import gc
-import threading
 from dataclasses import dataclass, field
-from functools import wraps
-from itertools import chain, combinations
+from itertools import chain, repeat
+from operator import mul, sub
 
 import numpy as np
 
@@ -70,57 +54,6 @@ __all__ = [
 ]
 
 
-# The collector's on/off switch is process-wide, so the count of running
-# paused calls and the state to restore when the last one ends live at
-# module level too, under one lock: a thread that read ``gc.isenabled()``
-# while another re-enabled the collector could otherwise leave it off.
-_pause_lock = threading.Lock()
-_pauses = 0
-_gc_was_enabled = False
-
-
-def _nogc(func):
-    """Decorate ``func`` to run with the cyclic garbage collector paused.
-
-    While any decorated call runs, in any thread, the pause holds for the
-    whole process.  When the last running call ends, by returning or by
-    raising, the collector is put back as it was before the first one began.
-
-    Nothing is collected on the way out: the decorated code makes no
-    cycles, and reference counting keeps freeing its garbage meanwhile.
-    Instead, if the collector was on, every object it tracks is promoted to
-    the oldest generation (``gc.freeze()`` then ``gc.unfreeze()``, which
-    splice lists in constant time and reset the young count).  Otherwise
-    the first allocation after the pause would start a young collection
-    over everything the call allocated and kept, clause lists that cannot
-    be cyclic garbage, and the next older collection would scan them again.
-    The promotion is skipped while the caller has objects frozen, so they
-    stay frozen.  The trade-off: cyclic garbage that was still young when
-    the call ended waits for the next full collection.
-    """
-
-    @wraps(func)
-    def paused(*args, **kwargs):
-        global _pauses, _gc_was_enabled
-        with _pause_lock:
-            if not _pauses:
-                _gc_was_enabled = gc.isenabled()
-                gc.disable()
-            _pauses += 1
-        try:
-            return func(*args, **kwargs)
-        finally:
-            with _pause_lock:
-                _pauses -= 1
-                if not _pauses and _gc_was_enabled:
-                    if not gc.get_freeze_count():
-                        gc.freeze()
-                        gc.unfreeze()
-                    gc.enable()
-
-    return paused
-
-
 class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
 
@@ -134,127 +67,162 @@ class InvalidSolutionError(Exception):
 class CnfInstance:
     """A CNF formula: ``num_vars`` variables, clauses over signed literals.
 
-    ``CnfInstance(num_vars, clauses)`` takes the clauses in one of two
-    stores and keeps that store:
-
-    * a list of clause lists, which the instance holds as given;
-    * a *table*: a ``(k, w)`` int64 array with one row per clause, all of
-      one width ``w >= 1``.  :func:`parse_dimacs` makes one of a body whose
-      clauses have one width from 1 to 4 and repeat no literal,
-      :func:`~satcloak.isomorph.apply_iso` keeps it and
-      :func:`~satcloak.solsetrand.gf_randomize` writes one.  :attr:`table`
-      is the array (None for the list store).
+    ``CnfInstance(num_vars, clauses)`` takes the clauses as a list of
+    clause lists or as a ``(k, w)`` int64 array with one row per clause,
+    and stores them as one int64 literal array plus an offsets array:
+    clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]``.  Literals
+    beyond int64, in range only for more than ``2**63 - 1`` variables, are
+    kept as Python ints in an object array.
 
     :meth:`validate`, :meth:`satisfies`, :attr:`num_clauses`, ``==`` and
-    :func:`emit_dimacs` work on the store the instance holds, with the same
-    results and errors on both.  Nothing converts a list store to a table
-    store.  :attr:`clauses` is the list store, or for a table a new list
-    built by one ``tolist()`` on each read, for the code that walks clauses
-    one by one (the 3CNF conversion of other widths, the matrix encoding,
-    the firewall and the oracles).  It is not cached: a cached view would
-    keep a second copy of the clauses, about seven times the table's size,
-    for as long as the instance lives, after a reader that needed it once.
+    :func:`emit_dimacs` are numpy operations on the two arrays.
+    :attr:`table` is a ``(k, w)`` view of the literals when every clause
+    has one width ``w >= 1`` (None otherwise, and for no clauses).
+    :attr:`clauses` is a new list built from the arrays on each read, for
+    the code that walks clauses one by one (the matrix encoding, the
+    firewall, the cost circuit and the oracles).  It is not cached: a
+    cached view would keep a second copy of the clauses, several times the
+    arrays' size, for as long as the instance lives.
 
     Instances are treated as immutable after construction; all operations
-    return new objects.  Instances may share clause lists and tables with
-    each other (a converted instance keeps the input's width-3 clauses), so
-    nothing mutates a clause, the clause list or the table in place.
+    return new objects.  Instances may share arrays with each other (a
+    3CNF instance is its own conversion, and the isomorphism keeps the
+    offsets), so nothing writes into them in place.
     """
 
-    __slots__ = ("num_vars", "_clauses", "_table")
+    __slots__ = ("num_vars", "_lits", "_offsets")
     __hash__ = None
 
     def __init__(self, num_vars: int, clauses: list[list[int]] | np.ndarray):
         self.num_vars = num_vars
         if isinstance(clauses, np.ndarray):
-            self._clauses = None
-            self._table = clauses
-        else:
-            self._clauses = clauses
-            self._table = None
+            k, w = clauses.shape
+            self._lits = np.ascontiguousarray(clauses, np.int64).reshape(-1)
+            self._offsets = np.arange(k + 1, dtype=np.int64) * w
+            return
+        widths = np.fromiter(map(len, clauses), np.int64, len(clauses))
+        self._offsets = _offsets_of(widths)
+        size = int(self._offsets[-1])
+        try:
+            self._lits = np.fromiter(chain.from_iterable(clauses), np.int64, size)
+        except OverflowError:
+            self._lits = np.fromiter(chain.from_iterable(clauses), object, size)
+
+    @classmethod
+    def _of(cls, num_vars: int, lits: np.ndarray, offsets: np.ndarray) -> CnfInstance:
+        """The instance of the literal and offsets arrays, kept as given."""
+        instance = cls.__new__(cls)
+        instance.num_vars = num_vars
+        instance._lits = lits
+        instance._offsets = offsets
+        return instance
 
     @property
     def clauses(self) -> list[list[int]]:
-        if self._table is None:
-            return self._clauses
-        return self._table.tolist()
+        flat = self._lits.tolist()
+        bounds = self._offsets.tolist()
+        return list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
 
     @property
     def table(self) -> np.ndarray | None:
-        return self._table
+        widths = np.diff(self._offsets)
+        if not widths.size or widths[0] < 1 or (widths != widths[0]).any():
+            return None
+        return self._lits.reshape(widths.size, int(widths[0]))
 
     @property
     def num_clauses(self) -> int:
-        return len(self._clauses if self._table is None else self._table)
+        return self._offsets.size - 1
 
     def __eq__(self, other):
         if not isinstance(other, CnfInstance):
             return NotImplemented
-        if self.num_vars != other.num_vars:
-            return False
-        if self._table is not None and other._table is not None:
-            return np.array_equal(self._table, other._table)
-        return self.clauses == other.clauses
+        return (
+            self.num_vars == other.num_vars
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._lits, other._lits)
+        )
 
     def __repr__(self) -> str:
         return f"CnfInstance(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
     def validate(self) -> None:
+        """ValueError for a negative variable count, then for the first
+        clause, in order, that is empty or holds a literal that is 0 or
+        names a variable beyond ``num_vars``."""
         if self.num_vars < 0:
             raise ValueError("negative variable count")
-        if self._table is not None:
-            lit = _first_bad_literal(self._table, self.num_vars)
-            if lit is not None:
-                raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-            return
-        for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+        offsets = self._offsets
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        bad = _first_bad_literal(self._lits, self.num_vars)
+        # An empty clause comes first iff it starts at or before the literal.
+        if empty.size and (bad is None or offsets[empty[0]] <= bad):
+            raise ValueError("empty clause")
+        if bad is not None:
+            lit = self._lits[bad]
+            raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
 
     def satisfies(self, assignment: dict[int, bool]) -> bool:
         """True iff ``assignment`` satisfies every clause.
 
-        Values are bools or 0/1 ints.  A clause with a true literal is
-        satisfied whether or not its other variables are assigned.  The
-        first clause that no true literal satisfies decides the answer:
-        False, or KeyError if it names a variable missing from
-        ``assignment``.  On a table the keys must be int64 values.
+        Values are bools or 0/1 ints, keys int64 values.  A clause with a
+        true literal is satisfied whether or not its other variables are
+        assigned.  The first clause that no true literal satisfies decides
+        the answer: False, or KeyError if it names a variable missing from
+        ``assignment``.  An empty clause is never satisfied.
         """
-        if self._table is None:
-            true = {v if value else -v for v, value in assignment.items()}
-            falsified = next(filter(true.isdisjoint, self.clauses), None)
-        else:
-            table = self._table
-            size = len(assignment)
-            keys = np.fromiter(assignment, np.int64, size)
-            values = np.fromiter(assignment.values(), bool, size)
-            true = np.where(values, keys, -keys)
-            span = max(-int(table.min(initial=0)), int(table.max(initial=0)))
-            if span <= 4 * (table.size + size):
-                # A truth table over the literals -span..span: one gather
-                # per literal, without np.isin's per-call set-up.
-                truth = np.zeros(2 * span + 1, bool)
-                truth[true[(true >= -span) & (true <= span)] + span] = True
-                hit = truth[table + span].any(axis=1)
-            else:  # literals too large for a truth table of that size
-                hit = np.isin(table, true).any(axis=1)
-            falsified = None if hit.all() else table[hit.argmin()].tolist()
-        if falsified is None:
+        lits, offsets = self._lits, self._offsets
+        size = len(assignment)
+        keys = np.fromiter(assignment, np.int64, size)
+        values = np.fromiter(assignment.values(), bool, size)
+        true = np.where(values, keys, -keys)
+        span = max(-int(lits.min(initial=0)), int(lits.max(initial=0)))
+        # One false element past the literals: reduceat reads the element
+        # at an empty clause's offset, which may be the end.
+        hit = np.zeros(lits.size + 1, bool)
+        if span <= 4 * (lits.size + size):
+            # A truth table over the literals -span..span: one gather per
+            # literal, without np.isin's per-call set-up.
+            truth = np.zeros(2 * span + 1, bool)
+            truth[true[(true >= -span) & (true <= span)] + span] = True
+            hit[:-1] = truth[lits + span]
+        else:  # literals too large for a truth table of that size
+            hit[:-1] = np.isin(lits, true)
+        hit = np.logical_or.reduceat(hit, offsets[:-1])
+        hit &= offsets[1:] != offsets[:-1]
+        if hit.all():
             return True
-        for lit in falsified:
+        i = int(hit.argmin())
+        for lit in lits[offsets[i] : offsets[i + 1]].tolist():
             if abs(lit) not in assignment:
                 raise KeyError(abs(lit))
         return False
 
 
-def _first_bad_literal(table: np.ndarray, num_vars: int) -> int | None:
-    """The first literal of ``table``, in row order, that is 0 or names a
+def _offsets_of(widths: np.ndarray) -> np.ndarray:
+    """Offsets of clauses of ``widths`` laid end to end, the total last."""
+    offsets = np.zeros(widths.size + 1, np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    return offsets
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each of ``counts``'s runs in one array."""
+    return np.cumsum(counts) - counts
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each item of runs of ``counts`` items laid end to end: its run
+    and its index within the run."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - _exclusive_cumsum(counts)[owner]
+
+
+def _first_bad_literal(lits: np.ndarray, num_vars: int) -> int | None:
+    """The index of the first literal of ``lits`` that is 0 or names a
     variable beyond ``num_vars``; None if there is none."""
-    bad = (table == 0) | (np.abs(table) > num_vars)
-    return int(table.flat[bad.argmax()]) if bad.any() else None
+    bad = (lits == 0) | (lits > num_vars) | (lits < -num_vars)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def _marked_lines(text: str) -> list[tuple[int, int]]:
@@ -276,7 +244,6 @@ def _marked_lines(text: str) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-@_nogc
 def parse_dimacs(text: str | bytes) -> CnfInstance:
     """Parse DIMACS CNF text.
 
@@ -288,13 +255,12 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     occurrence; tautologies (``v`` and ``-v`` together) are kept.
 
     The clause body is read by numpy in one pass (:func:`_read_literals`)
-    when it holds only plain decimals, all in range: no ``str`` token and
-    no ``int()`` call per literal.  Any other body (``+1``, ``1_0`` or
+    when it holds only plain decimals, all in range, and cut into clauses
+    at its zeros (:func:`_clause_arrays`): no ``str`` token, ``int()`` call
+    or list per literal or clause.  Any other body (``+1``, ``1_0`` or
     ``١``, which ``int()`` reads, a bad token or an out-of-range literal)
     takes the token reader (:func:`_token_clauses`), which names the first
-    bad token.  Both give the same clauses and the same errors.  The
-    instance holds a literal table when :func:`_uniform_clauses` gives one,
-    and clause lists otherwise.
+    bad token.  Both give the same clauses and the same errors.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -329,16 +295,15 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
 
     lits = _read_literals(body, num_vars)
     if lits is None:
-        clauses = _token_clauses(body, num_vars)
+        instance = CnfInstance(num_vars, _token_clauses(body, num_vars))
     else:
-        clauses = _uniform_clauses(lits)
-        if clauses is None:
-            clauses = _split_clauses(lits.tolist())
-    if len(clauses) != num_clauses:
+        instance = CnfInstance._of(num_vars, *_clause_arrays(lits))
+    if instance.num_clauses != num_clauses:
         raise DimacsError(
-            f"clause count mismatch: header says {num_clauses}, found {len(clauses)}"
+            "clause count mismatch: "
+            f"header says {num_clauses}, found {instance.num_clauses}"
         )
-    return CnfInstance(num_vars, clauses)
+    return instance
 
 
 # Line breaks other than "\n" that str.splitlines() knows in ASCII text.
@@ -384,41 +349,62 @@ def _read_literals(body: str, num_vars: int) -> np.ndarray | None:
     return lits
 
 
-def _uniform_clauses(
-    lits: np.ndarray | list[int],
-) -> np.ndarray | list[list[int]] | None:
-    """The clauses of a literal stream whose clauses all have one width
-    from 1 to 4, or None for any other stream: a ``(k, w)`` table when no
-    clause repeats a literal, else clause lists with repeated literals
-    collapsed to their first occurrence.
+def _clause_arrays(lits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The literal and offsets arrays of a literal stream cut at each
+    ``0``, repeated literals collapsed to their first occurrence.  Raises
+    :class:`DimacsError` for an empty clause, then for literals after the
+    last ``0``, as :func:`_split_clauses` does."""
+    zero = lits == 0
+    ends = np.flatnonzero(zero)
+    offsets = np.zeros(ends.size + 1, np.int64)
+    offsets[1:] = ends - np.arange(ends.size)
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if empty.size:
+        raise DimacsError(f"zero-length clause (clause {empty[0] + 1})")
+    if not ends.size or ends[-1] != lits.size - 1:
+        raise DimacsError("unterminated clause at end of input")
+    lits = lits[~zero]
+    repeats = _repeats(lits, offsets)
+    if repeats.any():
+        lits = lits[~repeats]
+        offsets -= _offsets_of(repeats)[offsets]
+    return lits, offsets
 
-    The stream is viewed as a table with one row per clause, so no Python
-    code runs per clause; repeats are found by comparing each pair of
-    columns, and only a stream that has one is turned into lists, by one
-    ``tolist()``.  Wider clauses take :func:`_split_clauses`: the pairs
-    grow with the square of the width.
+
+# Literals at most this far apart in a clause are compared across the
+# whole stream at once; the pairs grow with the square of the width, so a
+# wider clause is checked with a set.
+_NEAR = 8
+
+
+def _repeats(lits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Mask of the literals that repeat an earlier literal of their clause
+    (clauses not empty).
+
+    For each distance ``d`` up to :data:`_NEAR`, every literal is compared
+    with the one ``d`` before it, where both lie in one clause.  A clause
+    wider than ``_NEAR + 1`` has pairs farther apart: a ``set`` of its
+    literals tells whether it repeats one, and only then is it walked.
     """
-    lits = np.asarray(lits, np.int64)
-    ends = np.flatnonzero(lits == 0)
-    k = ends.size
-    if not k:
-        return None
-    w = int(ends[0])
-    if not 1 <= w <= 4 or lits.size != k * (w + 1):
-        return None
-    table = lits.reshape(k, w + 1)
-    if table[:, w].any():
-        return None
-    rows = table[:, :w]
-    repeats = np.zeros(k, bool)
-    for i, j in combinations(range(w), 2):
-        repeats |= rows[:, i] == rows[:, j]
-    if not repeats.any():
-        return np.ascontiguousarray(rows)
-    clauses = rows.tolist()
-    for i in np.flatnonzero(repeats).tolist():
-        clauses[i] = list(dict.fromkeys(clauses[i]))
-    return clauses
+    size = lits.size
+    repeats = np.zeros(size, bool)
+    inner = np.ones(size, bool)  # not the first literal of a clause
+    inner[offsets[:-1]] = False
+    near = inner.copy()  # at least d literals after its clause's first
+    widths = np.diff(offsets)
+    for d in range(1, min(int(widths.max(initial=0)), _NEAR + 1)):
+        if d > 1:
+            near[d - 1 :] &= inner[: size - d + 1]
+        repeats[d:] |= near[d:] & (lits[d:] == lits[:-d])
+    for i in np.flatnonzero(widths > _NEAR + 1).tolist():
+        a, b = int(offsets[i]), int(offsets[i + 1])
+        clause = lits[a:b].tolist()
+        if len(set(clause)) < len(clause):
+            # Walked backwards, each literal's last position is its first.
+            first = dict(zip(reversed(clause), range(b - 1, a - 1, -1)))
+            repeats[a:b] = True
+            repeats[list(first.values())] = False
+    return repeats
 
 
 def _token_clauses(body: str, num_vars: int) -> list[list[int]]:
@@ -479,26 +465,26 @@ def emit_dimacs(instance: CnfInstance) -> str:
     """Serialize to canonical DIMACS text: the ``p cnf`` line, then one
     line per clause, its literals separated by spaces and closed by ``0``.
 
-    Literals must be ints; each is written with ``%d``.  A width-0 clause
-    is written as ``" 0"``.  The body is one template of per-width line
-    formats, filled with all literals in a single ``%`` operation; a table's
-    template is its one line format repeated, its literals one ``tolist()``.
+    Each literal is written with ``%d``.  A width-0 clause is written as
+    ``" 0"``.  The body is one template, each run of clauses of one width
+    its line format repeated, filled with all literals (one ``tolist()``)
+    in a single ``%`` operation.
     """
     head = f"p cnf {instance.num_vars} {instance.num_clauses}\n"
-    table = instance.table
-    if table is not None:
-        k, w = table.shape
-        return head + (_FORMATS[w] * k) % tuple(table.ravel().tolist())
-    clauses = instance.clauses
-    template = "".join(map(_FORMATS.__getitem__, map(len, clauses)))
-    return head + template % tuple(chain.from_iterable(clauses))
+    widths = np.diff(instance._offsets)
+    first = np.ones(widths.size, bool)  # the first clause of a run of one width
+    np.not_equal(widths[1:], widths[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    runs = map(sub, [*starts[1:].tolist(), widths.size], starts.tolist())
+    lines = map(_FORMATS.__getitem__, widths[starts].tolist())
+    template = "".join(map(mul, lines, runs))
+    return head + template % tuple(instance._lits.tolist())
 
 
 # ---------------------------------------------------------------------------
 # CNF -> exactly-3CNF conversion
 # ---------------------------------------------------------------------------
 
-@_nogc
 def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     """Convert any CNF to an equisatisfiable, exactly-3-literal CNF.
 
@@ -511,50 +497,80 @@ def to_three_cnf(instance: CnfInstance) -> tuple[CnfInstance, TseitinMap]:
     The returned map holds each fresh variable as an ``or`` gate over
     original literals: a split variable is the ``or`` of its clause suffix,
     a padding variable the empty ``or`` (false).  :func:`evaluate_gates`
-    extends a model of the input to a model of the output.  Width-3 clauses
-    are shared with the input, not copied, and a width-3 table is returned
-    as it is, with an empty map.
+    extends a model of the input to a model of the output.  The output
+    keeps the input's clause order, each clause replaced by its pieces;
+    fresh variables are numbered from ``num_vars + 1`` in that order.  An
+    input whose clauses all have width 3 is returned as it is, with an
+    empty map.  Every piece is placed by ``cumsum`` offsets over per-clause
+    counts, so no Python code runs per clause, only one step per fresh
+    variable to write its gate.
 
     Raises ValueError if the input contains an empty clause (trivially
     unsatisfiable; flagged rather than encoded).
     """
-    table = instance.table
-    if table is not None and table.shape[1] == 3:
-        return instance, TseitinMap(instance.num_vars, instance.num_vars)
-    next_var = instance.num_vars + 1
-    out: list[list[int]] = []
-    gates: dict[int, tuple[str, tuple[int, ...]]] = {}
-    for clause in instance.clauses:
-        w = len(clause)
-        if w == 0:
-            raise ValueError("empty clause: input is trivially unsatisfiable")
-        if w == 3:
-            out.append(clause)
-        elif w == 1:
-            (a,) = clause
-            p, q = next_var, next_var + 1
-            next_var += 2
-            gates[p] = gates[q] = ("or", ())
-            out.extend([[a, p, q], [a, -p, q], [a, p, -q], [a, -p, -q]])
-        elif w == 2:
-            a, b = clause
-            p = next_var
-            next_var += 1
-            gates[p] = ("or", ())
-            out.extend([[a, b, p], [a, b, -p]])
-        else:
-            # (l1 l2 s1) (-s1 l3 s2) ... (-s_{w-3} l_{w-1} l_w); each s_i is
-            # defined as the truth of the remaining suffix l_{i+2}..l_w.
-            svars = list(range(next_var, next_var + w - 3))
-            next_var += w - 3
-            for idx, s in enumerate(svars):
-                gates[s] = ("or", tuple(clause[idx + 2 :]))
-            out.append([clause[0], clause[1], svars[0]])
-            for i in range(1, w - 3):
-                out.append([-svars[i - 1], clause[i + 1], svars[i]])
-            out.append([-svars[-1], clause[w - 2], clause[w - 1]])
-    cnf = CnfInstance(next_var - 1, out)
-    return cnf, TseitinMap(instance.num_vars, next_var - 1, gates)
+    n = instance.num_vars
+    lits, offsets = instance._lits, instance._offsets
+    widths = np.diff(offsets)
+    if (widths == 3).all():
+        return instance, TseitinMap(n, n)
+    if not widths.all():
+        raise ValueError("empty clause: input is trivially unsatisfiable")
+    # Fresh variables of a clause: 2 for a unit, 1 for a binary and w - 3
+    # for width w >= 3; output clauses: 4, 2 and w - 2.
+    fresh = np.abs(widths - 3)
+    pieces = fresh + 1 + (widths == 1)
+    var0 = n + 1 + _exclusive_cumsum(fresh)
+    row0 = _exclusive_cumsum(pieces)
+    first = offsets[:-1]
+    out = np.empty((int(pieces.sum()), 3), np.int64)
+    # Unit (a): (a p q) (a -p q) (a p -q) (a -p -q).
+    c = np.flatnonzero(widths == 1)
+    a, p = lits[first[c]], var0[c]
+    block = [[a, p, p + 1], [a, -p, p + 1], [a, p, -p - 1], [a, -p, -p - 1]]
+    out[row0[c, None] + np.arange(4)] = np.array(block).transpose(2, 0, 1)
+    # Binary (a b): (a b p) (a b -p).
+    c = np.flatnonzero(widths == 2)
+    a, b, p = lits[first[c]], lits[first[c] + 1], var0[c]
+    block = [[a, b, p], [a, b, -p]]
+    out[row0[c, None] + np.arange(2)] = np.array(block).transpose(2, 0, 1)
+    # Width w >= 3, (l_0 .. l_{w-1}) split by s_0 .. s_{w-4}: (l_0 l_1 s_0)
+    # (-s_0 l_2 s_1) ... (-s_{w-4} l_{w-2} l_{w-1}); s_i is the truth of
+    # the suffix l_{i+2} .. l_{w-1}.
+    wide = np.flatnonzero(widths >= 3)
+    owner, i = _runs(pieces[wide])
+    c = wide[owner]
+    s = var0[c] + i
+    rows = row0[c] + i
+    out[rows, 0] = np.where(i == 0, lits[first[c]], 1 - s)
+    out[rows, 1] = lits[first[c] + i + 1]
+    out[rows, 2] = np.where(i == widths[c] - 3, lits[offsets[c + 1] - 1], s)
+    # The gates in variable order.  The suffixes are slices of one tuple of
+    # the literals after the first two of each clause wider than 3.  Their
+    # bounds are tuples and all suffixes exist before the gates that hold
+    # them: the collector stops tracking a tuple of untracked items at its
+    # first pass, where it would scan a list, or a gate made before its
+    # suffix, again on each.
+    tail = np.where(widths > 3, widths - 2, 0)
+    owner, i = _runs(tail)
+    flat = tuple(lits[first[owner] + 2 + i].tolist())
+    owner, i = _runs(fresh)
+    split = np.flatnonzero(widths[owner] > 3)
+    c = owner[split]
+    start = _exclusive_cumsum(tail)[c]
+    low = tuple((start + i[split]).tolist())
+    high = tuple((start + tail[c]).tolist())
+    suffixes = map(flat.__getitem__, map(slice, low, high))
+    suffixes = np.fromiter(suffixes, object, split.size)
+    gates = np.empty(owner.size, object)
+    gates.fill(_PADDING_GATE)
+    gates[split] = np.fromiter(zip(repeat("or"), suffixes), object, split.size)
+    top = n + owner.size
+    gates = dict(zip(range(n + 1, top + 1), gates))
+    return CnfInstance(top, out), TseitinMap(n, top, gates)
+
+
+# The gate of every padding variable: the empty or, false.
+_PADDING_GATE = ("or", ())
 
 
 @dataclass
@@ -644,7 +660,7 @@ class TseitinEncoder:
         return self._next - 1
 
     def cnf(self) -> CnfInstance:
-        return CnfInstance(self.num_vars, list(self.clauses))
+        return CnfInstance(self.num_vars, self.clauses)
 
     def mapping(self) -> TseitinMap:
         return TseitinMap(self.num_input_vars, self.num_vars, dict(self.gates))

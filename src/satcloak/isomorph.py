@@ -5,11 +5,9 @@ variable count, clause count, or clause-length profile, which is exactly the
 statistical leakage that motivates the heavier randomizers.  It is cheap,
 composes with everything, and inverts trivially.
 
-It keeps the instance's clause store.  On a literal table (what
-``parse_dimacs`` makes of an exactly-3CNF text) the literal map is one
-lookup array and the clause shuffle one row gather, so an instance read
-from text is disguised and written back without a clause list.  Both
-stores give the same artifact and secret from the same seed.
+On the instance's literal array the literal map is one lookup array and
+the clause shuffle one gather by the clause offsets, so an instance read
+from text is disguised and written back without a clause list.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import CnfInstance, _first_bad_literal, _nogc
+from .cnf import CnfInstance, _first_bad_literal, _offsets_of
 
 __all__ = ["IsoSecret", "apply_iso", "iso_randomize", "iso_derandomize", "iso_forward"]
 
@@ -43,47 +41,32 @@ class IsoSecret:
 
 def apply_iso(instance: CnfInstance, secret: IsoSecret) -> CnfInstance:
     """Map literal ``(v, p)`` to ``(permutation(v), p xor flip(v))``,
-    keeping clause order and the instance's store.  Raises ValueError
-    naming the first literal that is 0 or out of range.
+    keeping clause order.  Raises ValueError naming the first literal that
+    is 0 or out of range.
 
-    A table goes through one signed lookup array indexed by ``lit + n``;
-    clause lists through a dict from literal to image."""
+    The literals go through one signed lookup array indexed by
+    ``lit + n``; the clause offsets are kept."""
     n = instance.num_vars
     if len(secret.permutation) != n:
         raise ValueError("secret size does not match instance")
-    table = instance.table
-    if table is not None:
-        lit = _first_bad_literal(table, n)
-        if lit is not None:
-            raise ValueError(f"literal {lit} out of range 1..{n}")
-        mapped = np.array(secret.permutation, np.int64)
-        flips = np.fromiter(secret.flips, np.int64, len(secret.flips))
-        mapped[flips - 1] *= -1
-        image = np.concatenate([-mapped[::-1], [0], mapped])
-        return CnfInstance(n, image[table + n])
-    image = {}
-    for v, w in enumerate(secret.permutation, 1):
-        if v in secret.flips:
-            w = -w
-        image[v] = w
-        image[-v] = -w
-    get = image.__getitem__
-    try:
-        clauses = [list(map(get, clause)) for clause in instance.clauses]
-    except KeyError as exc:
-        raise ValueError(f"literal {exc.args[0]} out of range 1..{n}") from None
-    return CnfInstance(n, clauses)
+    lits = instance._lits
+    bad = _first_bad_literal(lits, n)
+    if bad is not None:
+        raise ValueError(f"literal {lits[bad]} out of range 1..{n}")
+    mapped = np.array(secret.permutation, np.int64)
+    flips = np.fromiter(secret.flips, np.int64, len(secret.flips))
+    mapped[flips - 1] *= -1
+    image = np.concatenate([-mapped[::-1], [0], mapped])
+    return CnfInstance._of(n, image[lits + n], instance._offsets)
 
 
-@_nogc
 def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSecret]:
     """Draw a uniform permutation and per-variable coin-flip polarity set,
     apply them, and shuffle clause order.  Deterministic given ``seed``.
 
-    A table's rows are gathered in the order a shuffle of their indices
-    gives.  ``random.shuffle`` swaps by position only, so that is the order
-    the same shuffle gives a clause list, and both stores give the same
-    artifact."""
+    The clauses are gathered in the order a ``random.shuffle`` of their
+    indices gives, which is the order the same shuffle gives a list of
+    the clauses: it swaps by position only."""
     rng = random.Random(seed)
     n = instance.num_vars
     permutation = list(range(1, n + 1))
@@ -91,14 +74,16 @@ def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSec
     flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
     secret = IsoSecret(permutation, flips, seed)
     mapped = apply_iso(instance, secret)
-    shuffle = random.Random(seed ^ 0x5CA7).shuffle
-    if mapped.table is None:
-        clauses = mapped.clauses
-        shuffle(clauses)
-        return CnfInstance(n, clauses), secret
     order = list(range(mapped.num_clauses))
-    shuffle(order)
-    return CnfInstance(n, mapped.table[order]), secret
+    random.Random(seed ^ 0x5CA7).shuffle(order)
+    order = np.array(order, np.int64)
+    starts = mapped._offsets[order]
+    widths = mapped._offsets[order + 1] - starts
+    offsets = _offsets_of(widths)
+    # Output literal j of clause i is input literal starts[i] + j.
+    index = np.repeat(starts - offsets[:-1], widths)
+    index += np.arange(index.size)
+    return CnfInstance._of(n, mapped._lits[index], offsets), secret
 
 
 def iso_derandomize(solution: dict[int, bool], secret: IsoSecret) -> dict[int, bool]:

@@ -24,7 +24,6 @@ from .cnf import (
     InvalidSolutionError,
     TseitinEncoder,
     TseitinMap,
-    _nogc,
     evaluate_gates,
     to_three_cnf,
 )
@@ -222,7 +221,6 @@ class MincostSecret:
     seed: int
 
 
-@_nogc
 def randomize_mincost(
     inst: MincostInstance,
     seed: int,
@@ -251,7 +249,6 @@ def randomize_mincost(
     )
 
 
-@_nogc
 def derandomize_mincost(
     sol, secret: MincostSecret, original: MincostInstance
 ) -> tuple[dict[int, bool], int]:

@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cnf import CnfInstance, InvalidSolutionError, _nogc, emit_dimacs
+from .cnf import CnfInstance, InvalidSolutionError, emit_dimacs
 from .disguise import DISGUISES, Disguise, lookup
 from .objective import MINCOST
 
@@ -348,7 +348,6 @@ def record_to_json(record: RandomizationRecord) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
-@_nogc
 def record_from_json(text: str) -> RandomizationRecord:
     """Read a key file.  Raises ValueError naming the problem if it is not
     JSON, lacks a field, holds a secret that does not fit its method, or

@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 
-from .cnf import CnfInstance
+from .cnf import CnfInstance, _exclusive_cumsum, _runs
 from .gf2 import (
     BitMatrix,
     gf2_invert,
@@ -75,18 +73,6 @@ class GfSecret:
     r_inv: BitMatrix
     original_n: int
     seed: int
-
-
-def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
-    """Start offset of each of ``counts``'s runs in one array."""
-    return np.cumsum(counts) - counts
-
-
-def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each item of runs of ``counts`` items laid end to end: its run
-    and its index within the run."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - _exclusive_cumsum(counts)[owner]
 
 
 class _Rewrite:
@@ -237,21 +223,15 @@ class _Rewrite:
 def _three_table(instance: CnfInstance) -> np.ndarray:
     """The instance's clauses as a ``(k, 3)`` table; ValueError naming the
     first clause of another width."""
-    table = instance.table
-    if table is None:
-        widths = map(len, instance.clauses)
-    else:  # a table's first clause has the width of all of them
-        widths = table.shape[1:] if len(table) else ()
-    for i, width in enumerate(widths):
-        if width != 3:
-            raise ValueError(
-                f"clause {i + 1} has width {width}; "
-                "run to_three_cnf first (exactly 3 literals required)"
-            )
-    if table is None:
-        clauses = instance.clauses
-        table = np.fromiter(chain.from_iterable(clauses), np.int64, 3 * len(clauses))
-    return table.reshape(-1, 3)
+    widths = np.diff(instance._offsets)
+    wrong = np.flatnonzero(widths != 3)
+    if wrong.size:
+        i = int(wrong[0])
+        raise ValueError(
+            f"clause {i + 1} has width {widths[i]}; "
+            "run to_three_cnf first (exactly 3 literals required)"
+        )
+    return instance._lits.reshape(-1, 3)
 
 
 def _draw_substitution(
@@ -297,10 +277,10 @@ def gf_randomize(
     """Randomize the solution set of an exactly-3CNF instance.
 
     Returns an exactly-3CNF instance over the ``y`` variables plus dummies,
-    held as one ``(k, 3)`` literal table, together with the secret
+    built from one ``(k, 3)`` literal table, together with the secret
     substitution.  An assignment ``Y`` extends to a solution of the output
-    iff ``X = R^-1 Y`` satisfies the input.  The input may hold a table or
-    clause lists; ValueError names its first clause of another width.
+    iff ``X = R^-1 Y`` satisfies the input.  ValueError names the input's
+    first clause of another width than 3.
 
     ``fixed_vars`` coordinates are left unmixed (identity rows in ``R^-1``) —
     the cost randomizer uses this to keep circuit output bits addressable.

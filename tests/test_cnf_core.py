@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import all_assignments, naive_count, naive_solutions, random_mixed_cnf
@@ -12,6 +12,7 @@ from satcloak.cnf import (
     CnfInstance,
     DimacsError,
     TseitinEncoder,
+    TseitinMap,
     emit_dimacs,
     evaluate_gates,
     parse_dimacs,
@@ -151,16 +152,89 @@ def test_three_cnf_returns_a_width_three_table_as_it_is():
     inst = parse_dimacs("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")
     assert inst.table is not None
     three, mapping = to_three_cnf(inst)
-    assert three.table is inst.table
+    assert three is inst
     assert (mapping.num_input_vars, mapping.num_vars, mapping.gates) == (4, 4, {})
-    # Another width still goes through the clause lists.
+    # Another width is split into a width-3 table view.
     wide, _ = to_three_cnf(parse_dimacs("p cnf 4 1\n1 -2 3 4 0\n"))
-    assert wide.table is None and wide.num_vars == 5
+    assert wide.table.shape == (2, 3) and wide.num_vars == 5
 
 
 def test_three_cnf_rejects_empty_clause():
     with pytest.raises(ValueError):
         to_three_cnf(CnfInstance(1, [[]]))
+
+
+def reference_to_three_cnf(instance):
+    """The conversion one clause at a time, as lists: the reference for
+    the numpy conversion's clauses, variable numbers and gates."""
+    next_var = instance.num_vars + 1
+    out = []
+    gates = {}
+    for clause in instance.clauses:
+        w = len(clause)
+        if w == 0:
+            raise ValueError("empty clause: input is trivially unsatisfiable")
+        if w == 3:
+            out.append(clause)
+        elif w == 1:
+            (a,) = clause
+            p, q = next_var, next_var + 1
+            next_var += 2
+            gates[p] = gates[q] = ("or", ())
+            out.extend([[a, p, q], [a, -p, q], [a, p, -q], [a, -p, -q]])
+        elif w == 2:
+            a, b = clause
+            p = next_var
+            next_var += 1
+            gates[p] = ("or", ())
+            out.extend([[a, b, p], [a, b, -p]])
+        else:
+            svars = list(range(next_var, next_var + w - 3))
+            next_var += w - 3
+            for idx, s in enumerate(svars):
+                gates[s] = ("or", tuple(clause[idx + 2 :]))
+            out.append([clause[0], clause[1], svars[0]])
+            for i in range(1, w - 3):
+                out.append([-svars[i - 1], clause[i + 1], svars[i]])
+            out.append([-svars[-1], clause[w - 2], clause[w - 1]])
+    cnf = CnfInstance(next_var - 1, out)
+    return cnf, TseitinMap(instance.num_vars, next_var - 1, gates)
+
+
+def _conversion(convert, instance):
+    """What ``convert(instance)`` gives: the output's bytes and variable
+    count and the map's counts and gates in order, or the error."""
+    try:
+        three, mapping = convert(instance)
+    except ValueError as exc:
+        return "error", str(exc)
+    counts = (three.num_vars, mapping.num_input_vars, mapping.num_vars)
+    return emit_dimacs(three), counts, list(mapping.gates.items())
+
+
+@st.composite
+def mixed_width_instances(draw):
+    """Clauses of widths 0 to 8 over few variables, so repeated literals
+    and tautologies are common; an empty clause is rare."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lit = st.integers(min_value=1, max_value=n).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    width = st.sampled_from([0] + [1, 2, 3, 4, 5, 6, 7, 8] * 4)
+    clauses = draw(st.lists(
+        width.flatmap(lambda w: st.lists(lit, min_size=w, max_size=w)), max_size=12
+    ))
+    return CnfInstance(n, clauses)
+
+
+@given(mixed_width_instances())
+@settings(max_examples=300, deadline=None)
+@example(CnfInstance(0, []))
+@example(CnfInstance(4, []))
+@example(CnfInstance(4, [[1, 2, 3, 4], [], [1]]))
+@example(CnfInstance(2, [[1, 1, -1, 2, 2, -2, 1, 1], [2, -2], [1, 1, 1]]))
+def test_three_cnf_matches_reference(inst):
+    assert _conversion(to_three_cnf, inst) == _conversion(reference_to_three_cnf, inst)
 
 
 def test_three_cnf_preserves_models():

@@ -1,7 +1,7 @@
 """``parse_dimacs`` and ``emit_dimacs`` against line-by-line reference
-copies: equal clauses or the same DimacsError, and byte-equal text.  A
-parsed literal table against the same clauses held as lists: equal results
-and errors from every operation that works on either store."""
+copies: equal clauses or the same DimacsError, and byte-equal text.  An
+instance parsed from text against one built from the same clauses as
+lists: equal results and errors from every operation."""
 
 import random
 
@@ -16,8 +16,8 @@ from satcloak.cnf import (
     CnfInstance,
     DimacsError,
     InvalidSolutionError,
-    _uniform_clauses,
     emit_dimacs,
+    evaluate_gates,
     parse_dimacs,
     to_three_cnf,
 )
@@ -319,7 +319,7 @@ def test_non_ascii_bytes_are_rejected_like_the_reference():
 
 
 # ---------------------------------------------------------------------------
-# Streams of one clause width, which parse_dimacs splits in one pass
+# Streams of one clause width, with repeated literals and tautologies
 # ---------------------------------------------------------------------------
 
 UNIFORM_CLAUSES = 10_000
@@ -350,27 +350,26 @@ def _same_as_reference(text):
     return got
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+# Width 12 is wider than the pairs parse_dimacs compares across the stream.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 12])
 def test_uniform_width_streams_match_reference(width):
     rng = random.Random(width)
     num_vars = width + 2
     tokens = _uniform_tokens(rng, width, num_vars)
     text = _text(num_vars, UNIFORM_CLAUSES, tokens)
-    # Widths 1 to 4 take the one-pass split, wider ones the loop.
-    assert (_uniform_clauses(list(map(int, tokens))) is not None) == (width <= 4)
     status, (_, clauses) = _same_as_reference(text)
     assert status == "ok"
     if width > 1:
         assert sum(len(c) < width for c in clauses) >= UNIFORM_CLAUSES // 20
         assert any(-c[0] in c for c in clauses)
-    # The one-pass split still checks the header's clause count.
+    # The clause count is still checked against the header.
     for wrong in (UNIFORM_CLAUSES - 1, UNIFORM_CLAUSES + 1):
         assert _same_as_reference(_text(num_vars, wrong, tokens))[0] == "error"
 
 
 def _near_uniform(tokens, width, defect):
-    """``tokens`` of one clause width, changed so that the one-pass split
-    must not take them."""
+    """``tokens`` of one clause width, changed to break the width, the
+    clause ends or a token."""
     tokens = list(tokens)
     middle = (UNIFORM_CLAUSES // 2) * (width + 1)
     if defect == "last-wider":
@@ -404,8 +403,6 @@ def test_near_uniform_streams_match_reference(width, defect):
     rng = random.Random(100 + width)
     tokens = _uniform_tokens(rng, width, width + 2)
     tokens = _near_uniform(tokens, width, defect)
-    if defect in ("last-wider", "last-narrower", "widths-swapped", "no-final-zero"):
-        assert _uniform_clauses(list(map(int, tokens))) is None
     count = tokens.count("0")
     for num_clauses in (count, count + 1):
         _same_as_reference(_text(width + 2, num_clauses, tokens))
@@ -502,7 +499,7 @@ def test_huge_variable_count_takes_the_token_reader(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The two clause stores: a literal table against the same clauses as lists
+# Parsed from text against built from lists: the same clauses, one store
 # ---------------------------------------------------------------------------
 
 
@@ -517,8 +514,8 @@ def _result(func, *args):
 
 def _iso_outcome(func, instance, arg):
     """``_result`` of ``apply_iso`` or ``iso_randomize``, with the output
-    instance as its DIMACS text, whether it holds a table, and the secret
-    ``iso_randomize`` drew."""
+    instance as its DIMACS text, whether it has a table view, and the
+    secret ``iso_randomize`` drew."""
     status, value = _result(func, instance, arg)
     if status != "ok":
         return status, value
@@ -528,22 +525,23 @@ def _iso_outcome(func, instance, arg):
 
 @st.composite
 def store_pairs(draw):
-    """``(table_or_lists, lists)``: two instances of the same clauses.  The
-    first is parsed from their DIMACS text, so it holds a table when the
-    clauses have one width from 1 to 4 and repeat no literal; or, for
-    literals that are 0 or out of range, which no parse gives, a table
-    built from the lists."""
+    """``(parsed, lists)``: two instances of the same clauses of widths 1
+    to 8.  The first is parsed from their DIMACS text, so repeated literals
+    are collapsed; or, for literals that are 0 or out of range, which no
+    parse gives, built from a ``(k, w)`` table of clauses of one width.
+    The second is built from the first's clauses as lists.  Either has a
+    table view iff its clauses have one width."""
     num_vars = draw(st.integers(min_value=1, max_value=6))
     bad = draw(st.sampled_from([False] * 4 + [True]))
     top = num_vars + 2 if bad else num_vars
     lit = st.integers(min_value=0 if bad else 1, max_value=top).flatmap(
         lambda v: st.sampled_from([v, -v])
     )
-    width = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=1, max_value=8))
     if bad or draw(st.booleans()):
         sizes = st.just(width)
     else:
-        sizes = st.integers(min_value=1, max_value=5)
+        sizes = st.integers(min_value=1, max_value=8)
     clauses = draw(st.lists(
         sizes.flatmap(lambda w: st.lists(lit, min_size=w, max_size=w)),
         min_size=1, max_size=8,
@@ -552,9 +550,8 @@ def store_pairs(draw):
         table = CnfInstance(num_vars, np.array(clauses, np.int64))
         return table, CnfInstance(num_vars, clauses)
     parsed = parse_dimacs(emit_dimacs(CnfInstance(num_vars, clauses)))
-    uniform = len({len(c) for c in clauses}) == 1 and len(clauses[0]) <= 4
-    repeats = any(len(set(c)) < len(c) for c in clauses)
-    assert (parsed.table is not None) == (uniform and not repeats)
+    uniform = len({len(c) for c in parsed.clauses}) == 1
+    assert (parsed.table is not None) == uniform
     return parsed, CnfInstance(num_vars, [list(c) for c in parsed.clauses])
 
 
@@ -589,14 +586,14 @@ def test_table_and_lists_give_the_same_results(pair, data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
     permutation = rng.sample(range(1, n + 1), n)
     flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
-    # The same output bytes or error, and each output keeps its store.
+    # The same output bytes or error, and each output keeps its widths.
     wrong_size = IsoSecret([], frozenset(), 0)
     for func, arg in [(apply_iso, IsoSecret(permutation, flips, 0)),
                       (apply_iso, wrong_size), (iso_randomize, rng.getrandbits(32))]:
         got = _iso_outcome(func, table, arg)
         want = _iso_outcome(func, lists, arg)
         if got[0] == "ok":
-            assert want == ("ok", got[1], False, got[3])
+            assert want == got
             assert got[2] == (table.table is not None)
         else:
             assert got == want
@@ -672,6 +669,43 @@ def test_iso_round_trip_at_a_million_clauses_builds_no_clause_list(monkeypatch):
     assert reads == []
 
 
+def test_mixed_width_round_trip_at_a_million_literals_builds_no_clause_list(monkeypatch):
+    reads = []
+    view = CnfInstance.clauses
+
+    def spy(instance):
+        reads.append(instance.num_clauses)
+        return view.fget(instance)
+
+    monkeypatch.setattr(CnfInstance, "clauses", property(spy))
+    rng = np.random.default_rng(23)
+    num_clauses = 2 * 10**6 // 7  # about 10**6 literals of widths 2 to 5
+    num_vars = num_clauses // 4
+    widths = rng.integers(2, 6, num_clauses)
+    starts = np.cumsum(widths) - widths
+    lits = rng.integers(1, num_vars + 1, widths.sum())
+    lits *= rng.choice([-1, 1], lits.size)
+    # Plant a model: a clause it falsifies gets its first literal negated.
+    x = rng.random(num_vars + 1) < 0.5
+    true = x[np.abs(lits)] == (lits > 0)
+    lits[starts[~np.logical_or.reduceat(true, starts)]] *= -1
+    tokens = np.insert(lits, starts[1:], 0).tolist()
+    text = f"p cnf {num_vars} {num_clauses}\n" + " ".join(map(str, tokens)) + " 0\n"
+
+    original = parse_dimacs(text)
+    assert original.table is None and original.num_clauses == num_clauses
+    original.validate()
+    three, three_map = to_three_cnf(original)
+    assert three.table.shape == (three.num_clauses, 3)
+    assert len(three_map.gates) == three.num_vars - num_vars > num_clauses // 2
+    artifact, secret = iso_randomize(three, 7)
+    assert parse_dimacs(emit_dimacs(artifact)) == artifact
+    planted = {v: bool(x[v]) for v in range(1, num_vars + 1)}
+    assert original.satisfies(planted)
+    assert artifact.satisfies(iso_forward(evaluate_gates(three_map, planted), secret))
+    assert reads == []
+
+
 def test_sparse_gf2_round_trip_at_32k_variables_builds_no_clause_list(monkeypatch):
     reads = []
     view = CnfInstance.clauses
@@ -687,7 +721,7 @@ def test_sparse_gf2_round_trip_at_32k_variables_builds_no_clause_list(monkeypatc
     )
     original = parse_dimacs(text)
     three, three_map = to_three_cnf(original)
-    assert three.table is original.table and not three_map.gates
+    assert three is original and not three_map.gates
     artifact, secret = gf_randomize(three, 7, row_weight=3)
     assert artifact.num_clauses > 1_700_000
     assert secret.r_inv.rows == num_vars

@@ -1,7 +1,9 @@
 """Every disguise entry, and Mincost around each inner one, on one tiny
 instance: pinned artifact and key bytes, forward then derandomize, single
-bit flips, and secret serialization."""
+bit flips, secret serialization, and no cyclic garbage left by the
+builders."""
 
+import gc
 import hashlib
 import json
 
@@ -16,10 +18,13 @@ from satcloak.cnf import (
     to_three_cnf,
 )
 from satcloak.disguise import CLI_NAMES, DISGUISES, MINCOST_INNER, lookup
+from satcloak.isomorph import iso_randomize
+from satcloak.matrixrand import encode_linear, randomize_system
 from satcloak.objective import (
     MINCOST,
     MincostInstance,
     compile_cost_circuit,
+    derandomize_mincost,
     evaluate_circuit,
     randomize_mincost,
 )
@@ -32,6 +37,7 @@ from satcloak.orchestrator import (
     secret_from_obj,
     secret_to_obj,
 )
+from satcloak.solsetrand import gf_randomize
 
 # Unique model: x1 true, x2 false, x3 true.  Clause widths 1, 1, 3 and 2
 # exercise the 3CNF padding.
@@ -259,3 +265,37 @@ def test_table_names():
         lookup("gf2")
     with pytest.raises(ValueError, match="unknown method"):
         lookup("iso", MINCOST_INNER)
+
+
+TINY_TEXT = emit_dimacs(TINY)
+
+
+def _no_cycles(func, *args, **kwargs):
+    """``func(*args, **kwargs)``, asserting it left no cyclic garbage."""
+    gc.collect()
+    result = func(*args, **kwargs)
+    assert gc.collect() == 0, func.__name__
+    return result
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
+def test_builders_leave_no_cyclic_garbage(case):
+    _, name, mincost, row_weight = case
+    _, record, vector, costs, expected = _disguise(name, mincost, row_weight)
+    _no_cycles(parse_dimacs, TINY_TEXT)
+    three, _ = _no_cycles(to_three_cnf, TINY)
+    if mincost:
+        inst = MincostInstance(TINY, costs)
+        _, secret = _no_cycles(
+            randomize_mincost, inst, SEED, method=name, row_weight=row_weight
+        )
+        assert _no_cycles(derandomize_mincost, vector, secret, inst) == expected
+    elif name == "iso":
+        _no_cycles(iso_randomize, TINY, SEED)
+    elif name == "matrix":
+        _no_cycles(randomize_system, _no_cycles(encode_linear, three), SEED)
+    else:
+        _no_cycles(gf_randomize, three, SEED, row_weight)
+    key = record_to_json(record)
+    assert _no_cycles(record_from_json, key) == record
+    assert _no_cycles(check_solution, record, vector, TINY, costs) == expected
