@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .cnf import CnfInstance
+from .cnf import CnfInstance, _three_table
 from .gf2 import BitMatrix, int_mat_mul, int_mat_vec, random_full_rank
 
 __all__ = [
@@ -86,12 +86,7 @@ def encode_linear(instance: CnfInstance) -> LinearSystem:
     num_vars = n + 2 * m
     coeffs = []
     rhs = []
-    for i, clause in enumerate(instance.clauses):
-        if len(clause) != 3:
-            raise ValueError(
-                f"clause {i + 1} has width {len(clause)}; "
-                "run to_three_cnf first (exactly 3 literals required)"
-            )
+    for i, clause in enumerate(_three_table(instance).tolist()):
         row = [0] * num_vars
         negations = 0
         for lit in clause:

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 import numpy as np
 
-from .cnf import CnfInstance, _exclusive_cumsum, _runs
+from .cnf import CnfInstance, _exclusive_cumsum, _runs, _three_table
 from .gf2 import (
     BitMatrix,
     gf2_invert,
@@ -218,20 +218,6 @@ class _Rewrite:
         c, i = _runs(self.extra)
         val[self.dummy0[c, 3] + i] = suffix[c, i + 2]
         return val[1:].tolist()
-
-
-def _three_table(instance: CnfInstance) -> np.ndarray:
-    """The instance's clauses as a ``(k, 3)`` table; ValueError naming the
-    first clause of another width."""
-    widths = np.diff(instance._offsets)
-    wrong = np.flatnonzero(widths != 3)
-    if wrong.size:
-        i = int(wrong[0])
-        raise ValueError(
-            f"clause {i + 1} has width {widths[i]}; "
-            "run to_three_cnf first (exactly 3 literals required)"
-        )
-    return instance._lits.reshape(-1, 3)
 
 
 def _draw_substitution(

@@ -144,7 +144,9 @@ def test_three_cnf_shapes():
     wide, m5 = to_three_cnf(CnfInstance(5, [[1, -2, 3, -4, 5]]))
     assert [len(c) for c in wide.clauses] == [3, 3, 3]
     assert wide.num_vars == 7
-    assert m5.gates[6] == ("or", (3, -4, 5))
+    # Each split variable is the or of the next literal and the next split
+    # variable, the last one of the last two literals.
+    assert m5.gates[6] == ("or", (3, 7))
     assert m5.gates[7] == ("or", (-4, 5))
 
 
@@ -191,8 +193,9 @@ def reference_to_three_cnf(instance):
         else:
             svars = list(range(next_var, next_var + w - 3))
             next_var += w - 3
-            for idx, s in enumerate(svars):
-                gates[s] = ("or", tuple(clause[idx + 2 :]))
+            gates[svars[-1]] = ("or", (clause[w - 2], clause[w - 1]))
+            for idx in range(w - 5, -1, -1):
+                gates[svars[idx]] = ("or", (clause[idx + 2], svars[idx + 1]))
             out.append([clause[0], clause[1], svars[0]])
             for i in range(1, w - 3):
                 out.append([-svars[i - 1], clause[i + 1], svars[i]])
@@ -259,6 +262,51 @@ def test_three_cnf_preserves_models():
             assert three.satisfies(full)
         # Both directions together give equisatisfiability.
         assert bool(naive_count(inst)) == bool(naive_count(three))
+
+
+def test_three_cnf_map_is_linear_in_its_output():
+    # A clause of width w gets w - 3 split gates of two inputs each, not
+    # suffixes of up to w - 2, and each has the value of its clause suffix.
+    rng = random.Random(5)
+    n = 8
+    x = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+
+    def lit(value):
+        v = rng.randint(1, n)
+        return v if x[v] == value else -v
+
+    # True only at two places, so the suffix values change along the clause.
+    wide = [lit(j in (700, 1000)) for j in range(3000)]
+    short = [[lit(rng.random() < 0.3) for _ in range(w)] for w in range(1, 9)]
+    inst = CnfInstance(n, short[:4] + [wide] + short[4:])
+    _, mapping = to_three_cnf(inst)
+
+    suffix_or = {}  # split variable -> or of its clause suffix
+    var = n + 1
+    for clause in inst.clauses:
+        w = len(clause)
+        if w <= 3:
+            var += 3 - w
+            continue
+        values = []
+        value = False
+        for l in reversed(clause[2:]):
+            value = value or x[abs(l)] == (l > 0)
+            values.append(value)
+        for i in range(w - 3):
+            suffix_or[var + i] = values[w - 3 - i]
+        var += w - 3
+    assert var - 1 == mapping.num_vars
+    assert {len(mapping.gates[v][1]) for v in suffix_or} == {2}
+    inputs = sum(len(lits) for _, lits in mapping.gates.values())
+    assert inputs <= 2 * len(mapping.gates)
+    seen = set(range(1, n + 1))
+    for v, (_, lits) in mapping.gates.items():
+        assert {abs(l) for l in lits} <= seen
+        seen.add(v)
+    full = evaluate_gates(mapping, x)
+    assert {v: full[v] for v in suffix_or} == suffix_or
+    assert set(suffix_or.values()) == {False, True}
 
 
 # ---------------------------------------------------------------------------

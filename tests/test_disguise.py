@@ -161,6 +161,36 @@ OLD_KEYS = {
 }
 
 
+# A Mincost key for WIDE written while each 3CNF split variable was the or
+# of its whole clause suffix (``[26, "or", [3, -4, 5, 6]]`` in three_map);
+# now it is the or of one literal and the next split variable.  Checking
+# an answer never reads three_map, so the old key still checks answers.
+WIDE = parse_dimacs("p cnf 6 2\n1 -2 3 -4 5 6 0\n-1 2 0\n")
+WIDE_COSTS = {1: 1, 2: 2, 3: 1, 4: 1, 5: 2, 6: 1}
+OLD_WIDE_KEY_SHA = "46ca2c1b5ef88373942de8170591c995761b569b34f45e228d54614fefe2198b"
+OLD_WIDE_KEY = (
+    '{"method":"mincost","secret":{"type":"mincost","method":"matrix","circui'
+    't":{"output_bits":[25,24,23,19,16],"width":5,"tmap":{"num_input_vars":6,'
+    '"num_vars":25,"gates":[[7,"xor",[3,4]],[8,"and",[3,4]],[9,"xor",[1,7]],['
+    '10,"and",[1,7]],[11,"xor",[2,8]],[12,"xor",[11,10]],[13,"and",[2,8]],[14'
+    ',"and",[10,11]],[15,"or",[13,14]],[16,"xor",[9,6]],[17,"and",[9,6]],[18,'
+    '"xor",[12,5]],[19,"xor",[18,17]],[20,"and",[12,5]],[21,"and",[17,18]],[2'
+    '2,"or",[20,21]],[23,"xor",[15,22]],[24,"and",[22,15]],[25,"or",[]]]}},"t'
+    'hree_map":{"original_num_vars":25,"num_vars":51,"definitions":[[26,"or",'
+    '[3,-4,5,6]],[27,"or",[-4,5,6]],[28,"or",[5,6]],[29,"false",[]],[30,"fals'
+    'e",[]],[31,"false",[]],[32,"false",[]],[33,"false",[]],[34,"false",[]],['
+    '35,"false",[]],[36,"false",[]],[37,"false",[]],[38,"false",[]],[39,"fals'
+    'e",[]],[40,"false",[]],[41,"false",[]],[42,"false",[]],[43,"false",[]],['
+    '44,"false",[]],[45,"false",[]],[46,"false",[]],[47,"false",[]],[48,"fals'
+    'e",[]],[49,"false",[]],[50,"false",[]],[51,"false",[]]]},"inner":{"type"'
+    ':"matrix","original_n":51,"negation_constants":[1,1,2,1,1,2,1,3,1,1,1,2,'
+    '1,2,2,1,3,1,1,1,2,1,2,2,1,3,1,1,1,3,1,1,1,2,1,2,2,1,2,1,2,2,1,2,1,2,1,1,'
+    '3,1,1,1,2,1,2,2,1,3,1,1,1,3,1,1,1,2,1,2,2,1,2,1,2,2,1,2,1,2,1,1,3,1,1,1,'
+    '2,1,2,2,1,2,2,3],"seed":7},"seed":7},"instance_digest":"c91360309609fdd0'
+    '5a28435d88cb2f9fbb05d6f8f9b56a82782097043b159f65","seed":7}'
+)
+
+
 # The honest answer _disguise built for the mincost-gf2 case when OLD_KEYS
 # were written.  The cost circuit has been renumbered since, so the old key
 # no longer equals the new one; it must still accept this answer.
@@ -255,6 +285,28 @@ def test_old_keys_still_load(case):
         "mincost-gf2": OLD_MINCOST_GF2_VECTOR,
     }.get(case[0], vector)
     assert check_solution(old, old_vector, TINY, costs) == expected
+
+
+def test_old_wide_clause_mincost_key_still_loads():
+    old_key = json.dumps(json.loads(OLD_WIDE_KEY), indent=1) + "\n"
+    assert _sha(old_key) == OLD_WIDE_KEY_SHA
+    inst = MincostInstance(WIDE, WIDE_COSTS)
+    _, secret = randomize_mincost(inst, SEED, method="matrix")
+    new_key = record_to_json(make_record(MINCOST.name, secret, WIDE, SEED))
+    assert len(new_key) < len(old_key)
+    model = brute_sat(WIDE).assignment
+    three, _ = to_three_cnf(compile_cost_circuit(inst)[0])
+    x3 = evaluate_gates(secret.three_map, evaluate_circuit(secret.circuit, model))
+    vector = DISGUISES["matrix"].forward(x3, secret.inner, three)
+    expected = (model, inst.cost_of(model))
+    for key in (old_key, new_key):
+        record = record_from_json(key)
+        assert check_solution(record, vector, WIDE, WIDE_COSTS) == expected
+        for bit in record.secret.circuit.output_bits:
+            flipped = list(vector)
+            flipped[bit - 1] ^= 1
+            with pytest.raises(InvalidSolutionError):
+                check_solution(record, flipped, WIDE, WIDE_COSTS)
 
 
 def test_table_names():
