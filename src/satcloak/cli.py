@@ -208,7 +208,7 @@ def _cmd_fw_encode(args) -> int:
     layout = _parse_layout(args.layout)
     p1 = parse_policy(_read(args.p1))
     p2 = parse_policy(_read(args.p2))
-    cnf = equivalence_cnf(p1, p2, layout, hoist_independent=args.hoist)
+    cnf = equivalence_cnf(p1, p2, layout)
     out = args.out or _stem(args.p1) + ".eq.cnf"
     # The header-bits comment lets solve-brute decide satisfiability by
     # enumerating packet headers instead of all CNF variables.
@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", required=True)
     p.add_argument("--layout", default="32,16,32,16",
                    help="bit widths: src_ip,src_port,dst_ip,dst_port")
-    p.add_argument("--hoist", action="store_true",
-                   help="drop provably redundant first-match guards")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fw_encode)
 

@@ -8,11 +8,12 @@ the first-match chain
 
     accepts(h)  =  OR_i [ M_i(h) AND NOT M_1(h) ... NOT M_{i-1}(h) ]
 
-over its accept rules (plus a catch-all term for an accept default).  Two
-policies are equivalent iff the ``xor`` gate of their two roots is
-unsatisfiable; the gate clauses with that root asserted are the checkable
-artifact, and any satisfying assignment decodes to a concrete witness
-packet the policies disagree on.
+over its accept rules (plus a catch-all term for an accept default),
+without the guards ``NOT M_j`` of rules that cannot overlap rule ``i``
+and ending at the first catch-all rule.  Two policies are equivalent iff
+the ``xor`` gate of their two roots is unsatisfiable; the gate clauses
+with that root asserted are the checkable artifact, and any satisfying
+assignment decodes to a concrete witness packet the policies disagree on.
 
 Before outsourcing, field values are disguised by per-position bijections:
 one map per IP chunk position (shared between source and destination
@@ -24,9 +25,10 @@ appears often under its new name; this leak is inherent to the scheme).
 
 IP fields whose width is a multiple of four are modeled as four dotted
 chunks (octets at the default 32 bits); narrower test layouts use a
-single chunk.  Every walk over a rule's values reads one table,
-``HeaderLayout.slots()``.  A value map is a permutation list indexed by
-the original value, as in a fw-map key file.
+single chunk.  A rule is read through one table, ``HeaderLayout.slots()``,
+into one ternary ``(mask, value)`` pair over the packed header, which
+matching, the overlap test and the predicates read.  A value map is a
+permutation list indexed by the original value, as in a fw-map key file.
 """
 
 from __future__ import annotations
@@ -348,12 +350,31 @@ def map_fields(
 # Bit-level encoding
 # ---------------------------------------------------------------------------
 
-def _value_literals(value: int, offset: int, width: int) -> list[int]:
-    """Bit literals fixing ``width`` header bits (MSB first) to ``value``."""
-    return [
-        offset + i + 1 if (value >> (width - 1 - i)) & 1 else -(offset + i + 1)
-        for i in range(width)
-    ]
+def _mask_value(rule: FirewallRule, layout: HeaderLayout) -> tuple[int, int]:
+    """The rule as one ternary ``(mask, value)`` pair over the packed
+    header (header bit order, the first slot most significant): a header
+    ``h`` matches iff ``h & mask == value``, and a catch-all rule has
+    ``mask == 0``.  ValueError if the rule does not fit the layout."""
+    mask = value = 0
+    for (_, _, width), v in zip(layout.slots(), _values(rule, layout)):
+        mask <<= width
+        value <<= width
+        if v is not None:
+            mask |= (1 << width) - 1
+            value |= v
+    return mask, value
+
+
+def _literals(mask: int, value: int, total_bits: int) -> tuple[int, ...]:
+    """Header-bit literals whose ``and`` is the match test of a
+    ``(mask, value)`` pair: one per set bit of ``mask``, most significant
+    (variable 1) first, negative where ``value`` has a zero."""
+    fixed, bits = (format(x, f"0{total_bits}b") for x in (mask, value))
+    return tuple(
+        i if b == "1" else -i
+        for i, (m, b) in enumerate(zip(fixed, bits), 1)
+        if m == "1"
+    )
 
 
 def match_predicate(
@@ -363,60 +384,46 @@ def match_predicate(
     rule matches: the inputs of the rule's predicate gate.  Wildcarded
     fields and chunks contribute nothing, so an all-wildcard rule gives
     ``()``, which matches every header."""
-    return tuple(
-        lit
-        for (_, offset, width), v in zip(layout.slots(), _values(rule, layout))
-        if v is not None
-        for lit in _value_literals(v, offset, width)
-    )
+    return _literals(*_mask_value(rule, layout), layout.total_bits)
 
 
-def _disjoint(values1: tuple, values2: tuple) -> bool:
-    """True if no header can match both rules, given their
-    :func:`_values` (some slot pins two different concrete values)."""
-    for a, b in zip(values1, values2):
-        if a is not None and b is not None and a != b:
-            return True
-    return False
+def _disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True if no header matches both ``(mask, value)`` pairs: some bit
+    that both fix is fixed to different values."""
+    return bool((a[1] ^ b[1]) & a[0] & b[0])
 
 
 def encode_policy(
     enc: TseitinEncoder,
     policy: FirewallPolicy,
     layout: HeaderLayout = DEFAULT_LAYOUT,
-    hoist_independent: bool = False,
 ) -> int | bool:
     """Literal of a gate of ``enc`` that is true exactly on headers the
     policy accepts; ``True`` or ``False``, with no gate made, if the policy
     accepts every header or none.
 
-    Builds the general first-match chain: each accept rule's term is the
-    ``and`` of its predicate and the negated predicates of the rules before
-    it.  With ``hoist_independent`` the not-an-earlier-match guards that
-    are provably redundant (the earlier rule cannot overlap this one) are
-    dropped — a pure size optimization, never a semantic change.
-
-    The constants are decided before any gate is made: a guard on an
-    all-wildcard rule is false and kills its term, and a term with nothing
-    to check makes the policy true.  Then gates are made depth first, term
-    by term, through ``enc``'s shared gate table, so equal predicates and
-    terms are one gate, also across policies encoded into the same ``enc``.
+    Each accept rule's term is the ``and`` of its predicate and the
+    negated predicates of the earlier rules that can overlap it (a guard
+    on a disjoint rule is always true).  The chain stops at the first
+    catch-all rule, whose action stands for the default, since no later
+    rule is ever a first match; every rule is still checked against the
+    layout.  Gates are made depth first, term by term, through ``enc``'s
+    shared gate table, so equal predicates and terms are one gate, also
+    across policies encoded into the same ``enc``.
     """
-    preds = [match_predicate(rule, layout) for rule in policy.rules]
-    values = [_values(rule, layout) for rule in policy.rules]
-    terms = []
-    for i, rule in enumerate(policy.rules):
-        if rule.action == "accept":
-            guards = [
-                j for j in range(i)
-                if not (hoist_independent and _disjoint(values[i], values[j]))
-            ]
-            terms.append((preds[i], guards))
-    if policy.default_action == "accept":
-        terms.append(((), range(len(preds))))
-    terms = [(pred, guards) for pred, guards in terms if all(preds[j] for j in guards)]
-    if any(not pred and not guards for pred, guards in terms):
+    pairs = [_mask_value(rule, layout) for rule in policy.rules]
+    cut = next((i for i, (mask, _) in enumerate(pairs) if not mask), len(pairs))
+    default = policy.rules[cut].action if cut < len(pairs) else policy.default_action
+    if default == "accept" and not cut:
         return True
+    preds = [_literals(mask, value, layout.total_bits) for mask, value in pairs[:cut]]
+    terms = [
+        (preds[i], [j for j in range(i) if not _disjoint(pairs[i], pairs[j])])
+        for i in range(cut)
+        if policy.rules[i].action == "accept"
+    ]
+    if default == "accept":
+        terms.append(((), range(cut)))
     if not terms:
         return False
     roots = []
@@ -427,20 +434,10 @@ def encode_policy(
     return enc.gate_n("or", tuple(roots))
 
 
-def _matches(values: tuple, header: int, layout: HeaderLayout) -> bool:
-    """True if a rule with these :func:`_values` matches a packed header."""
-    total = layout.total_bits
-    for (_, offset, width), v in zip(layout.slots(), values):
-        if v is None:
-            continue
-        if (header >> (total - offset - width)) & ((1 << width) - 1) != v:
-            return False
-    return True
-
-
 def rule_matches(rule: FirewallRule, header: int, layout: HeaderLayout) -> bool:
     """Direct (non-symbolic) match test of one rule against a packed header."""
-    return _matches(_values(rule, layout), header, layout)
+    mask, value = _mask_value(rule, layout)
+    return header & mask == value
 
 
 def policy_accepts(
@@ -450,9 +447,9 @@ def policy_accepts(
     a rule outside the layout, as :func:`encode_policy` does."""
     if not 0 <= header < (1 << layout.total_bits):
         raise ValueError("header value exceeds layout width")
-    values = [_values(rule, layout) for rule in policy.rules]
-    for rule, v in zip(policy.rules, values):
-        if _matches(v, header, layout):
+    pairs = [_mask_value(rule, layout) for rule in policy.rules]
+    for rule, (mask, value) in zip(policy.rules, pairs):
+        if header & mask == value:
             return rule.action == "accept"
     return policy.default_action == "accept"
 
@@ -461,7 +458,6 @@ def equivalence_cnf(
     p1: FirewallPolicy,
     p2: FirewallPolicy,
     layout: HeaderLayout = DEFAULT_LAYOUT,
-    hoist_independent: bool = False,
 ) -> CnfInstance:
     """CNF satisfiable iff the two policies disagree on some header.
 
@@ -477,7 +473,7 @@ def equivalence_cnf(
     lits = []
     differ = False
     for policy in (p1, p2):
-        root = encode_policy(enc, policy, layout, hoist_independent)
+        root = encode_policy(enc, policy, layout)
         if isinstance(root, bool):
             differ ^= root
         else:

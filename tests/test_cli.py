@@ -577,6 +577,19 @@ def test_fw_encode_and_header_solve(tmp_path, capsys):
     assert out == "SAT count=1 header=99\n"
 
 
+def test_fw_encode_refuses_rule_outside_layout_after_catch_all(tmp_path, capsys):
+    # The chain is not encoded past the catch-all, but every rule is still
+    # checked against the layout.
+    p1 = tmp_path / "p1.fw"
+    p1.write_text("* * * * accept\n* 9 * * deny\ndefault deny\n")
+    p2 = tmp_path / "p2.fw"
+    p2.write_text("default accept\n")
+    code, _, err = run(capsys, "fw-encode", "--p1", str(p1), "--p2", str(p2),
+                       "--layout", "2,2,2,2")
+    assert code == 1
+    assert "src_port value 9 exceeds 2 bits" in err
+
+
 def test_fw_encode_header_hint_guard(tmp_path, capsys):
     p1 = tmp_path / "p1.fw"
     p1.write_text("default accept\n")

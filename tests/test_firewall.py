@@ -30,6 +30,7 @@ from satcloak.firewall import (
     policy_accepts,
     rule_matches,
     _disjoint,
+    _mask_value,
     _values,
 )
 from satcloak.oracles import restricted_sat
@@ -272,8 +273,26 @@ def test_match_predicate_range_check():
         match_predicate(FirewallRule(None, 4, None, None, "accept"), SMALL)
 
 
+def test_mask_value_bits_are_the_slot_values():
+    # Each header bit of a slot is fixed in the mask iff the rule fixes the
+    # slot, and then the value's bit is that bit of the slot's value (MSB
+    # first); a wildcard slot leaves both bits 0.
+    rng = random.Random(140)
+    for layout in (TINY, SMALL, QUAD, DEFAULT_LAYOUT):
+        total = layout.total_bits
+        for rule in random_policy(rng, layout, 40, wildcard_p=0.4).rules:
+            mask, value = _mask_value(rule, layout)
+            assert 0 <= value <= mask < (1 << total)
+            for (_, offset, width), v in zip(layout.slots(), _values(rule, layout)):
+                for b in range(width):
+                    shift = total - 1 - (offset + b)
+                    assert (mask >> shift) & 1 == (v is not None)
+                    want = 0 if v is None else (v >> (width - 1 - b)) & 1
+                    assert (value >> shift) & 1 == want
+
+
 def test_disjoint_exactly_when_no_header_matches_both():
-    # --hoist drops the guard of an earlier rule that _disjoint says
+    # encode_policy drops the guard of an earlier rule that _disjoint says
     # cannot overlap; that is sound only if _disjoint is exact.
     rng = random.Random(141)
     for layout in (SMALL, QUAD):
@@ -283,7 +302,8 @@ def test_disjoint_exactly_when_no_header_matches_both():
                 rule_matches(r1, h, layout) and rule_matches(r2, h, layout)
                 for h in _headers(layout)
             )
-            assert _disjoint(_values(r1, layout), _values(r2, layout)) == (not both)
+            pair1, pair2 = _mask_value(r1, layout), _mask_value(r2, layout)
+            assert _disjoint(pair1, pair2) == (not both)
 
 
 def test_encode_policy_trivials():
@@ -304,22 +324,44 @@ def test_encode_policy_matches_simulation():
         for _ in range(20):
             policy = random_policy(rng, layout, rng.randint(0, 4))
             accepts = [policy_accepts(policy, h, layout) for h in _headers(layout)]
-            for hoist in (False, True):
-                enc = TseitinEncoder(layout.total_bits)
-                root = encode_policy(enc, policy, layout, hoist)
-                assert _gate_values(enc, root, layout) == accepts
+            enc = TseitinEncoder(layout.total_bits)
+            root = encode_policy(enc, policy, layout)
+            assert _gate_values(enc, root, layout) == accepts
 
 
-def test_hoisting_never_changes_semantics():
-    # Both encodings into one encoder: they share every gate they can, and
-    # still agree on every header.
+def test_rules_after_a_catch_all_are_checked_but_not_encoded():
+    # Rules after the first catch-all are never a first match: the policy
+    # writes the bytes of itself cut there, with the catch-all's action as
+    # default.  Both spellings of a catch-all count.
+    def text(p1, p2, layout):
+        return emit_dimacs(equivalence_cnf(p1, p2, layout))
+
     rng = random.Random(151)
-    for _ in range(15):
-        policy = random_policy(rng, SMALL, rng.randint(2, 5))
-        enc = TseitinEncoder(SMALL.total_bits)
-        plain = encode_policy(enc, policy, SMALL)
-        hoisted = encode_policy(enc, policy, SMALL, hoist_independent=True)
-        assert _gate_values(enc, plain, SMALL) == _gate_values(enc, hoisted, SMALL)
+    for layout in (SMALL, QUAD, DEFAULT_LAYOUT):
+        quarters = (None,) * len(layout.ip_chunks(layout.src_ip_bits))
+        for _ in range(12):
+            head = random_policy(rng, layout, rng.randint(0, 4), wildcard_p=0.2)
+            tail = random_policy(rng, layout, rng.randint(1, 4))
+            ip = rng.choice([None, quarters])
+            action = rng.choice(["accept", "deny"])
+            catch_all = FirewallRule(ip, None, ip, None, action)
+            full = FirewallPolicy(
+                head.rules + [catch_all] + tail.rules, tail.default_action
+            )
+            cut = FirewallPolicy(head.rules, action)
+            other = random_policy(rng, layout, rng.randint(0, 4))
+            assert text(full, other, layout) == text(cut, other, layout)
+            assert text(other, full, layout) == text(other, cut, layout)
+    # A rule after the catch-all that does not fit the layout is refused,
+    # as policy_accepts refuses it.
+    wide = FirewallRule(None, 9, None, None, "accept")
+    for catch_all in (FirewallRule(None, None, None, None, "accept"),
+                      FirewallRule((None,), None, (None,), None, "deny")):
+        policy = FirewallPolicy([catch_all, wide], "deny")
+        with pytest.raises(ValueError, match="src_port value 9 exceeds 2 bits"):
+            encode_policy(TseitinEncoder(SMALL.total_bits), policy, SMALL)
+        with pytest.raises(ValueError, match="src_port value 9 exceeds 2 bits"):
+            policy_accepts(policy, 0, SMALL)
 
 
 def test_policy_accepts_range_check():
@@ -403,37 +445,37 @@ def test_decode_witness_rejects_tampering():
             decode_witness(same, SMALL, **one)
 
 
-# (policy-pair seed, hoist_independent) -> sha256 of the DIMACS text of
+# (policy-pair seed, pruned) -> sha256 of the DIMACS text of
 # equivalence_cnf, as written when the formula encoder also built the cost
-# circuit.  Clause and gate order are part of the pinned bytes.  "batch" is
-# the digest of _folding_batch_text, pinned before the encoder stopped
-# folding formulas.
+# circuit.  Clause and gate order are part of the pinned bytes.  ``pruned``
+# is True: these digests were pinned for the encoding with guards on
+# disjoint rules dropped, which is now the only one.  "batch" is the digest
+# of _folding_batch_text, written by that encoding before the unpruned one
+# was removed.
 PINNED_EQUIVALENCE = {
-    (31, False): "5eca41c0ca9421694c9fa9f2bbb15290ff4af8831f37d44a7bdf133506e1db60",
     (31, True): "69b73607b96ce87f1b497fa4d8a494991620e6405260383ae1296a8b9a12adad",
-    (32, False): "21ea5751c0809a7563e8f5743bf7a8188f499ed4bd0ee05ca94175e5a2184044",
     (32, True): "d33bbe4071861357180026f5796c51207cb906bbf324de547d371a736b42d558",
-    "batch": "afb2b805150a62b5fd407579dfa0c16d8b52a83a7311d0717ac26670808b3c96",
+    "batch": "4bd2b6cbcc59a156ec239e159410ad40a2906745e3fc98d43c6e1e8c14cabbc0",
 }
 
 
 @pytest.mark.parametrize(
-    "seed,hoist", sorted(k for k in PINNED_EQUIVALENCE if k != "batch")
+    "seed,pruned", sorted(k for k in PINNED_EQUIVALENCE if k != "batch")
 )
-def test_equivalence_cnf_bytes_pinned(seed, hoist):
+def test_equivalence_cnf_bytes_pinned(seed, pruned):
     rng = random.Random(seed)
     p1 = random_policy(rng, DEFAULT_LAYOUT, 6)
     p2 = random_policy(rng, DEFAULT_LAYOUT, 6)
-    text = emit_dimacs(equivalence_cnf(p1, p2, hoist_independent=hoist))
+    text = emit_dimacs(equivalence_cnf(p1, p2))
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-    assert digest == PINNED_EQUIVALENCE[seed, hoist]
+    assert digest == PINNED_EQUIVALENCE[seed, pruned]
 
 
 def _folding_batch_text() -> str:
     """Concatenated DIMACS text of the equivalence CNFs the 96-bit pins
     miss: policies that fold to a constant (empty ones, all-wildcard
     rules), identical pairs and near-wildcard policies, on the TINY, SMALL
-    and 8,2,8,2 layouts, plain and hoisted."""
+    and 8,2,8,2 layouts."""
     rng = random.Random(41)
     accept_all = FirewallRule(None, None, None, None, "accept")
     deny_all = FirewallRule(None, None, None, None, "deny")
@@ -452,8 +494,7 @@ def _folding_batch_text() -> str:
                 p2 = random_policy(rng, layout, rng.randint(0, 5), wildcard_p)
                 pairs += [(p1, p2), (p1, p1), (p2, p1), (p1, rng.choice(fixed))]
         for a, b in pairs:
-            for hoist in (False, True):
-                texts.append(emit_dimacs(equivalence_cnf(a, b, layout, hoist)))
+            texts.append(emit_dimacs(equivalence_cnf(a, b, layout)))
     return "".join(texts)
 
 
@@ -461,6 +502,16 @@ def test_equivalence_cnf_folding_batch_pinned():
     text = _folding_batch_text()
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == PINNED_EQUIVALENCE["batch"]
+
+
+def test_equivalence_cnf_size_of_two_1000_rule_policies():
+    # Guards on disjoint rules are dropped: the unpruned chain wrote 3,108
+    # variables and 677,118 clauses for this pair.
+    rng = random.Random(1000)
+    p1 = random_policy(rng, DEFAULT_LAYOUT, 1000, 0.1)
+    p2 = random_policy(rng, DEFAULT_LAYOUT, 1000, 0.1)
+    cnf = equivalence_cnf(p1, p2)
+    assert (cnf.num_vars, cnf.num_clauses) == (1390, 90189)
 
 
 def test_decode_witness_without_policies_just_slices():
