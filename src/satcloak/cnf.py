@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import mul, sub
 
 import numpy as np
 
@@ -75,7 +74,9 @@ class CnfInstance:
     kept as Python ints in an object array.
 
     :meth:`validate`, :meth:`satisfies`, :attr:`num_clauses`, ``==`` and
-    :func:`emit_dimacs` are numpy operations on the two arrays.
+    :func:`emit_dimacs` are numpy operations on the two arrays;
+    :func:`emit_dimacs` writes every literal through a table of
+    fixed-width text cells, also for an object array.
     :attr:`table` is a ``(k, w)`` view of the literals when every clause
     has one width ``w >= 1`` (None otherwise, and for no clauses).
     :attr:`clauses` is a new list built from the arrays on each read, for
@@ -448,36 +449,104 @@ def _token_clauses(body: str, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
     raise DimacsError(error)
 
 
-class _ClauseFormats(dict):
-    """Line template of each clause width, e.g. ``3`` -> ``"%d %d %d 0\\n"``,
-    built the first time the width is looked up.  Width 0 gives ``" 0\\n"``."""
+def _cell_table(values: np.ndarray) -> np.ndarray:
+    """The DIMACS cells of the sorted, nonempty ``values``, one ASCII row
+    each, then the rows ``"0\\n"`` and ``" 0\\n"``.
 
-    def __missing__(self, width: int) -> str:
-        text = self[width] = " ".join(["%d"] * width) + " 0\n"
-        return text
+    A cell is a literal and the space after it, NUL-padded to one width:
+    the sign in the first column, the digits right-aligned, NUL in every
+    unused column (in a table of 3-digit values, ``-12`` is the bytes
+    ``-``, NUL, ``1``, ``2``, space).  Built by digit arithmetic, one pass
+    per digit of the largest magnitude, in the smallest unsigned type that
+    holds it (``|-2**63|`` wraps to ``-2**63`` in int64 and casts to
+    ``2**63``).
+    """
+    top = max(-int(values[0]), int(values[-1]))
+    digits = len(str(top))
+    cells = np.zeros((values.size + 2, digits + 2), np.uint8)
+    body = cells[:-2]
+    body[:, 0] = np.where(values < 0, ord("-"), 0)
+    body[:, -1] = ord(" ")
+    mags = np.abs(values).astype(np.min_scalar_type(top))
+    for place in range(digits):
+        column = body[:, digits - place]
+        rest = mags // 10
+        column[:] = mags - rest * 10 + ord("0")
+        mags = rest
+        if place:  # leading zeros: the values of magnitude below 10**place
+            power = 10**place
+            column[np.searchsorted(values, 1 - power) : np.searchsorted(values, power)] = 0
+    cells[-2, :2] = np.frombuffer(b"0\n", np.uint8)
+    cells[-1, :3] = np.frombuffer(b" 0\n", np.uint8)
+    return cells
 
 
-_FORMATS = _ClauseFormats()
+# The cells of every literal up to this magnitude, built once: a small
+# instance then writes with a few numpy calls and no table of its own.
+_SMALL_TOP = 9999
+_SMALL_CELLS = _cell_table(np.arange(-_SMALL_TOP, _SMALL_TOP + 1))
+# Literals written per block, so the writer's temporaries stay a few times
+# one block's text beside the text itself.
+_BLOCK = 1 << 16
 
 
 def emit_dimacs(instance: CnfInstance) -> str:
     """Serialize to canonical DIMACS text: the ``p cnf`` line, then one
     line per clause, its literals separated by spaces and closed by ``0``.
 
-    Each literal is written with ``%d``.  A width-0 clause is written as
-    ``" 0"``.  The body is one template, each run of clauses of one width
-    its line format repeated, filled with all literals (one ``tolist()``)
-    in a single ``%`` operation.
+    Each literal is written as ``str()`` writes it, a width-0 clause as
+    ``" 0"``.  The text comes from a table of literal cells
+    (:func:`_cell_table`): each literal ``take``s its cell, each clause
+    gets a ``"0\\n"`` cell after its literals (``" 0\\n"`` when it has
+    none), and the cells' bytes become text with their NUL padding
+    deleted, about 64k literals at a time.  No Python object is made per
+    literal.  Literals up to 9999 use one table built at import; larger
+    ones a table over ``-top..top`` when the largest magnitude ``top`` is
+    below half the literal count, else a table over the values in use
+    (``np.unique``), so a sparse variable id such as ``10**12`` never
+    sizes the table.  An object array (literals beyond int64) takes that
+    last path too.
     """
-    head = f"p cnf {instance.num_vars} {instance.num_clauses}\n"
-    widths = np.diff(instance._offsets)
-    first = np.ones(widths.size, bool)  # the first clause of a run of one width
-    np.not_equal(widths[1:], widths[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    runs = map(sub, [*starts[1:].tolist(), widths.size], starts.tolist())
-    lines = map(_FORMATS.__getitem__, widths[starts].tolist())
-    template = "".join(map(mul, lines, runs))
-    return head + template % tuple(instance._lits.tolist())
+    lits, offsets = instance._lits, instance._offsets
+    top = max(-int(lits.min(initial=0)), int(lits.max(initial=0)))
+    if top <= _SMALL_TOP:
+        cells, shift = _SMALL_CELLS, _SMALL_TOP
+    elif 2 * top < lits.size:
+        cells, shift = _cell_table(np.arange(-top, top + 1)), top
+    else:
+        values, lits = np.unique(lits, return_inverse=True)
+        cells, shift = _cell_table(values), 0
+    end = cells.shape[0] - 2  # the row of "0\n", then the row of " 0\n"
+    widths = np.diff(offsets)
+    text = [f"p cnf {instance.num_vars} {instance.num_clauses}\n"]
+    if widths.size and widths[0] and (widths == widths[0]).all():
+        width = int(widths[0])  # one row of cells per clause
+        step = -(-_BLOCK // width)
+        for c in range(0, widths.size, step):
+            block = lits[c * width : (c + step) * width].reshape(-1, width)
+            rows = np.empty((block.shape[0], width + 1), np.intp)
+            np.add(block, shift, out=rows[:, :width])
+            rows[:, width] = end
+            text.append(_cells_text(cells, rows))
+        return "".join(text)
+    stop_rows = end + (widths == 0)
+    cuts = np.searchsorted(offsets, np.arange(_BLOCK, offsets[-1], _BLOCK)).tolist()
+    for c0, c1 in zip([0, *cuts], [*cuts, widths.size]):
+        s, e = offsets[c0], offsets[c1]
+        # Clause i's "0" cell follows its literals and the i - c0 earlier ones.
+        stops = offsets[c0 + 1 : c1 + 1] + np.arange(-s, c1 - c0 - s)
+        rows = np.empty(e - s + c1 - c0, np.intp)
+        rows[stops] = stop_rows[c0:c1]
+        literal = np.ones(rows.size, bool)
+        literal[stops] = False
+        rows[literal] = lits[s:e] + shift
+        text.append(_cells_text(cells, rows))
+    return "".join(text)
+
+
+def _cells_text(cells: np.ndarray, rows: np.ndarray) -> str:
+    """The text of the cells at ``rows``, in order, NUL padding deleted."""
+    return cells.take(rows, 0).tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ instance parsed from text against one built from the same clauses as
 lists: equal results and errors from every operation."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,89 @@ def test_emit_matches_reference_at_scale():
     mixed = CnfInstance(10**9, clauses)
     for inst in (artifact, mixed):
         assert emit_dimacs(inst) == reference_emit(inst)
+
+
+def _edge_instances():
+    """Instances at the edges of ``emit_dimacs``'s cell tables and blocks,
+    each with a name."""
+    block = cnf._BLOCK
+    yield "no-clauses", CnfInstance(3, [])
+    yield "one-empty-clause", CnfInstance(0, [[]])
+    for k in range(1, 19):
+        # The largest magnitude sets the cell width: both sides of each
+        # step, of both signs.
+        for top in (10**k - 1, 10**k):
+            yield f"top-{top}", CnfInstance(top, [[top, -top], [-7, 1, 10**k // 2]])
+            yield f"neg-top-{top}", CnfInstance(top, [[-top], [top - 1, 0]])
+    top = 2**63 - 1
+    yield "int64-bounds", CnfInstance(top, [[top, -top, -(2**63)], [1, -1]])
+    for top in (cnf._SMALL_TOP, cnf._SMALL_TOP + 1):
+        yield f"import-time-table-edge-{top}", CnfInstance(top, [[top, -top, 3]])
+    # A table over -top..top only when 2 * top is below the literal count.
+    for size in (2 * 12_000 - 1, 2 * 12_000, 2 * 12_000 + 1):
+        lits = [(-1) ** i * (1 + i % 12_000) for i in range(size)]
+        yield f"dense-table-edge-{size}", CnfInstance(12_000, [lits[:-1], lits[-1:]])
+    yield "sparse-ids", CnfInstance(10**15, [[10**15], [-1, 2]])
+    yield "sparse-ids-empty-clause", CnfInstance(
+        10**12, [[10**12, -3, 10**9], [], [-(10**12)]]
+    )
+    yield "beyond-int64", CnfInstance(2**70, [[2**70, -(2**64)], [], [-1, 2**63, 5]])
+    three = [[1, -2, 3], [-4, 5, -6], [7, 8, -9]]
+    yield "empty-first", CnfInstance(9, [[], *three])
+    yield "empty-in-a-width-3-run", CnfInstance(9, [three[0], [], *three[1:]])
+    yield "empty-last", CnfInstance(9, [*three, []])
+    yield "empty-first-middle-and-last", CnfInstance(
+        9, [[], three[0], [], [], three[1], []]
+    )
+    rng = random.Random(26)
+
+    def clause(width, top=10**6):
+        return [rng.choice([-1, 1]) * rng.randint(1, top) for _ in range(width)]
+
+    for size in (block - 1, block, block + 1):
+        k, rest = divmod(size, 3)
+        threes = [clause(3) for _ in range(k)]
+        if rest:
+            threes.append(clause(rest))
+        yield f"{size}-literals-width-3-then-{rest}", CnfInstance(10**6, threes)
+        yield f"{size}-literals-width-1", CnfInstance(
+            10**6, [clause(1) for _ in range(size)]
+        )
+    yield "a-clause-wider-than-a-block", CnfInstance(
+        10**6, [clause(1), clause(2 * block + 5), [], clause(2)]
+    )
+    widths = [0, 1, 2, 3, 3, 3, 7, 40]
+    clauses = []
+    while sum(map(len, clauses)) < 3 * block:
+        clauses.append(clause(rng.choice(widths), 99_999))
+    yield "mixed-widths-across-blocks", CnfInstance(99_999, clauses)
+    yield "width-5-across-blocks", CnfInstance(
+        99, [clause(5, 99) for _ in range(block // 2)]
+    )
+
+
+@pytest.mark.parametrize(
+    "instance", [pytest.param(inst, id=name) for name, inst in _edge_instances()]
+)
+def test_emit_matches_reference_at_the_edges(instance):
+    assert emit_dimacs(instance) == reference_emit(instance)
+
+
+def test_emit_peak_memory_stays_near_the_text():
+    # The dense artifact of test_emit_matches_reference_at_scale: about
+    # 3.4 MB of text, written in blocks, so the writer holds little more
+    # than the blocks' text and the joined result.
+    rng = random.Random(11)
+    original = _planted_three_cnf(rng, 300, 1278)
+    artifact, _ = DISGUISES["solution_set"].randomize(original, 5)
+    tracemalloc.start()
+    try:
+        text = emit_dimacs(artifact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 3_000_000
+    assert peak <= 2 * len(text) + 8 * 2**20
 
 
 def test_non_ascii_bytes_are_rejected_like_the_reference():
