@@ -80,6 +80,12 @@ def _assignment_from_index(idx: int, n: int) -> dict[int, bool]:
     return {v: bool((idx >> (n - v)) & 1) for v in range(1, n + 1)}
 
 
+def _cube(n: int):
+    """The ``2^n`` assignment indices in order, in blocks of ``_CHUNK``."""
+    for lo in range(0, 1 << n, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.int64)
+
+
 def _clause_mask(clause: list[int], idx: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of which assignment indices satisfy ``clause``."""
     cm = np.zeros(len(idx), dtype=bool)
@@ -105,15 +111,14 @@ def brute_sat(instance: CnfInstance, var_limit: int = 24) -> SatResult:
     n = instance.num_vars
     if n > var_limit:
         raise VarLimitError(f"{n} variables exceed limit {var_limit}")
+    clauses = instance.clauses
     count = 0
     first: int | None = None
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        ok = _sat_mask(instance.clauses, idx, n)
+    for idx in _cube(n):
+        ok = _sat_mask(clauses, idx, n)
         c = int(ok.sum())
         if c and first is None:
-            first = lo + int(np.argmax(ok))
+            first = int(idx[np.argmax(ok)])
         count += c
     if first is None:
         return SatResult(False, None, 0)
@@ -125,17 +130,12 @@ def _linear_direct(sys: LinearSystem) -> tuple[int, int | None, np.ndarray]:
     nv = sys.num_vars
     a = np.array(sys.coeffs, dtype=np.int64).reshape(sys.num_constraints, nv)
     b = np.array(sys.rhs, dtype=np.int64)
-    found: list[np.ndarray] = []
-    for lo in range(0, 1 << nv, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << nv)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        bits = _index_bits(idx, nv).astype(np.int64)
-        ok = np.all(bits @ a.T == b[None, :], axis=1)
-        if ok.any():
-            found.append(idx[ok])
-    if not found:
-        return 0, None, np.empty(0, dtype=np.int64)
-    allidx = np.concatenate(found)
+    allidx = np.concatenate([
+        idx[np.all(_index_bits(idx, nv).astype(np.int64) @ a.T == b, axis=1)]
+        for idx in _cube(nv)
+    ])
+    if not len(allidx):
+        return 0, None, allidx
     return len(allidx), int(allidx[0]), allidx
 
 
@@ -157,14 +157,16 @@ def _fingerprint_coeffs(m: int) -> np.ndarray:
 
 
 def _half_sums(a_half: np.ndarray, nbits: int) -> np.ndarray:
-    """Row sums of every assignment of one variable half: (2^nbits, m)."""
-    total = 1 << nbits
-    out = np.empty((total, a_half.shape[0]), dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        bits = _index_bits(idx, nbits).astype(np.int64)
-        out[lo:hi] = bits @ a_half.T
+    """Row sums of every assignment of one variable half: (2^nbits, m).
+
+    Filled by doubling, last variable first: the rows with bit ``j`` set are
+    the rows below them plus that variable's column, so variable 1 is the
+    most significant bit of the row index.
+    """
+    out = np.empty((1 << nbits, a_half.shape[0]), dtype=np.int64)
+    out[0] = 0
+    for j, col in enumerate(a_half.T[::-1]):
+        np.add(out[:1 << j], col, out=out[1 << j:2 << j])
     return out
 
 
@@ -255,15 +257,13 @@ def brute_mincost(inst, var_limit: int = 24) -> MincostResult:
         if c < 0:
             raise ValueError("costs must be non-negative")
         weights[v - 1] = c
+    clauses = cnf.clauses
     best_cost: int | None = None
     best_idx: int | None = None
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        ok = _sat_mask(cnf.clauses, idx, n)
-        if not ok.any():
+    for idx in _cube(n):
+        sat_idx = idx[_sat_mask(clauses, idx, n)]
+        if not len(sat_idx):
             continue
-        sat_idx = idx[ok]
         costs = _index_bits(sat_idx, n).astype(np.int64) @ weights
         pos = int(np.argmin(costs))
         cost = int(costs[pos])
@@ -282,18 +282,17 @@ def brute_max3sat(inst, var_limit: int = 24) -> tuple[int, dict[int, bool]]:
     n = cnf.num_vars
     if n > var_limit:
         raise VarLimitError(f"{n} variables exceed limit {var_limit}")
+    clauses = cnf.clauses
     best = -1
     best_idx = 0
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.int64)
+    for idx in _cube(n):
         sat_counts = np.zeros(len(idx), dtype=np.int32)
-        for clause in cnf.clauses:
+        for clause in clauses:
             sat_counts += _clause_mask(clause, idx, n)
         pos = int(np.argmax(sat_counts))
         if int(sat_counts[pos]) > best:
             best = int(sat_counts[pos])
-            best_idx = lo + pos
+            best_idx = int(idx[pos])
     return best, _assignment_from_index(best_idx, n)
 
 
@@ -310,11 +309,12 @@ def restricted_sat(
 
     Decision procedure: simplify under the partial assignment, run unit
     propagation to a fixpoint, then split the residual clauses into
-    variable-connected components and enumerate each component
-    independently.  Exact; raises :class:`VarLimitError` if some residual
-    component is larger than ``max_component_vars`` (the structured
-    instances this oracle exists for — Tseitin-style encodings with
-    functionally-determined dummies — propagate down to tiny components).
+    variable-connected components and enumerate each component, its
+    variables renumbered ``1..k``, through the clause mask.  Exact; raises
+    :class:`VarLimitError` if some residual component is larger than
+    ``max_component_vars`` (the structured instances this oracle exists for
+    — Tseitin-style encodings with functionally-determined dummies —
+    propagate down to tiny components).
     """
     assign = dict(partial)
     clauses = instance.clauses
@@ -377,18 +377,10 @@ def restricted_sat(
             raise VarLimitError(
                 f"residual component has {k} variables (limit {max_component_vars})"
             )
-        pos = {v: i for i, v in enumerate(comp_vars)}
-        ok = False
-        for word in range(1 << k):
-            if all(
-                any(
-                    ((word >> pos[abs(l)]) & 1) == (1 if l > 0 else 0)
-                    for l in clause
-                )
-                for clause in comp_clauses
-            ):
-                ok = True
-                break
-        if not ok:
+        pos = {v: i for i, v in enumerate(comp_vars, 1)}
+        local = [
+            [pos[l] if l > 0 else -pos[-l] for l in c] for c in comp_clauses
+        ]
+        if not any(_sat_mask(local, idx, k).any() for idx in _cube(k)):
             return False
     return True

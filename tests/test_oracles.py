@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from satcloak.objective import MincostInstance
 from satcloak.oracles import (
     LinearResult,
     VarLimitError,
+    _half_sums,
     _linear_direct,
     all_linear_solutions,
     brute_linear,
@@ -251,3 +253,41 @@ def test_restricted_sat_component_budget():
     with pytest.raises(VarLimitError):
         restricted_sat(cycle(10), {}, max_component_vars=9)
     assert restricted_sat(cycle(10), {}) is True
+
+
+def test_restricted_sat_component_spans_two_blocks():
+    # (x_i v x_{i+1}) & (x_i v -x_{i+1}) forces x_i with no unit clause to
+    # start propagation, so the 19-variable cycle is one component whose
+    # only model, all-true, lies in the last of its two enumeration blocks.
+    n = 19
+    clauses = []
+    for v in range(1, n + 1):
+        w = v % n + 1
+        clauses += [[v, w], [v, -w]]
+    assert restricted_sat(CnfInstance(n, clauses), {}) is True
+    assert restricted_sat(CnfInstance(n, clauses + [[-1, -n]]), {}) is False
+
+
+def test_linear_meets_in_middle_at_forty_variables():
+    # One equation sum(x) = 1: each half is 20 bits and every unit vector
+    # is a solution; the lexicographically first sets the last variable.
+    res = brute_linear(LinearSystem(40, [[1] * 40], [1]))
+    assert res.count == 40
+    assert res.vector == [0] * 39 + [1]
+
+
+def test_half_sums_peak_is_its_result():
+    rng = np.random.default_rng(3)
+    a_half = rng.integers(-2, 3, size=(4, 18), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = _half_sums(a_half, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The slack covers numpy's fixed 64 KiB ufunc buffer; a chunked walk
+    # with unpacked bits would peak tens of megabytes higher.
+    assert peak <= out.nbytes + (128 << 10)
+    idx = np.array([0, 1, 5, (1 << 17) + 3, (1 << 18) - 1], dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(17, -1, -1)) & 1
+    assert np.array_equal(out[idx], bits @ a_half.T)
