@@ -409,7 +409,9 @@ def encode_policy(
     rule is ever a first match; every rule is still checked against the
     layout.  Gates are made depth first, term by term, through ``enc``'s
     shared gate table, so equal predicates and terms are one gate, also
-    across policies encoded into the same ``enc``.
+    across policies encoded into the same ``enc``.  Each rule's predicate
+    gate is looked up there once, the first time a term needs it; later
+    guards reuse its literal.
     """
     pairs = [_mask_value(rule, layout) for rule in policy.rules]
     cut = next((i for i, (mask, _) in enumerate(pairs) if not mask), len(pairs))
@@ -418,18 +420,25 @@ def encode_policy(
         return True
     preds = [_literals(mask, value, layout.total_bits) for mask, value in pairs[:cut]]
     terms = [
-        (preds[i], [j for j in range(i) if not _disjoint(pairs[i], pairs[j])])
+        (i, [j for j in range(i) if not _disjoint(pairs[i], pairs[j])])
         for i in range(cut)
         if policy.rules[i].action == "accept"
     ]
     if default == "accept":
-        terms.append(((), range(cut)))
+        terms.append((None, range(cut)))
     if not terms:
         return False
+    made = [0] * cut  # rule j's predicate literal once its gate is made
+
+    def predicate(j: int) -> int:
+        if not made[j]:
+            made[j] = enc.gate_n("and", preds[j])
+        return made[j]
+
     roots = []
-    for pred, guards in terms:
-        lits = [enc.gate_n("and", pred)] if pred else []
-        lits += [-enc.gate_n("and", preds[j]) for j in guards]
+    for i, guards in terms:
+        lits = [] if i is None else [predicate(i)]
+        lits += [-predicate(j) for j in guards]
         roots.append(enc.gate_n("and", tuple(lits)))
     return enc.gate_n("or", tuple(roots))
 

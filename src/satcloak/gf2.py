@@ -1,10 +1,10 @@
 """Dense 0/1 matrices with GF(2) and integer-arithmetic semantics.
 
 Rows are stored as Python integers used as bitsets (bit ``j`` = column
-``j``), which makes elimination a matter of XORing machine words.  The same
-0/1 matrix can be multiplied either over GF(2) (for the solution-set
-randomizer) or over the integers (for the linear-system randomizer); both
-views are provided here.
+``j``), which makes elimination a matter of XORing machine words.  The
+GF(2) products of the solution-set randomizer are here; the integer product
+of the linear-system randomizer (:mod:`satcloak.matrixrand`) reads the
+matrix as a numpy grid of 0/1 entries (:func:`_bit_grid`).
 
 No random matrix draw can fail.  The sparse one is a permuted unit
 lower-triangular matrix; the dense one draws each row outside the span of
@@ -29,8 +29,6 @@ __all__ = [
     "gf2_invert",
     "gf2_mat_vec",
     "row_ones_csr",
-    "int_mat_mul",
-    "int_mat_vec",
     "random_full_rank",
     "random_sparse_full_rank",
 ]
@@ -199,63 +197,36 @@ def gf2_mat_vec(m: BitMatrix, vec: list[int]) -> list[int]:
 _UNPACK_DENSITY = 64
 
 
+def _bit_grid(m: BitMatrix) -> np.ndarray:
+    """The matrix as a ``(rows, 8 * ceil(cols / 8))`` uint8 array of 0/1
+    entries, unpacked by numpy from the row bitsets; the columns past
+    ``cols`` are 0."""
+    width = (m.cols + 7) // 8
+    grid = b"".join(bits.to_bytes(width, "little") for bits in m.row_bits)
+    bits = np.unpackbits(np.frombuffer(grid, np.uint8), bitorder="little")
+    return bits.reshape(m.rows, 8 * width)
+
+
 def row_ones_csr(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Every row's :meth:`~BitMatrix.row_ones`, listed once as CSR: row
     ``i``'s column indices are ``cols[starts[i]:starts[i + 1]]``, ascending.
 
-    A matrix with at least one one in 64 bits is unpacked as one bit grid
-    by numpy; a sparser one is walked one row at a time, one step per one,
-    instead of unpacking its ``rows * cols`` bits.
+    A matrix with at least one one in 64 bits is unpacked by
+    :func:`_bit_grid`; a sparser one is walked one row at a time, one step
+    per one, instead of unpacking its ``rows * cols`` bits.
     """
     starts = np.zeros(m.rows + 1, np.int64)
     np.cumsum(np.fromiter(map(int.bit_count, m.row_bits), np.int64, m.rows),
               out=starts[1:])
     ones = int(starts[-1])
     if m.rows * m.cols <= _UNPACK_DENSITY * ones:
-        width = (m.cols + 7) // 8
-        grid = b"".join(bits.to_bytes(width, "little") for bits in m.row_bits)
-        bits = np.unpackbits(np.frombuffer(grid, np.uint8), bitorder="little")
-        cols = np.flatnonzero(bits) % (8 * width)
+        grid = _bit_grid(m)
+        cols = np.flatnonzero(grid) % grid.shape[1]
     else:
         cols = np.fromiter(
             chain.from_iterable(map(m.row_ones, range(m.rows))), np.int64, ones
         )
     return starts, cols
-
-
-def int_mat_mul(r: BitMatrix, a: list[list[int]]) -> list[list[int]]:
-    """Ordinary integer product of a 0/1 matrix with an integer matrix.
-
-    This is NOT reduced mod 2: ``[[1, 1]] x [[1], [-1]] = [[0]]`` by
-    cancellation.  Entry magnitudes are bounded by ``r.cols * max|a|``.
-
-    Only the nonzeros of ``a`` are added: one pass over ``a`` lists each
-    row's ``(column, value)`` pairs, then each 1-entry ``(i, k)`` of ``r``
-    adds row ``k``'s list into row ``i``.  The cost is that pass plus
-    O(nnz(r) * nnz(a) / len(a)) additions, and allocating the result; for
-    the clause encoding of :mod:`satcloak.matrixrand` (5 nonzeros per row)
-    and a dense ``r`` of dimension m, that is about 2.5 m^2 additions
-    instead of m^2 (n + 2m).
-    """
-    if not a or r.cols != len(a):
-        raise ValueError("dimension mismatch")
-    width = len(a[0])
-    nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in a]
-    out = []
-    for i in range(r.rows):
-        acc = [0] * width
-        for k in r.row_ones(i):
-            for j, c in nonzeros[k]:
-                acc[j] += c
-        out.append(acc)
-    return out
-
-
-def int_mat_vec(r: BitMatrix, v: list[int]) -> list[int]:
-    """Integer matrix-vector product of a 0/1 matrix with an integer vector."""
-    if r.cols != len(v):
-        raise ValueError("dimension mismatch")
-    return [sum(v[k] for k in r.row_ones(i)) for i in range(r.rows)]
 
 
 def _as_rng(seed: int | random.Random) -> random.Random:

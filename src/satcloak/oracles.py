@@ -128,8 +128,8 @@ def brute_sat(instance: CnfInstance, var_limit: int = 24) -> SatResult:
 def _linear_direct(sys: LinearSystem) -> tuple[int, int | None, np.ndarray]:
     """(count, first index, all feasible indices) by direct enumeration."""
     nv = sys.num_vars
-    a = np.array(sys.coeffs, dtype=np.int64).reshape(sys.num_constraints, nv)
-    b = np.array(sys.rhs, dtype=np.int64)
+    a = sys._dense()
+    b = sys._rhs
     allidx = np.concatenate([
         idx[np.all(_index_bits(idx, nv).astype(np.int64) @ a.T == b, axis=1)]
         for idx in _cube(nv)
@@ -180,8 +180,8 @@ def _linear_mim(sys: LinearSystem) -> tuple[int, int | None, np.ndarray]:
     m = sys.num_constraints
     left = nv // 2
     right = nv - left
-    a = np.array(sys.coeffs, dtype=np.int64).reshape(m, nv)
-    b = np.array(sys.rhs, dtype=np.int64)
+    a = sys._dense()
+    b = sys._rhs
     sl = _half_sums(a[:, :left], left)
     sr = _half_sums(a[:, left:], right)
     coeffs = _fingerprint_coeffs(m).astype(np.int64)

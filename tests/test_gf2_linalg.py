@@ -16,12 +16,11 @@ from satcloak.gf2 import (
     gf2_invert,
     gf2_mat_vec,
     gf2_rank,
-    int_mat_mul,
-    int_mat_vec,
     random_full_rank,
     random_sparse_full_rank,
     row_ones_csr,
 )
+from satcloak.matrixrand import LinearSystem, apply_random_matrix
 
 
 def test_constructors_and_accessors():
@@ -228,8 +227,9 @@ def test_mat_vec_matches_mat_mul(dim, rnd):
 def test_integer_semantics_cancel():
     # Plain integer arithmetic, not mod 2: 1 + (-1) really cancels.
     r = BitMatrix.from_rows([[1, 1]])
-    assert int_mat_mul(r, [[1], [-1]]) == [[0]]
-    assert int_mat_vec(r, [1, -1]) == [0]
+    art = apply_random_matrix(LinearSystem(1, [[1], [-1]], [1, -1]), r)
+    assert art.coeffs == [[0]]
+    assert art.rhs == [0]
 
 
 def test_integer_product_matches_naive():
@@ -242,9 +242,10 @@ def test_integer_product_matches_naive():
             [sum(r.get(i, k) * a[k][j] for k in range(mid)) for j in range(width)]
             for i in range(rows)
         ]
-        assert int_mat_mul(r, a) == want
         v = [rng.randint(-3, 3) for _ in range(mid)]
-        assert int_mat_vec(r, v) == [
+        art = apply_random_matrix(LinearSystem(width, a, v), r)
+        assert art.coeffs == want
+        assert art.rhs == [
             sum(r.get(i, k) * v[k] for k in range(mid)) for i in range(rows)
         ]
 
@@ -286,8 +287,9 @@ def test_sparse_integer_product_matches_triple_loop(case):
         for j in range(len(a[0])):
             for k in range(r.cols):
                 want[i][j] += r.get(i, k) * a[k][j]
-    assert int_mat_mul(r, a) == want
-    assert int_mat_vec(r, v) == [
+    art = apply_random_matrix(LinearSystem(len(a[0]), a, v), r)
+    assert art.coeffs == want
+    assert art.rhs == [
         sum(r.get(i, k) * v[k] for k in range(r.cols)) for i in range(r.rows)
     ]
 
@@ -299,9 +301,7 @@ def test_dimension_mismatches():
     with pytest.raises(ValueError):
         gf2_mat_vec(m, [1, 0, 1])
     with pytest.raises(ValueError):
-        int_mat_mul(m, [[1]])
-    with pytest.raises(ValueError):
-        int_mat_vec(m, [1])
+        apply_random_matrix(LinearSystem(1, [[1]], [1]), m)
 
 
 def test_full_rank_sampling():

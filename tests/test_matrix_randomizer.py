@@ -1,6 +1,7 @@
 """Clause-to-equation encoding and random-matrix system randomization."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,20 @@ def test_encode_two_clause_example():
     ]
     assert sys_.rhs == [3, 1]
     sys_.validate()
+
+
+def test_encode_sorts_columns_and_sums_repeated_variables():
+    inst = CnfInstance(3, [[3, -1, 2], [1, 1, -2], [2, -2, 3], [-3, -3, -3]])
+    sys_ = encode_linear(inst)
+    assert sys_.coeffs == [
+        [-1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+        [2, -1, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, -3, 0, 0, 0, 0, 0, 0, 1, 1],
+    ]
+    assert sys_.rhs == [2, 2, 2, 0]
+    # Only nonzeros are stored, each row's columns ascending.
+    assert sys_._cols.tolist() == [0, 1, 2, 3, 4, 0, 1, 5, 6, 2, 7, 8, 2, 9, 10]
 
 
 def test_encode_rejects_non_three_clauses():
@@ -192,6 +207,106 @@ def test_opb_round_trip():
         art, _ = randomize_system(encode_linear(inst), rng.getrandbits(32))
         again = parse_opb(emit_opb(art))
         assert again == art
+
+
+def test_linear_system_store():
+    sys_ = LinearSystem(4, [[0, 3, 0, -1], [0, 0, 0, 0], [2, 0, 0, 0]], [5, 0, -2])
+    assert sys_.num_constraints == 3
+    assert sys_._starts.tolist() == [0, 2, 2, 3]
+    assert sys_._cols.tolist() == [1, 3, 0]
+    assert sys_._vals.tolist() == [3, -1, 2]
+    assert sys_.coeffs == [[0, 3, 0, -1], [0, 0, 0, 0], [2, 0, 0, 0]]
+    assert sys_.rhs == [5, 0, -2]
+    assert sys_ != LinearSystem(4, [[0, 3, 0, -1], [0, 0, 0, 0], [2, 0, 0, 0]], [5, 0, -1])
+    assert sys_ != LinearSystem(4, [[0, 3, 0, -1], [0, 0, 0, 0], [0, 2, 0, 0]], [5, 0, -2])
+
+
+@pytest.mark.parametrize("coeffs,rhs", [
+    ([[1, 2], [3]], [0, 0]),  # ragged
+    ([[1, 2, 3]], [0]),  # wider than num_vars
+    ([[1, 2]], [0, 1]),  # one rhs too many
+    ([[2**63, 0]], [0]),
+    ([[0, -(2**63) - 1]], [0]),
+    ([[1, 0]], [2**63]),
+])
+def test_linear_system_rejects_ragged_rows_and_int64_overflow(coeffs, rhs):
+    with pytest.raises(ValueError):
+        LinearSystem(2, coeffs, rhs)
+
+
+def test_linear_system_holds_int64_extremes():
+    top = 2**63 - 1
+    sys_ = LinearSystem(2, [[top, -top - 1]], [-top - 1])
+    assert sys_.coeffs == [[top, -top - 1]]
+    assert parse_opb(emit_opb(sys_)) == sys_
+
+
+@pytest.mark.parametrize("line", [
+    "+9223372036854775808 x1 = 1 ;",
+    "-9223372036854775809 x1 = 1 ;",
+    "+1 x1 = 9223372036854775808 ;",
+    # Each term fits, their sum does not.
+    "+9223372036854775807 x1 +1 x1 = 1 ;",
+])
+def test_parse_opb_rejects_values_beyond_int64(line):
+    with pytest.raises(ValueError, match="outside int64"):
+        parse_opb(f"* #variable= 1 #constraint= 1\n{line}\n")
+
+
+def test_parse_opb_sums_repeated_terms():
+    text = "* #variable= 3 #constraint= 1\n+2 x3 -1 x1 +1 x1 -2 x3 +4 x2 = 4 ;\n"
+    assert parse_opb(text) == LinearSystem(3, [[0, 4, 0]], [4])
+
+
+def test_parse_opb_memory_follows_the_text_not_the_header():
+    text = "* #variable= 1000000000 #constraint= 1\n+1 x1000000000 = 1 ;\n"
+    tracemalloc.start()
+    try:
+        sys_ = parse_opb(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys_.num_vars == 10**9
+    assert sys_._cols.tolist() == [10**9 - 1]
+    assert peak < 2**20
+
+
+def test_product_overflow_raises():
+    r = BitMatrix.from_rows([[1, 1], [0, 1]])
+    big = 2**62
+    with pytest.raises(ValueError, match="overflow int64"):
+        apply_random_matrix(LinearSystem(1, [[big], [big]], [0, 0]), r)
+    with pytest.raises(ValueError, match="overflow int64"):
+        apply_random_matrix(LinearSystem(1, [[1], [1]], [big, 0]), r)
+    # Just inside the bound: 2 * (2**62 - 1) fits.
+    art = apply_random_matrix(LinearSystem(1, [[big - 1], [big - 1]], [0, 0]), r)
+    assert art.coeffs == [[2 * (big - 1)], [big - 1]]
+
+
+def test_check_linear_refuses_a_row_sum_that_could_wrap():
+    top = 2**63 - 1
+    sys_ = LinearSystem(2, [[top, top]], [0])
+    with pytest.raises(ValueError, match="overflow int64"):
+        check_linear(sys_, [1, 1])
+    assert check_linear(LinearSystem(2, [[top, 0], [0, 0]], [top, 0]), [1, 1])
+    assert not check_linear(LinearSystem(2, [[0, 0]], [1]), [1, 1])
+    for vector in ([2, 0], [0, -1], [2**64, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            check_linear(LinearSystem(2, [[top, 0]], [0]), vector)
+
+
+def test_emit_opb_peak_is_a_small_multiple_of_its_text():
+    rng = random.Random(71)
+    art, _ = randomize_system(encode_linear(random_three_cnf(rng, 235, 1000)), 73)
+    tracemalloc.start()
+    try:
+        text = emit_opb(art)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 8_000_000
+    # The text pieces and their join, plus one block's cells and indices.
+    assert peak <= 2 * len(text) + 2**20
 
 
 def test_opb_emit_format():

@@ -18,6 +18,7 @@ def reference_emit(sys):
 
 
 _BIG = 10**6
+_TOP = 2**63 - 1  # the largest int64
 
 # Mostly zeros, as in the clause encoding, with small and extreme values.
 _coefficients = st.one_of(
@@ -52,6 +53,9 @@ def linear_systems(draw, nonzero_rows=False):
 @example(LinearSystem(1, [[0], [0]], [0, -4]))
 @example(LinearSystem(1, [[-_BIG], [_BIG]], [-_BIG, _BIG]))
 @example(LinearSystem(4, [[0, 0, 0, 0], [1, -1, 0, 2]], [-1, 2]))
+@example(LinearSystem(3, [[0, 0, 0], [0, 5, 0], [0, 0, 0], [0, 0, 0]], [7, 1, -7, 0]))
+@example(LinearSystem(2, [[0, 0], [0, 0], [0, 0]], [0, 0, 0]))
+@example(LinearSystem(3, [[_TOP, 0, -_TOP], [-_TOP - 1, _TOP, 1]], [-_TOP, _TOP]))
 @settings(max_examples=300, deadline=None)
 def test_emit_opb_matches_reference(sys_):
     assert emit_opb(sys_) == reference_emit(sys_)
@@ -59,6 +63,7 @@ def test_emit_opb_matches_reference(sys_):
 
 @given(linear_systems(nonzero_rows=True))
 @example(LinearSystem(1, [[-_BIG]], [_BIG]))
+@example(LinearSystem(3, [[_TOP, 0, -_TOP], [0, -_TOP - 1, 0]], [-_TOP - 1, _TOP]))
 @settings(max_examples=200, deadline=None)
 def test_opb_round_trip_on_generated_systems(sys_):
     assert parse_opb(emit_opb(sys_)) == sys_
