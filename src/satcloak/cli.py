@@ -98,10 +98,12 @@ def _read_solution(path: str) -> dict[int, bool]:
 
 
 def _solution_vector(sol: dict[int, bool]) -> list[int]:
-    n = max(sol)
-    missing = [v for v in range(1, n + 1) if v not in sol]
-    if missing:
-        raise ValueError(f"solution line is missing variable {missing[0]}")
+    # The variables are distinct and positive, so they are 1..n exactly
+    # when the largest is their count n; else one of 1..n is missing.
+    n = len(sol)
+    if max(sol) != n:
+        missing = next(v for v in range(1, n + 1) if v not in sol)
+        raise ValueError(f"solution line is missing variable {missing}")
     return [1 if sol[v] else 0 for v in range(1, n + 1)]
 
 

@@ -116,12 +116,12 @@ class Disguise:
             )
         return {v: x[v] for v in range(1, original.num_vars + 1)}, None
 
-    def solve(self, original: CnfInstance, artifact, secret, var_limit: int):
+    def solve(self, original: CnfInstance, artifact, secret):
         """A truthful provider's vector solving the artifact, or None if there
         is none.  The exhaustive oracle solves the source, whose model is
         mapped forward: the artifact has more variables to enumerate."""
         source = self.source(original)
-        res = brute_sat(source, var_limit)
+        res = brute_sat(source)
         if not res.satisfiable:
             return None
         return self.forward(res.assignment, secret, source)
@@ -186,10 +186,10 @@ class _Iso(Disguise):
     def forward(self, model, secret, source):
         return _vector(iso_forward(model, secret), source.num_vars)
 
-    def solve(self, original, artifact, secret, var_limit):
+    def solve(self, original, artifact, secret):
         # The artifact is no larger than the original, so the provider
         # solves it directly, and which model it finds follows the artifact.
-        res = brute_sat(artifact, var_limit)
+        res = brute_sat(artifact)
         if not res.satisfiable:
             return None
         return _vector(res.assignment, artifact.num_vars)

@@ -9,8 +9,8 @@ matrix as a numpy grid of 0/1 entries (:func:`_bit_grid`).
 No random matrix draw can fail.  The sparse one is a permuted unit
 lower-triangular matrix; the dense one draws each row outside the span of
 the rows before it, tested against the pivot table that :func:`gf2_rank`
-also keeps.  All randomness is seeded.  :func:`gf2_invert` eliminates
-column by column.
+also keeps.  Each draw reads the ``random.Random`` it is given.
+:func:`gf2_invert` eliminates column by column.
 """
 
 from __future__ import annotations
@@ -60,32 +60,6 @@ class BitMatrix:
     def identity(cls, dim: int) -> "BitMatrix":
         return cls(dim, dim, [1 << i for i in range(dim)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "BitMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        bits = []
-        for row in rows:
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                acc |= entry << j
-            bits.append(acc)
-        return cls(nr, nc, bits)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(bits >> j) & 1 for j in range(self.cols)] for bits in self.row_bits]
-
     def row_ones(self, i: int) -> list[int]:
         """Column indices of the 1-entries in row ``i``, ascending."""
         bits = self.row_bits[i]
@@ -98,15 +72,6 @@ class BitMatrix:
 
     def nonzero_count(self) -> int:
         return sum(bits.bit_count() for bits in self.row_bits)
-
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.cols
-        for i, bits in enumerate(self.row_bits):
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << i
-                bits ^= low
-        return BitMatrix(self.cols, self.rows, cols)
 
     def to_strings(self) -> list[str]:
         """Row-major '0'/'1' strings (column 0 first) for serialization."""
@@ -229,13 +194,7 @@ def row_ones_csr(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     return starts, cols
 
 
-def _as_rng(seed: int | random.Random) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
-
-
-def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
+def random_full_rank(dim: int, rng: random.Random) -> BitMatrix:
     """Uniform random ``dim`` x ``dim`` 0/1 matrix with full GF(2) rank.
 
     Row ``i`` is ``getrandbits(dim)``, redrawn while it is in the span of
@@ -246,11 +205,10 @@ def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
     Full GF(2) rank forces an odd integer determinant, so the matrix is
     also invertible over the rationals — both multiplication semantics used
     by the randomizers are covered by the one condition.  Deterministic
-    given the seed.
+    given the state of ``rng``.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = _as_rng(seed)
     pivots: dict[int, int] = {}
     rows: list[int] = []
     while len(rows) < dim:
@@ -261,7 +219,7 @@ def random_full_rank(dim: int, seed: int | random.Random) -> BitMatrix:
 
 
 def random_sparse_full_rank(
-    dim: int, row_weight: int, seed: int | random.Random
+    dim: int, row_weight: int, rng: random.Random
 ) -> BitMatrix:
     """Random invertible matrix with at most ``row_weight`` ones per row.
 
@@ -270,14 +228,13 @@ def random_sparse_full_rank(
     ``randint(0, row_weight - 1)`` ones at columns drawn from ``0..i-1``
     (repeats merge).  Its determinant is 1 over GF(2) and +-1 over the
     integers, so no draw fails, and nonzeros stay linear in ``dim``.  This
-    is not uniform over sparse invertible matrices (nor was the rejection
-    sampler it replaced).  Deterministic given the seed.
+    is not uniform over sparse invertible matrices.  Deterministic given
+    the state of ``rng``.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if row_weight < 1:
         raise ValueError("row_weight must be >= 1")
-    rng = _as_rng(seed)
     rows = list(range(dim))
     rng.shuffle(rows)
     cols = list(range(dim))

@@ -24,6 +24,7 @@ from .cnf import (
     InvalidSolutionError,
     TseitinEncoder,
     TseitinMap,
+    _three_table,
     evaluate_gates,
     to_three_cnf,
 )
@@ -79,9 +80,7 @@ class Max3SatInstance:
 
     def validate(self) -> None:
         self.cnf.validate()
-        for i, clause in enumerate(self.cnf.clauses):
-            if len(clause) != 3:
-                raise ValueError(f"clause {i + 1} has width {len(clause)}, not 3")
+        _three_table(self.cnf)
 
 
 @dataclass
@@ -114,30 +113,19 @@ def _ripple_add(enc: TseitinEncoder, xs: list[int], ys: list[int]) -> list[int]:
 
 
 def compile_cost_circuit(
-    inst: MincostInstance, beta: int | None = None
+    inst: MincostInstance,
 ) -> tuple[CnfInstance, CostCircuitSecret]:
     """Compile the cost function into the CNF as a binary adder tree.
 
     Returns the combined instance (original clauses plus gate definition
     clauses) and the circuit secret.  In every satisfying assignment the
     output bits spell ``sum(costs[v] * x_v)`` in binary, most significant
-    bit first, over ``w = beta + ceil(log2(n))`` bits.
-
-    ``beta`` is the per-cost bit width; by default the smallest width that
-    fits every cost.  A cost of ``2^beta`` or more raises ValueError.
+    bit first, over ``w = beta + ceil(log2(n))`` bits, where ``beta`` is
+    the smallest per-cost width (at least 1) that fits every cost.
     """
     inst.validate()
     n = inst.cnf.num_vars
-    if beta is None:
-        beta = max((c.bit_length() for c in inst.costs.values()), default=1)
-        beta = max(beta, 1)
-    if beta < 1:
-        raise ValueError("beta must be at least 1")
-    for v, c in inst.costs.items():
-        if c >= 1 << beta:
-            raise ValueError(
-                f"cost {c} on variable {v} exceeds 2^{beta} - 1; raise beta"
-            )
+    beta = max([1, *(c.bit_length() for c in inst.costs.values())])
     width = beta + (max(n, 1) - 1).bit_length()  # beta + ceil(log2 n)
 
     enc = TseitinEncoder(n)

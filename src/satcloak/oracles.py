@@ -15,7 +15,9 @@ answers.  ``_linear_direct``, a full cube enumeration, is kept as the
 reference the tests compare it against.
 
 Hard variable limits raise :class:`VarLimitError` rather than running
-forever; limits are arguments, not policy.
+forever.  The brute-force oracles take theirs as an argument;
+:func:`restricted_sat` bounds each residual component at
+``_COMPONENT_VARS``.
 """
 
 from __future__ import annotations
@@ -300,21 +302,21 @@ def brute_max3sat(inst, var_limit: int = 24) -> tuple[int, dict[int, bool]]:
 # Restricted satisfiability: decide whether a partial assignment extends
 # ---------------------------------------------------------------------------
 
-def restricted_sat(
-    instance: CnfInstance,
-    partial: dict[int, bool],
-    max_component_vars: int = 22,
-) -> bool:
+#: Largest residual component :func:`restricted_sat` enumerates.
+_COMPONENT_VARS = 22
+
+
+def restricted_sat(instance: CnfInstance, partial: dict[int, bool]) -> bool:
     """True iff ``partial`` extends to a total satisfying assignment.
 
     Decision procedure: simplify under the partial assignment, run unit
     propagation to a fixpoint, then split the residual clauses into
     variable-connected components and enumerate each component, its
     variables renumbered ``1..k``, through the clause mask.  Exact; raises
-    :class:`VarLimitError` if some residual component is larger than
-    ``max_component_vars`` (the structured instances this oracle exists for
-    — Tseitin-style encodings with functionally-determined dummies —
-    propagate down to tiny components).
+    :class:`VarLimitError` if some residual component has more than
+    ``_COMPONENT_VARS`` variables (the structured instances this oracle
+    exists for — Tseitin-style encodings with functionally-determined
+    dummies — propagate down to tiny components).
     """
     assign = dict(partial)
     clauses = instance.clauses
@@ -373,9 +375,9 @@ def restricted_sat(
     for comp_clauses in groups.values():
         comp_vars = sorted({abs(l) for c in comp_clauses for l in c})
         k = len(comp_vars)
-        if k > max_component_vars:
+        if k > _COMPONENT_VARS:
             raise VarLimitError(
-                f"residual component has {k} variables (limit {max_component_vars})"
+                f"residual component has {k} variables (limit {_COMPONENT_VARS})"
             )
         pos = {v: i for i, v in enumerate(comp_vars, 1)}
         local = [

@@ -46,8 +46,6 @@ __all__ = [
     "validate_solution",
     "outsource",
     "render_report",
-    "secret_to_obj",
-    "secret_from_obj",
     "record_to_json",
     "record_from_json",
 ]
@@ -55,12 +53,10 @@ __all__ = [
 BEHAVIOR_KINDS = ("honest", "lazy", "malicious-unsat", "malicious-corrupt")
 
 # Every kind of record the client keeps: one per disguise, and Mincost,
-# which wraps one of them.  Each kind has a name (the record's method), the
+# which wraps one of them.  A record's method names its kind, which has the
 # ``type`` tag and class of its secret, ``to_obj``/``from_obj`` and
 # ``check``.
 _RECORD_KINDS = {kind.name: kind for kind in (*DISGUISES.values(), MINCOST)}
-_KIND_BY_TAG = {kind.tag: kind for kind in _RECORD_KINDS.values()}
-_KIND_BY_SECRET = {kind.secret_type: kind for kind in _RECORD_KINDS.values()}
 
 
 class DigestMismatchError(Exception):
@@ -188,13 +184,12 @@ def _simulate_provider(
     artifact,
     secret,
     rng: random.Random,
-    var_limit: int,
 ) -> tuple[str, list[int] | None]:
     if behavior == "lazy":
         return "fail", None
     if behavior == "malicious-unsat":
         return "unsatisfiable", None
-    vector = disguise.solve(original, artifact, secret, var_limit)
+    vector = disguise.solve(original, artifact, secret)
     if vector is None:
         return "unsatisfiable", None
     if behavior == "malicious-corrupt":
@@ -209,7 +204,6 @@ def outsource(
     k_providers: int = 3,
     behaviors: list[str] | None = None,
     seed: int = 0,
-    var_limit: int = 24,
 ) -> OutsourceReport:
     """Run the whole protocol round against ``k_providers`` simulated
     providers and settle the outcome.
@@ -247,7 +241,7 @@ def outsource(
         start = time.perf_counter()
         verdict, vector = _simulate_provider(
             behaviors[i], disguise, instance, artifact, secret,
-            random.Random(seeds[i] ^ 0xC0FFEE), var_limit,
+            random.Random(seeds[i] ^ 0xC0FFEE),
         )
         answers.append(
             ProviderAnswer(i, verdict, vector, time.perf_counter() - start)
@@ -318,30 +312,18 @@ def render_report(report: OutsourceReport) -> str:
 # Secret / record serialization
 # ---------------------------------------------------------------------------
 
-def secret_to_obj(secret) -> dict:
-    """JSON-ready dict for any secret type (tagged by ``type``)."""
-    kind = _KIND_BY_SECRET.get(type(secret))
-    if kind is None:
-        raise TypeError(f"cannot serialize secret of type {type(secret).__name__}")
-    return kind.to_obj(secret)
-
-
-def secret_from_obj(obj: dict):
-    """The secret a key-file dict describes.  ValueError if its ``type`` is
-    unknown or a field is missing."""
-    kind = _KIND_BY_TAG.get(obj.get("type"))
-    if kind is None:
-        raise ValueError(f"unknown secret type {obj.get('type')!r}")
-    try:
-        return kind.from_obj(obj)
-    except KeyError as exc:
-        raise ValueError(f"{kind.tag} secret lacks field {exc.args[0]!r}") from None
-
-
 def record_to_json(record: RandomizationRecord) -> str:
+    """The key-file text of a record.  ValueError for an unknown method,
+    TypeError if the secret is not of the class its method writes."""
+    kind = lookup(record.method, _RECORD_KINDS)
+    if not isinstance(record.secret, kind.secret_type):
+        raise TypeError(
+            f"method {record.method!r} cannot write a secret of type "
+            f"{type(record.secret).__name__}"
+        )
     obj = {
         "method": record.method,
-        "secret": secret_to_obj(record.secret),
+        "secret": kind.to_obj(record.secret),
         "instance_digest": record.instance_digest,
         "seed": record.seed,
     }
@@ -351,13 +333,17 @@ def record_to_json(record: RandomizationRecord) -> str:
 def record_from_json(text: str) -> RandomizationRecord:
     """Read a key file.  Raises ValueError naming the problem if it is not
     JSON, lacks a field, holds a secret that does not fit its method, or
-    gives a method or a disguise's secret field a value of the wrong type."""
+    gives a field a value of the wrong type."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("key file is not a JSON object")
     for name in ("method", "secret", "instance_digest", "seed"):
         if name not in obj:
             raise ValueError(f"key file lacks field {name!r}")
+    if not isinstance(obj["instance_digest"], str):
+        raise ValueError("key file field 'instance_digest' must be a string")
+    if type(obj["seed"]) is not int:
+        raise ValueError("key file field 'seed' must be an integer")
     kind = lookup(obj["method"], _RECORD_KINDS)
     secret = obj["secret"]
     tag = secret.get("type") if isinstance(secret, dict) else None
@@ -365,9 +351,13 @@ def record_from_json(text: str) -> RandomizationRecord:
         raise ValueError(
             f"secret of type {tag!r} does not fit method {obj['method']!r}"
         )
+    try:
+        secret = kind.from_obj(secret)
+    except KeyError as exc:
+        raise ValueError(f"{kind.tag} secret lacks field {exc.args[0]!r}") from None
     return RandomizationRecord(
         obj["method"],
-        secret_from_obj(secret),
+        secret,
         obj["instance_digest"],
         obj["seed"],
     )

@@ -6,10 +6,11 @@ and written files can be checked without spawning subprocesses.
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from satcloak.cli import main
+from satcloak.cli import _solution_vector, main
 from satcloak.cnf import parse_dimacs
 
 SAT_CNF = "p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n"
@@ -206,6 +207,10 @@ def _drop(obj, *path):
      "gf2 secret field 'r_inv': bit strings must be a list, not int"),
     ("randomize", "gf2", lambda k: k["secret"]["r_inv"]["bits"].__setitem__(0, 5),
      "gf2 secret field 'r_inv': bad bit string 5"),
+    ("randomize", "iso", lambda k: k.update(instance_digest=5),
+     "key file field 'instance_digest' must be a string"),
+    ("randomize", "iso", lambda k: k.update(seed="x"),
+     "key file field 'seed' must be an integer"),
     ("randomize", "gf2", lambda k: k["secret"].update(r_inv=5),
      "gf2 secret field 'r_inv': "),
     ("mincost-randomize", "matrix", lambda k: k["secret"].update(method=["x"]),
@@ -254,7 +259,8 @@ def _drop(obj, *path):
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
-        "bits-not-list", "row-not-string", "matrix-not-object",
+        "bits-not-list", "row-not-string", "digest-not-string", "seed-not-int",
+        "matrix-not-object",
         "mincost-inner-method-not-string", "list-field-not-list",
         "int-field-not-int", "mincost-output-bits-not-list",
         "mincost-width-not-int", "mincost-tmap-not-object", "mincost-unknown-gate-op",
@@ -319,10 +325,24 @@ def test_malformed_dimacs(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_far_variable_is_found_missing_without_walking_to_it():
+    # "1 -2 N": variable 3 is missing whatever N is, and finding it must
+    # not cost memory that grows with N.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="missing variable 3$"):
+            _solution_vector({1: True, 2: False, 10**6: True})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("1 0 2\n", "literal 0"),
     ("1 -1\n", "repeated"),
     ("1 3\n", "missing variable 2"),
+    ("1 -2 1000000000000\n", "missing variable 3"),
     ("", "no assignment line"),
     ("1 x\n", "non-integer"),
 ])

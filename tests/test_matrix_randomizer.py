@@ -120,7 +120,7 @@ def test_randomize_preserves_solution_set():
 def test_randomize_with_injected_matrix():
     inst = CnfInstance(3, [[1, 2, 3], [-1, 2, -3]])
     sys_ = encode_linear(inst)
-    r = BitMatrix.from_rows([[1, 1], [0, 1]])
+    r = BitMatrix(2, 2, [0b11, 0b10])
     art = apply_random_matrix(sys_, r)
     # Row 0 is the sum of both equations, row 1 is the second unchanged.
     assert art.coeffs[0] == [0, 2, 0, 1, 1, 1, 1]
@@ -272,7 +272,7 @@ def test_parse_opb_memory_follows_the_text_not_the_header():
 
 
 def test_product_overflow_raises():
-    r = BitMatrix.from_rows([[1, 1], [0, 1]])
+    r = BitMatrix(2, 2, [0b11, 0b10])
     big = 2**62
     with pytest.raises(ValueError, match="overflow int64"):
         apply_random_matrix(LinearSystem(1, [[big], [big]], [0, 0]), r)

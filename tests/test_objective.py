@@ -66,8 +66,10 @@ def test_circuit_arithmetic_exhaustive():
             if rng.random() < 0.8
         }
         inst = MincostInstance(cnf, costs)
-        combined, circuit = compile_cost_circuit(inst, beta)
-        assert circuit.width == beta + (max(n, 1) - 1).bit_length()
+        combined, circuit = compile_cost_circuit(inst)
+        # The per-cost width is the smallest that fits every cost.
+        fit = max([1, *(c.bit_length() for c in costs.values())])
+        assert circuit.width == fit + (max(n, 1) - 1).bit_length()
         for x in all_assignments(n):
             full = evaluate_circuit(circuit, x)
             assert decode_cost(full, circuit) == inst.cost_of(x)
@@ -88,7 +90,7 @@ def test_output_positions_may_share_variables():
     # A power-of-two cost passes straight through: both the weight-2 output
     # position and the constant-false position reference few variables.
     inst = MincostInstance(CnfInstance(1, []), {1: 2})
-    _, circuit = compile_cost_circuit(inst, beta=2)
+    _, circuit = compile_cost_circuit(inst)
     weights = circuit_costs(circuit)
     for x in all_assignments(1):
         assert decode_cost(evaluate_circuit(circuit, x), circuit) == 2 * int(x[1])
@@ -96,16 +98,6 @@ def test_output_positions_may_share_variables():
     for x in all_assignments(1):
         full = evaluate_circuit(circuit, x)
         assert sum(w for v, w in weights.items() if full[v]) == 2 * int(x[1])
-
-
-def test_beta_validation():
-    inst = MincostInstance(CnfInstance(1, []), {1: 4})
-    with pytest.raises(ValueError, match="raise beta"):
-        compile_cost_circuit(inst, beta=2)
-    with pytest.raises(ValueError, match="at least 1"):
-        compile_cost_circuit(inst, beta=0)
-    _, circuit = compile_cost_circuit(inst)  # default beta fits
-    assert circuit.width == 3
 
 
 def test_gate_count_stays_linear():
@@ -116,7 +108,7 @@ def test_gate_count_stays_linear():
                             (16, 3, (121, 415)), (16, 4, (158, 540))]:
         costs = {v: rng.randint(1, (1 << beta) - 1) for v in range(1, n + 1)}
         inst = MincostInstance(CnfInstance(n, []), costs)
-        combined, circuit = compile_cost_circuit(inst, beta)
+        combined, circuit = compile_cost_circuit(inst)
         gates = len(circuit.tmap.gates)
         assert (gates, combined.num_clauses) == counts
         assert gates <= 6 * n * circuit.width + circuit.width

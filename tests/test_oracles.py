@@ -250,8 +250,6 @@ def test_restricted_sat_component_budget():
 
     with pytest.raises(VarLimitError):
         restricted_sat(cycle(25), {})
-    with pytest.raises(VarLimitError):
-        restricted_sat(cycle(10), {}, max_component_vars=9)
     assert restricted_sat(cycle(10), {}) is True
 
 

@@ -20,8 +20,6 @@ from satcloak.orchestrator import (
     record_from_json,
     record_to_json,
     render_report,
-    secret_from_obj,
-    secret_to_obj,
     validate_solution,
 )
 from satcloak.solsetrand import GfSecret, gf_randomize
@@ -214,22 +212,26 @@ def test_round_trip_matrix_and_gf_secrets():
 
     three, _ = to_three_cnf(SAT_INSTANCE)
     _, msec = randomize_system(encode_linear(three), 37)
-    assert secret_from_obj(secret_to_obj(msec)) == msec
+    record = make_record("matrix", msec, SAT_INSTANCE, 37)
+    assert record_from_json(record_to_json(record)) == record
 
     _, gsec = gf_randomize(three, 41)
-    assert secret_from_obj(secret_to_obj(gsec)) == gsec
+    record = make_record("solution_set", gsec, SAT_INSTANCE, 41)
+    assert record_from_json(record_to_json(record)) == record
 
 
 def test_round_trip_mincost_secret():
     inst = MincostInstance(SAT_INSTANCE, {1: 2, 2: 1, 3: 3, 4: 1})
     for method in ("matrix", "solution_set"):
         _, secret = randomize_mincost(inst, 43, method)
-        again = secret_from_obj(secret_to_obj(secret))
-        assert again == secret
+        record = make_record("mincost", secret, SAT_INSTANCE, 43)
+        assert record_from_json(record_to_json(record)) == record
 
 
 def test_serialization_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        secret_to_obj(object())
-    with pytest.raises(ValueError, match="unknown secret type"):
-        secret_from_obj({"type": "hologram"})
+    _, gsec = gf_randomize(SAT_INSTANCE, 41)
+    # A secret of another method's class, which would write a key that no
+    # method reads, and a secret of no method's class.
+    for method, secret in (("matrix", gsec), ("iso", object())):
+        with pytest.raises(TypeError, match=f"method '{method}' cannot write"):
+            record_to_json(make_record(method, secret, SAT_INSTANCE, 41))
