@@ -197,7 +197,6 @@ class FieldMappingSecret:
 
     octet_maps: list[list[int]]
     port_map: list[int]
-    seed: int | None = None
 
     def validate(self) -> None:
         for i, m in enumerate(self.octet_maps):
@@ -213,8 +212,8 @@ class FieldMappingSecret:
     @classmethod
     def from_json(cls, text: str) -> "FieldMappingSecret":
         """The mapping a fw-map key file holds.  ValueError naming the field
-        if one is missing or not the list of integers (or, for ``seed``,
-        the integer or null) it must be."""
+        if one is missing or not the list of integers it must be; other
+        fields are ignored."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("fw-map key file is not a JSON object")
@@ -232,13 +231,9 @@ class FieldMappingSecret:
         octet_maps = obj["octet_maps"]
         if not isinstance(octet_maps, list):
             raise ValueError("fw-map key field 'octet_maps': expected a list of lists")
-        seed = obj.get("seed")
-        if seed is not None and type(seed) is not int:
-            raise ValueError("fw-map key field 'seed': expected an integer or null")
         return cls(
             [values(m, f"octet_maps[{i}]") for i, m in enumerate(octet_maps)],
             values(obj["port_map"], "port_map"),
-            seed,
         )
 
     @classmethod
@@ -258,7 +253,7 @@ class FieldMappingSecret:
             return values
 
         octet_maps = [perm(1 << w) for w in chunk_widths]
-        return cls(octet_maps, perm(1 << layout.src_port_bits), seed)
+        return cls(octet_maps, perm(1 << layout.src_port_bits))
 
     @classmethod
     def from_swaps(

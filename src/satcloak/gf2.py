@@ -229,12 +229,14 @@ def random_sparse_full_rank(
     (repeats merge).  Its determinant is 1 over GF(2) and +-1 over the
     integers, so no draw fails, and nonzeros stay linear in ``dim``.  This
     is not uniform over sparse invertible matrices.  Deterministic given
-    the state of ``rng``.
+    the state of ``rng``.  A row holds at most ``dim`` ones, so a larger
+    ``row_weight`` draws as ``dim`` does.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if row_weight < 1:
         raise ValueError("row_weight must be >= 1")
+    row_weight = min(row_weight, dim)
     rows = list(range(dim))
     rng.shuffle(rows)
     cols = list(range(dim))

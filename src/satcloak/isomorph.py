@@ -29,7 +29,6 @@ class IsoSecret:
 
     permutation: list[int]
     flips: frozenset[int]
-    seed: int
 
     def __post_init__(self) -> None:
         n = len(self.permutation)
@@ -72,7 +71,7 @@ def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSec
     permutation = list(range(1, n + 1))
     rng.shuffle(permutation)
     flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
-    secret = IsoSecret(permutation, flips, seed)
+    secret = IsoSecret(permutation, flips)
     mapped = apply_iso(instance, secret)
     order = list(range(mapped.num_clauses))
     random.Random(seed ^ 0x5CA7).shuffle(order)

@@ -172,7 +172,6 @@ class MatrixSecret:
 
     original_n: int
     negation_constants: list[int]
-    seed: int
 
 
 def encode_linear(instance: CnfInstance) -> LinearSystem:
@@ -297,12 +296,13 @@ def _magnitude(values: np.ndarray) -> int:
 
 def randomize_system(sys: LinearSystem, seed: int) -> tuple[LinearSystem, MatrixSecret]:
     """Multiply the encoded system by a random full-rank ``R`` drawn from
-    ``seed``.  The 0/1 solution sets of input and output are identical."""
+    ``seed``.  The 0/1 solution sets of input and output are identical.
+    A system without constraints is multiplied by the 0 x 0 identity."""
     m = sys.num_constraints
-    r = random_full_rank(m, random.Random(seed))
+    r = random_full_rank(m, random.Random(seed)) if m else BitMatrix.identity(0)
     original_n = sys.num_vars - 2 * m
     negation_constants = [3 - b for b in sys.rhs]
-    secret = MatrixSecret(original_n, negation_constants, seed)
+    secret = MatrixSecret(original_n, negation_constants)
     return apply_random_matrix(sys, r), secret
 
 

@@ -88,14 +88,13 @@ class CostCircuitSecret:
     """Layout of a compiled cost circuit.
 
     ``output_bits`` are the variables ``b_1..b_w`` holding the binary cost,
-    most significant first (positions may share a variable when the adder
-    proves bits equal, e.g. constant-zero high bits).  ``tmap`` holds every
-    gate definition and is what forward evaluation and solution validation
-    run on.
+    most significant first, so ``w`` is their number (positions may share a
+    variable when the adder proves bits equal, e.g. constant-zero high
+    bits).  ``tmap`` holds every gate definition and is what forward
+    evaluation and solution validation run on.
     """
 
     output_bits: list[int]
-    width: int
     tmap: TseitinMap
 
 
@@ -147,24 +146,24 @@ def compile_cost_circuit(
     false = enc.add_gate("or", ()) if 0 in total else 0
     output_bits = [lit or false for lit in reversed(total)]
     combined = CnfInstance(enc.num_vars, inst.cnf.clauses + enc.clauses)
-    return combined, CostCircuitSecret(output_bits, width, enc.mapping())
+    return combined, CostCircuitSecret(output_bits, enc.mapping())
 
 
 def circuit_costs(secret: CostCircuitSecret) -> dict[int, int]:
     """Cost function of the compiled instance: weight ``2^(w-j)`` on output
     bit ``b_j``.  Weights of positions sharing a variable accumulate."""
     costs: dict[int, int] = {}
+    width = len(secret.output_bits)
     for j, b in enumerate(secret.output_bits, start=1):
-        costs[b] = costs.get(b, 0) + (1 << (secret.width - j))
+        costs[b] = costs.get(b, 0) + (1 << (width - j))
     return costs
 
 
 def decode_cost(assignment: dict[int, bool], secret: CostCircuitSecret) -> int:
     """Read the binary cost off the output bits of a total assignment."""
     value = 0
-    for j, b in enumerate(secret.output_bits, start=1):
-        if assignment[b]:
-            value += 1 << (secret.width - j)
+    for b in secret.output_bits:
+        value = 2 * value + assignment[b]
     return value
 
 
@@ -206,7 +205,6 @@ class MincostSecret:
     circuit: CostCircuitSecret
     three_map: TseitinMap
     inner: MatrixSecret | GfSecret
-    seed: int
 
 
 def randomize_mincost(
@@ -233,7 +231,7 @@ def randomize_mincost(
     )
     return (
         RandomizedMincost(artifact, circuit_costs(circuit)),
-        MincostSecret(method, circuit, three_map, inner_secret, seed),
+        MincostSecret(method, circuit, three_map, inner_secret),
     )
 
 
@@ -383,10 +381,8 @@ def _check_ranges(secret: MincostSecret) -> None:
         path, why = "tmap.gates", "a gate input must be a variable below its gate"
     elif any(op == "xor" and len(lits) != 2 for op, lits in t.gates.values()):
         path, why = "tmap.gates", "an xor gate must have exactly two inputs"
-    elif secret.circuit.width < 1:
-        path, why = "width", "must be at least 1"
-    elif len(bits) != secret.circuit.width:
-        path, why = "output_bits", f"expected {secret.circuit.width} bits"
+    elif not bits:
+        path, why = "output_bits", "must not be empty"
     elif not all(1 <= b <= t.num_vars for b in bits):
         path, why = "output_bits", f"bits must lie in 1..{t.num_vars}"
     else:
@@ -409,12 +405,10 @@ class _MincostRecords:
             "method": secret.method,
             "circuit": {
                 "output_bits": list(secret.circuit.output_bits),
-                "width": secret.circuit.width,
                 "tmap": _tmap_obj(secret.circuit.tmap),
             },
             "three_map": _three_map_obj(secret.three_map),
             "inner": lookup(secret.method, MINCOST_INNER).to_obj(secret.inner),
-            "seed": secret.seed,
         }
 
     def from_obj(self, obj: dict) -> MincostSecret:
@@ -424,7 +418,6 @@ class _MincostRecords:
         c = _field(obj, "circuit", dict)
         circuit = CostCircuitSecret(
             _field(c, "circuit.output_bits", list[int]),
-            _field(c, "circuit.width"),
             _tmap_from(_field(c, "circuit.tmap", dict)),
         )
         secret = MincostSecret(
@@ -432,7 +425,6 @@ class _MincostRecords:
             circuit,
             _three_map_from(_field(obj, "three_map", dict)),
             lookup(obj["method"], MINCOST_INNER).from_obj(_field(obj, "inner", dict)),
-            _field(obj, "seed"),
         )
         _check_ranges(secret)
         return secret

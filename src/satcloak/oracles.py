@@ -15,7 +15,9 @@ answers.  ``_linear_direct``, a full cube enumeration, is kept as the
 reference the tests compare it against.
 
 Hard variable limits raise :class:`VarLimitError` rather than running
-forever.  The brute-force oracles take theirs as an argument;
+forever.  :func:`brute_sat` and :func:`brute_linear` take theirs as an
+argument (the CLI's ``--var-limit``); the other oracles use fixed limits
+(``_OPTIMUM_VARS``, ``_LINEAR_SOLUTIONS_VARS``), and
 :func:`restricted_sat` bounds each residual component at
 ``_COMPONENT_VARS``.
 """
@@ -44,6 +46,10 @@ __all__ = [
 
 #: Chunk size (assignments per numpy block) for cube enumeration.
 _CHUNK = 1 << 18
+
+#: Variable limits of the optimum oracles and of all_linear_solutions.
+_OPTIMUM_VARS = 24
+_LINEAR_SOLUTIONS_VARS = 44
 
 
 class VarLimitError(ValueError):
@@ -232,17 +238,17 @@ def brute_linear(sys: LinearSystem, var_limit: int = 44) -> LinearResult:
     return LinearResult(True, bits, count)
 
 
-def all_linear_solutions(sys: LinearSystem, var_limit: int = 44) -> np.ndarray:
+def all_linear_solutions(sys: LinearSystem) -> np.ndarray:
     """All 0/1 solutions as an (count, num_vars) array in lexicographic
     order (variable 1 most significant)."""
     nv = sys.num_vars
-    if nv > var_limit:
-        raise VarLimitError(f"{nv} variables exceed limit {var_limit}")
+    if nv > _LINEAR_SOLUTIONS_VARS:
+        raise VarLimitError(f"{nv} variables exceed limit {_LINEAR_SOLUTIONS_VARS}")
     _, _, idx = _linear_mim(sys)
     return _index_bits(idx, nv).astype(np.uint8)
 
 
-def brute_mincost(inst, var_limit: int = 24) -> MincostResult:
+def brute_mincost(inst) -> MincostResult:
     """Exact minimum of a linear cost over satisfying assignments.
 
     ``inst`` is a MincostInstance (``.cnf`` and ``.costs``); ties break to
@@ -250,8 +256,8 @@ def brute_mincost(inst, var_limit: int = 24) -> MincostResult:
     """
     cnf: CnfInstance = inst.cnf
     n = cnf.num_vars
-    if n > var_limit:
-        raise VarLimitError(f"{n} variables exceed limit {var_limit}")
+    if n > _OPTIMUM_VARS:
+        raise VarLimitError(f"{n} variables exceed limit {_OPTIMUM_VARS}")
     weights = np.zeros(n, dtype=np.int64)
     for v, c in inst.costs.items():
         if not 1 <= v <= n:
@@ -277,13 +283,13 @@ def brute_mincost(inst, var_limit: int = 24) -> MincostResult:
     return MincostResult(True, best_cost, _assignment_from_index(best_idx, n))
 
 
-def brute_max3sat(inst, var_limit: int = 24) -> tuple[int, dict[int, bool]]:
+def brute_max3sat(inst) -> tuple[int, dict[int, bool]]:
     """Exact maximum number of simultaneously satisfiable clauses, with a
     lexicographically-first maximizing assignment."""
     cnf: CnfInstance = getattr(inst, "cnf", inst)
     n = cnf.num_vars
-    if n > var_limit:
-        raise VarLimitError(f"{n} variables exceed limit {var_limit}")
+    if n > _OPTIMUM_VARS:
+        raise VarLimitError(f"{n} variables exceed limit {_OPTIMUM_VARS}")
     clauses = cnf.clauses
     best = -1
     best_idx = 0

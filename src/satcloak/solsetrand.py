@@ -72,7 +72,6 @@ class GfSecret:
 
     r_inv: BitMatrix
     original_n: int
-    seed: int
 
 
 class _Rewrite:
@@ -277,10 +276,10 @@ def gf_randomize(
     n = instance.num_vars
     rng = random.Random(seed)
     if n == 0:
-        return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0, seed)
+        return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0)
     r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
     rewrite = _Rewrite(table, r_inv)
-    return CnfInstance(rewrite.num_vars, rewrite.table()), GfSecret(r_inv, n, seed)
+    return CnfInstance(rewrite.num_vars, rewrite.table()), GfSecret(r_inv, n)
 
 
 def gf_derandomize(sol: dict[int, bool], secret: GfSecret) -> dict[int, bool]:

@@ -224,17 +224,18 @@ def test_criterion_5_mincost_randomization_preserves_optimum():
         inst = MincostInstance(cnf, costs)
 
         orig = brute_mincost(inst)
-        artifact, secret = randomize_mincost(inst, rng.getrandbits(32), method)
+        seed = rng.getrandbits(32)
+        artifact, secret = randomize_mincost(inst, seed, method)
         circuit = secret.circuit
         combined, _ = compile_cost_circuit(inst)
         three, _ = to_three_cnf(combined)
 
         # Full-rank substitution: the artifact's solution set is exactly the
         # unrandomized encoding's.  A matrix key keeps no R, so it is drawn
-        # again from the key's seed, as randomize_system draws it.
+        # again from the seed, as randomize_system draws it.
         if method == "matrix":
             r = random_full_rank(artifact.system.num_constraints,
-                                 random.Random(secret.inner.seed))
+                                 random.Random(seed))
         else:
             r = secret.inner.r_inv
         if gf2_rank(r) != r.rows:

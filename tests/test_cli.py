@@ -222,8 +222,6 @@ def _drop(obj, *path):
     ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"].update(output_bits=5),
      "mincost secret field 'circuit.output_bits': expected a list of integers"),
-    ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(width="x"),
-     "mincost secret field 'circuit.width': expected an integer, not str"),
     ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(tmap=5),
      "mincost secret field 'circuit.tmap': expected an object, not int"),
     ("mincost-randomize", "matrix",
@@ -236,7 +234,7 @@ def _drop(obj, *path):
      "mincost secret field 'circuit': expected an object, not list"),
     ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"].update(output_bits=[99999]),
-     "mincost secret field 'circuit.output_bits': expected 3 bits"),
+     "mincost secret field 'circuit.output_bits': bits must lie in 1..4"),
     ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"]["output_bits"].__setitem__(0, 99999),
      "mincost secret field 'circuit.output_bits': bits must lie in 1..4"),
@@ -247,8 +245,9 @@ def _drop(obj, *path):
      lambda k: k["secret"]["circuit"]["tmap"]["gates"][0].__setitem__(2, [999]),
      "mincost secret field 'circuit.tmap.gates': a gate input must be a "
      "variable below its gate"),
-    ("mincost-randomize", "matrix", lambda k: k["secret"]["circuit"].update(width=-1),
-     "mincost secret field 'circuit.width': must be at least 1"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"].update(output_bits=[]),
+     "mincost secret field 'circuit.output_bits': must not be empty"),
     ("mincost-randomize", "matrix",
      lambda k: _drop(k, "secret", "circuit", "tmap", "gates", 0),
      "mincost secret field 'circuit.tmap.gates': gate ids must run 4..4 in order"),
@@ -263,11 +262,11 @@ def _drop(obj, *path):
         "matrix-not-object",
         "mincost-inner-method-not-string", "list-field-not-list",
         "int-field-not-int", "mincost-output-bits-not-list",
-        "mincost-width-not-int", "mincost-tmap-not-object", "mincost-unknown-gate-op",
+        "mincost-tmap-not-object", "mincost-unknown-gate-op",
         "mincost-definitions-not-list", "mincost-circuit-not-object",
         "mincost-output-bits-count", "mincost-output-bit-range",
         "mincost-tmap-num-vars-range", "mincost-gate-input-range",
-        "mincost-width-negative", "mincost-gate-missing", "mincost-xor-arity"])
+        "mincost-output-bits-empty", "mincost-gate-missing", "mincost-xor-arity"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, method, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)
@@ -444,6 +443,45 @@ def test_mincost_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert out == f"valid cost={cost}\n"
+
+
+# A clause-free instance encodes to a system without constraints, which the
+# matrix disguise multiplies by the 0 x 0 identity.
+
+def test_matrix_randomize_of_a_clause_free_instance(tmp_path, capsys):
+    src = tmp_path / "free.cnf"
+    src.write_text("p cnf 3 0\n")
+    code, _, _ = run(capsys, "randomize", "--method", "matrix", "--seed", "1",
+                     "--in", str(src))
+    assert code == 0
+    assert (tmp_path / "free.rand.opb").read_text().startswith(
+        "* #variable= 3 #constraint= 0\n")
+    sol = tmp_path / "free.sol"
+    code, out, _ = run(capsys, "solve-brute", "--in",
+                       str(tmp_path / "free.rand.opb"), "--out", str(sol))
+    assert (code, out) == (0, "SAT count=8\n")
+    code, out, _ = run(capsys, "verify-solution", "--secret",
+                       str(tmp_path / "free.key"), "--solution", str(sol),
+                       "--original", str(src))
+    assert (code, out) == (0, "valid\n")
+
+
+def test_mincost_matrix_randomize_of_a_clause_free_instance(tmp_path, capsys):
+    src = tmp_path / "task.cnf"
+    src.write_text("p cnf 1 0\n")
+    costs = tmp_path / "task.wts"
+    costs.write_text("w 1 1\n")
+    code, _, _ = run(capsys, "mincost-randomize", "--method", "matrix",
+                     "--seed", "1", "--in", str(src), "--costs", str(costs))
+    assert code == 0
+    sol = tmp_path / "task.sol"
+    code, out, _ = run(capsys, "solve-brute", "--in",
+                       str(tmp_path / "task.rand.opb"), "--out", str(sol))
+    assert (code, out) == (0, "SAT count=2\n")
+    code, out, _ = run(capsys, "derandomize", "--secret",
+                       str(tmp_path / "task.key"), "--solution", str(sol),
+                       "--original", str(src), "--costs", str(costs))
+    assert (code, out) == (0, "cost 0\n-1\n")
 
 
 def test_mincost_record_requires_costs_flag(tmp_path, capsys):
@@ -681,8 +719,8 @@ def test_fw_map_round_trip(tmp_path, capsys):
 # --seed 7 writes at the default layout.
 PINNED_FW_MAP = {
     "mapped": "a24405bdbed4fb384f9278ccab364adbc9847a076431cf9658f8309479b47537",
-    "key": "1f05f0715afef81aa9cf98afa8d9516b4b0115f472f70a72ccac747ac48896e5",
-    "default-layout-key": "dfa7f7198b85f84e31d9df836966c7da7041ff4693dfd090aa2c7a9103cc09a4",
+    "key": "f40cf6bae2206867ef75d577432ba133fb0b0b242f1faf859803e76da85962ef",
+    "default-layout-key": "be3672362cd679a871535b3b0ee8e715b0bf479db09c52049f306d3645f1c651",
 }
 
 
@@ -709,6 +747,25 @@ def test_fw_map_bytes_pinned(tmp_path, capsys):
         for pin, name in files.items()
     }
     assert digests == PINNED_FW_MAP
+
+
+def test_fw_map_reads_a_key_that_holds_its_seed(tmp_path, capsys):
+    # Keys written before they held only the maps also kept the seed; the
+    # field is ignored, so such a key maps the policy as it did.
+    src = tmp_path / "policy.fw"
+    src.write_text(ROUND_TRIP_POLICY)
+    key = tmp_path / "policy.key"
+    code, _, _ = run(capsys, "fw-map", "--in", str(src), "--seed", "5",
+                     "--layout", "8,2,8,2")
+    assert code == 0
+    assert "seed" not in json.loads(key.read_text())
+    key.write_text(json.dumps({**json.loads(key.read_text()), "seed": 5}))
+    again = tmp_path / "again.fw"
+    code, _, _ = run(capsys, "fw-map", "--in", str(src), "--use-secret",
+                     str(key), "--layout", "8,2,8,2", "--out", str(again))
+    assert code == 0
+    assert again.read_bytes() == (tmp_path / "policy.mapped.fw").read_bytes()
+    assert hashlib.sha256(again.read_bytes()).hexdigest() == PINNED_FW_MAP["mapped"]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -671,8 +671,8 @@ def test_table_and_lists_give_the_same_results(pair, data):
     permutation = rng.sample(range(1, n + 1), n)
     flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
     # The same output bytes or error, and each output keeps its widths.
-    wrong_size = IsoSecret([], frozenset(), 0)
-    for func, arg in [(apply_iso, IsoSecret(permutation, flips, 0)),
+    wrong_size = IsoSecret([], frozenset())
+    for func, arg in [(apply_iso, IsoSecret(permutation, flips)),
                       (apply_iso, wrong_size), (iso_randomize, rng.getrandbits(32))]:
         got = _iso_outcome(func, table, arg)
         want = _iso_outcome(func, lists, arg)

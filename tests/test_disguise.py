@@ -56,31 +56,33 @@ SEED = 7
 # lower-triangular matrix, drawn without rejection.  The matrix, gf2 and
 # mincost-gf2 artifacts, and the gf2 and mincost-gf2 keys, are as written
 # since the dense matrix is drawn one row at a time outside the span of
-# the rows before it, and the dense gf2 draw is of R^-1 itself.
+# the rows before it, and the dense gf2 draw is of R^-1 itself.  Every key
+# is as written since no secret keeps a seed (the record's top-level one is
+# the only copy) and the Mincost circuit keeps no width beside its bits.
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
-        "ce59db738a3e792980396521f94abbda759ac91b17cc4044cd10f73bb9ac3c82",
+        "cc4cadddea6a43a321ec5b84d04ad0383563acdfd5d49b5732aa7c370f741b65",
     ),
     ("matrix", "matrix", False, None): (
         "f161e1e59b1ae69d40bdf567107e484366c98aa54f3cda395adb7e399217627b",
-        "75d82e2b3148e11ad2d4ac3a5b662687ae768ced3a85d1e21bb90daf8d11942b",
+        "1c94b11e421c563ecea0b82ffec7b0fcb0664b41c35122780212f84a08ad08c3",
     ),
     ("gf2", "solution_set", False, None): (
         "9f7034022961d7588e3e0a3515dad5a6c3774cfe3c8938cf25a189f092ad8ae2",
-        "6e1289feac3115453e4ba1f35c656aa9342d5925cb00a09ddab1ed19e2c8564e",
+        "b41c77b0034649693f141dd84fedd99a227ca99c257a9e1c3f4e99fa2898e674",
     ),
     ("gf2-w3", "solution_set", False, 3): (
         "94d72da94bb499c37a0cdf1cff104f242afae8c5d02dad4b046691e5e5a36051",
-        "599fb7c4d2397f4baee9cea385851f1502499e662cce3f1361ecdef83f85d8af",
+        "be3287385e271d758eef62bd83fe34b4f7990337ad74a2b4eed0161efb4302ee",
     ),
     ("mincost-matrix", "matrix", True, None): (
         "d909aae5b3b8df4dcd980c13dab23d7c7a28b4fa27cb237d8abb952cc711be1e",
-        "5f494f0d40b33961b4ea6547ad0834e369425c9b0a0506034c0ec298236ff03a",
+        "067b94c36e653e555b0aa092ea354178592fb11231d8d5d112672cd3a29cc45d",
     ),
     ("mincost-gf2", "solution_set", True, None): (
         "005372656770cec4a7ad3dda3c3ebf7d12ca290623c7389f0abf8e30f9d7b697",
-        "572519cfc16d59f009c46be7ac298d8d8cce581226ffacdd9bfc5e9bf888a093",
+        "9e36275e1fbbee57daa27019853d3ae60d8209ae5b980bc2f6837b2d61395518",
     ),
 }
 
@@ -282,6 +284,14 @@ def test_old_keys_still_load(case):
         "mincost-gf2": OLD_MINCOST_GF2_VECTOR,
     }.get(case[0], vector)
     assert check_solution(old, old_vector, TINY, costs) == expected
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
+def test_key_holds_the_seed_once_and_no_width(case):
+    # Key values are numbers, lists and objects, so a quoted name is a key.
+    key = record_to_json(_disguise(*case[1:])[1])
+    assert json.loads(key)["seed"] == SEED
+    assert (key.count('"seed"'), key.count('"width"')) == (1, 0)
 
 
 def test_old_wide_clause_mincost_key_still_loads():

@@ -178,11 +178,11 @@ def test_mapping_requires_seed_or_secret():
 
 
 def test_mapping_rejects_non_bijections_and_domain_misses():
-    bad = FieldMappingSecret([[1, 1]], [0], None)
+    bad = FieldMappingSecret([[1, 1]], [0])
     with pytest.raises(ValueError, match="bijection"):
         bad.validate()
     # A secret over a smaller domain than the rule values.
-    small = FieldMappingSecret([[0, 1]] * 4, [0, 1], None)
+    small = FieldMappingSecret([[0, 1]] * 4, [0, 1])
     policy = FirewallPolicy([FirewallRule(None, 9, None, None, "accept")], "deny")
     with pytest.raises(ValueError, match="outside mapping domain"):
         map_fields(policy, secret=small, layout=HeaderLayout(8, 4, 8, 4))

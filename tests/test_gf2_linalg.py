@@ -312,6 +312,13 @@ def test_sparse_sampling_respects_weight():
         random_sparse_full_rank(4, 0, random.Random(1))
 
 
+def test_sparse_weight_above_dim_draws_as_dim():
+    # A row holds at most dim ones, so a huge weight costs no more draws.
+    for seed in range(8):
+        assert (random_sparse_full_rank(3, 10**6, random.Random(seed))
+                == random_sparse_full_rank(3, 3, random.Random(seed)))
+
+
 def test_sparse_sampling_at_scale():
     # The draw is a permuted unit lower-triangular matrix, full rank by
     # construction, at a dimension where a draw redrawn until full rank

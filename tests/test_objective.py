@@ -37,7 +37,7 @@ def test_single_unit_cost_is_a_wire():
     inst = MincostInstance(CnfInstance(1, [[1]]), {1: 1})
     combined, circuit = compile_cost_circuit(inst)
     # One variable at cost 1: the output bit IS the variable, no gates.
-    assert circuit.width == 1
+    assert len(circuit.output_bits) == 1
     assert circuit.output_bits == [1]
     assert circuit.tmap.gates == {}
     assert combined.clauses == inst.cnf.clauses
@@ -47,7 +47,7 @@ def test_single_unit_cost_is_a_wire():
 def test_two_unit_costs_sum_in_binary():
     inst = MincostInstance(CnfInstance(2, []), {1: 1, 2: 1})
     _, circuit = compile_cost_circuit(inst)
-    assert circuit.width == 2
+    assert len(circuit.output_bits) == 2
     for x in all_assignments(2):
         full = evaluate_circuit(circuit, x)
         assert decode_cost(full, circuit) == int(x[1]) + int(x[2])
@@ -69,7 +69,7 @@ def test_circuit_arithmetic_exhaustive():
         combined, circuit = compile_cost_circuit(inst)
         # The per-cost width is the smallest that fits every cost.
         fit = max([1, *(c.bit_length() for c in costs.values())])
-        assert circuit.width == fit + (max(n, 1) - 1).bit_length()
+        assert len(circuit.output_bits) == fit + (max(n, 1) - 1).bit_length()
         for x in all_assignments(n):
             full = evaluate_circuit(circuit, x)
             assert decode_cost(full, circuit) == inst.cost_of(x)
@@ -111,7 +111,7 @@ def test_gate_count_stays_linear():
         combined, circuit = compile_cost_circuit(inst)
         gates = len(circuit.tmap.gates)
         assert (gates, combined.num_clauses) == counts
-        assert gates <= 6 * n * circuit.width + circuit.width
+        assert gates <= 6 * n * len(circuit.output_bits) + len(circuit.output_bits)
 
 
 def test_cost_circuit_at_1000_variables():
@@ -120,7 +120,7 @@ def test_cost_circuit_at_1000_variables():
     costs = {v: rng.randint(1, 15) for v in range(1, n + 1)}
     inst = MincostInstance(CnfInstance(n, []), costs)
     _, circuit = compile_cost_circuit(inst)
-    assert circuit.width == 4 + 10
+    assert len(circuit.output_bits) == 4 + 10
     for _ in range(20):
         x = {v: rng.random() < 0.5 for v in range(1, n + 1)}
         assert decode_cost(evaluate_circuit(circuit, x), circuit) == inst.cost_of(x)

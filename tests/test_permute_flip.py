@@ -19,23 +19,23 @@ from satcloak.oracles import brute_sat
 
 
 def test_secret_validation():
-    IsoSecret([2, 1, 3], frozenset({2}), seed=0)
+    IsoSecret([2, 1, 3], frozenset({2}))
     with pytest.raises(ValueError, match="bijection"):
-        IsoSecret([1, 1], frozenset(), seed=0)
+        IsoSecret([1, 1], frozenset())
     with pytest.raises(ValueError, match="out-of-range"):
-        IsoSecret([1, 2], frozenset({3}), seed=0)
+        IsoSecret([1, 2], frozenset({3}))
 
 
 def test_apply_iso_hand_example():
     inst = CnfInstance(3, [[1, -2, 3], [-1, 2]])
-    secret = IsoSecret([3, 1, 2], frozenset({2}), seed=0)
+    secret = IsoSecret([3, 1, 2], frozenset({2}))
     out = apply_iso(inst, secret)
     # x1 -> y3, x2 -> y1 flipped, x3 -> y2.
     assert out.clauses == [[3, 1, 2], [-3, -1]]
 
 
 def test_apply_iso_size_mismatch():
-    secret = IsoSecret([1, 2], frozenset(), seed=0)
+    secret = IsoSecret([1, 2], frozenset())
     with pytest.raises(ValueError, match="does not match"):
         apply_iso(CnfInstance(3, [[1]]), secret)
 
@@ -44,7 +44,7 @@ def test_apply_iso_size_mismatch():
     ([1, 0, 2], "0"), ([1, 4, 2], "4"), ([-3, 2, -4], "-4"),
 ])
 def test_apply_iso_rejects_bad_literals(clause, bad):
-    secret = IsoSecret([2, 3, 1], frozenset({1}), seed=0)
+    secret = IsoSecret([2, 3, 1], frozenset({1}))
     with pytest.raises(ValueError, match=f"literal {bad} out of range 1..3"):
         apply_iso(CnfInstance(3, [[1, -2, 3], clause]), secret)
 
@@ -90,13 +90,13 @@ def test_forward_backward_inverse(n, rnd):
     perm = list(range(1, n + 1))
     rnd.shuffle(perm)
     flips = frozenset(v for v in range(1, n + 1) if rnd.random() < 0.5)
-    secret = IsoSecret(perm, flips, seed=0)
+    secret = IsoSecret(perm, flips)
     x = {v: rnd.random() < 0.5 for v in range(1, n + 1)}
     assert iso_derandomize(iso_forward(x, secret), secret) == x
 
 
 def test_derandomize_requires_full_domain():
-    secret = IsoSecret([2, 1], frozenset(), seed=0)
+    secret = IsoSecret([2, 1], frozenset())
     with pytest.raises(ValueError, match="missing variables"):
         iso_derandomize({2: True}, secret)
     with pytest.raises(ValueError, match="cover"):
