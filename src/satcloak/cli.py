@@ -77,8 +77,12 @@ def _stem(path: str) -> str:
 
 def _read_solution(path: str) -> dict[int, bool]:
     """First assignment line of a .sol file: signed literals, every
-    variable mentioned exactly once."""
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
+    variable mentioned exactly once.  A file of blank lines is the empty
+    assignment, as ``solve-brute --out`` writes it for zero variables."""
+    lines = _read(path).splitlines()
+    if lines and not any(line.strip() for line in lines):
+        return {}
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
@@ -101,7 +105,7 @@ def _solution_vector(sol: dict[int, bool]) -> list[int]:
     # The variables are distinct and positive, so they are 1..n exactly
     # when the largest is their count n; else one of 1..n is missing.
     n = len(sol)
-    if max(sol) != n:
+    if max(sol, default=0) != n:
         missing = next(v for v in range(1, n + 1) if v not in sol)
         raise ValueError(f"solution line is missing variable {missing}")
     return [1 if sol[v] else 0 for v in range(1, n + 1)]

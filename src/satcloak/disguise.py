@@ -127,8 +127,10 @@ class Disguise:
         return self.forward(res.assignment, secret, source)
 
     def to_obj(self, secret) -> dict:
-        """Key-file form of the secret: its fields in order after ``type``."""
-        obj = {"type": self.tag}
+        """Key-file form of the secret: its fields in order.  The record
+        writes its ``type`` tag in front, so a Mincost key's inner secret,
+        whose disguise the Mincost ``method`` names, carries none."""
+        obj = {}
         for f in fields(secret):
             value = getattr(secret, f.name)
             if isinstance(value, BitMatrix):
@@ -152,14 +154,17 @@ class Disguise:
 
 
 def _field_from_obj(value, hint):
-    """A secret field from its key-file form: a bit matrix object, an
-    integer, or a list of integers for a list or frozenset field."""
+    """A secret field from its key-file form: a bit matrix object, a
+    non-negative integer (every integer field is a count), or a list of
+    integers for a list or frozenset field."""
     if hint is BitMatrix:
         return BitMatrix.from_strings(value["rows"], value["cols"], value["bits"])
     container = get_origin(hint)
     if container is None:
         if type(value) is not int:
             raise ValueError(f"expected an integer, not {type(value).__name__}")
+        if value < 0:
+            raise ValueError("must not be negative")
         return value
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ValueError("expected a list of integers")
@@ -207,8 +212,17 @@ class _Matrix(Disguise):
         return randomize_system(encode_linear(source), seed)
 
     def decode(self, solution, secret):
-        length = secret.original_n + 2 * len(secret.negation_constants)
+        length = secret.original_n + 2 * secret.num_constraints
         return _values(solution, secret.original_n, length)
+
+    def from_obj(self, obj: dict):
+        # Keys written before the count was kept list one negation count
+        # per constraint instead; their number is the count.
+        if "num_constraints" not in obj and isinstance(
+            obj.get("negation_constants"), list
+        ):
+            obj = {**obj, "num_constraints": len(obj["negation_constants"])}
+        return super().from_obj(obj)
 
     def forward(self, model, secret, source):
         return complete_solution(source, model)

@@ -165,13 +165,12 @@ def _row_of_each(starts: np.ndarray) -> np.ndarray:
 @dataclass
 class MatrixSecret:
     """Client-held state for mapping a solution back: where the original
-    variables end (``original_n``; the dummies follow) and the per-row
-    negation counts, read only for their number ``m``, which fixes the
-    solution length ``n + 2m``.  ``R`` is not kept: projecting a solution
-    never needs it."""
+    variables end (``original_n``; the dummies follow) and the constraint
+    count ``m``, which fixes the solution length ``n + 2m``.  ``R`` is not
+    kept: projecting a solution never needs it."""
 
     original_n: int
-    negation_constants: list[int]
+    num_constraints: int
 
 
 def encode_linear(instance: CnfInstance) -> LinearSystem:
@@ -300,10 +299,7 @@ def randomize_system(sys: LinearSystem, seed: int) -> tuple[LinearSystem, Matrix
     A system without constraints is multiplied by the 0 x 0 identity."""
     m = sys.num_constraints
     r = random_full_rank(m, random.Random(seed)) if m else BitMatrix.identity(0)
-    original_n = sys.num_vars - 2 * m
-    negation_constants = [3 - b for b in sys.rhs]
-    secret = MatrixSecret(original_n, negation_constants)
-    return apply_random_matrix(sys, r), secret
+    return apply_random_matrix(sys, r), MatrixSecret(sys.num_vars - 2 * m, m)
 
 
 def check_linear(sys: LinearSystem, vector: list[int]) -> bool:

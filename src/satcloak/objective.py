@@ -198,13 +198,17 @@ class RandomizedMincost:
 
 @dataclass
 class MincostSecret:
-    """Composite client-held state: circuit layout, 3CNF conversion map,
-    and the inner randomizer's secret."""
+    """Composite client-held state: the inner disguise's library name, the
+    circuit layout and the inner randomizer's secret, which is all that a
+    key holds.  ``three_map``, the 3CNF conversion's map, is what
+    :func:`randomize_mincost` built on the way; checking an answer never
+    reads it, so no key keeps it, a loaded secret has None there and
+    equality ignores it."""
 
     method: str
     circuit: CostCircuitSecret
-    three_map: TseitinMap
     inner: MatrixSecret | GfSecret
+    three_map: TseitinMap | None = field(default=None, compare=False)
 
 
 def randomize_mincost(
@@ -231,7 +235,7 @@ def randomize_mincost(
     )
     return (
         RandomizedMincost(artifact, circuit_costs(circuit)),
-        MincostSecret(method, circuit, three_map, inner_secret),
+        MincostSecret(method, circuit, inner_secret, three_map),
     )
 
 
@@ -287,39 +291,27 @@ def _tmap_obj(t: TseitinMap) -> dict:
 
 
 def _tmap_from(obj: dict) -> TseitinMap:
-    gates = {
-        g: (op, tuple(lits))
-        for g, op, lits in _entries(obj, "circuit.tmap.gates", ("and", "or", "xor"))
-    }
+    """The circuit's gate map from its key object, whose ``gates`` are
+    ``[variable, op, literals]`` entries; errors as for :func:`_field`."""
+    ops = ("and", "or", "xor")
+    entries = obj["gates"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list)
+        and len(e) == 3
+        and type(e[0]) is int
+        and e[1] in ops
+        and isinstance(e[2], list)
+        and all(type(lit) is int for lit in e[2])
+        for e in entries
+    ):
+        raise ValueError(
+            "mincost secret field 'circuit.tmap.gates': expected a list of "
+            f"[variable, kind, literals] entries with kind in {ops}"
+        )
     return TseitinMap(
         _field(obj, "circuit.tmap.num_input_vars"),
         _field(obj, "circuit.tmap.num_vars"),
-        gates,
-    )
-
-
-def _three_map_obj(t: TseitinMap) -> dict:
-    # Keys name the input count "original_num_vars" and a padding variable
-    # (the empty "or") kind "false", so that key files keep their bytes.
-    return {
-        "original_num_vars": t.num_input_vars,
-        "num_vars": t.num_vars,
-        "definitions": [
-            [v, op if lits else "false", list(lits)]
-            for v, (op, lits) in t.gates.items()
-        ],
-    }
-
-
-def _three_map_from(obj: dict) -> TseitinMap:
-    gates = {
-        v: ("or", () if kind == "false" else tuple(lits))
-        for v, kind, lits in _entries(obj, "three_map.definitions", ("or", "false"))
-    }
-    return TseitinMap(
-        _field(obj, "three_map.original_num_vars"),
-        _field(obj, "three_map.num_vars"),
-        gates,
+        {g: (op, tuple(lits)) for g, op, lits in entries},
     )
 
 
@@ -340,26 +332,6 @@ def _field(obj: dict, path: str, hint=int):
         raise ValueError(f"mincost secret field {path!r}: {exc}") from None
 
 
-def _entries(obj: dict, path: str, kinds: tuple[str, ...]) -> list:
-    """The ``[variable, kind, literals]`` entries of the list at the end of
-    ``path``, each kind one of ``kinds``; errors as for :func:`_field`."""
-    value = obj[path.rpartition(".")[2]]
-    if not isinstance(value, list) or not all(
-        isinstance(e, list)
-        and len(e) == 3
-        and type(e[0]) is int
-        and e[1] in kinds
-        and isinstance(e[2], list)
-        and all(type(lit) is int for lit in e[2])
-        for e in value
-    ):
-        raise ValueError(
-            f"mincost secret field {path!r}: expected a list of "
-            f"[variable, kind, literals] entries with kind in {kinds}"
-        )
-    return value
-
-
 def _check_ranges(secret: MincostSecret) -> None:
     """Raise ValueError naming the first circuit field whose value is out of
     range, so that checking an answer never indexes it by a variable the
@@ -368,9 +340,7 @@ def _check_ranges(secret: MincostSecret) -> None:
     exactly two."""
     t = secret.circuit.tmap
     bits = secret.circuit.output_bits
-    if t.num_input_vars < 0:
-        path, why = "tmap.num_input_vars", "must not be negative"
-    elif not t.num_input_vars <= t.num_vars <= secret.inner.original_n:
+    if not t.num_input_vars <= t.num_vars <= secret.inner.original_n:
         path, why = "tmap.num_vars", (
             f"must lie in {t.num_input_vars}..{secret.inner.original_n}")
     elif list(t.gates) != list(range(t.num_input_vars + 1, t.num_vars + 1)):
@@ -401,13 +371,11 @@ class _MincostRecords:
 
     def to_obj(self, secret: MincostSecret) -> dict:
         return {
-            "type": self.tag,
             "method": secret.method,
             "circuit": {
                 "output_bits": list(secret.circuit.output_bits),
                 "tmap": _tmap_obj(secret.circuit.tmap),
             },
-            "three_map": _three_map_obj(secret.three_map),
             "inner": lookup(secret.method, MINCOST_INNER).to_obj(secret.inner),
         }
 
@@ -423,7 +391,6 @@ class _MincostRecords:
         secret = MincostSecret(
             obj["method"],
             circuit,
-            _three_map_from(_field(obj, "three_map", dict)),
             lookup(obj["method"], MINCOST_INNER).from_obj(_field(obj, "inner", dict)),
         )
         _check_ranges(secret)

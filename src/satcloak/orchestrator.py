@@ -323,7 +323,7 @@ def record_to_json(record: RandomizationRecord) -> str:
         )
     obj = {
         "method": record.method,
-        "secret": kind.to_obj(record.secret),
+        "secret": {"type": kind.tag, **kind.to_obj(record.secret)},
         "instance_digest": record.instance_digest,
         "seed": record.seed,
     }

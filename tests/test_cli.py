@@ -186,8 +186,8 @@ def _drop(obj, *path):
     ("randomize", "matrix", lambda k: {"method": "iso"},
      "key file lacks field 'secret'"),
     ("randomize", "matrix", lambda k: _drop(k, "seed"), "key file lacks field 'seed'"),
-    ("randomize", "matrix", lambda k: _drop(k, "secret", "negation_constants"),
-     "matrix secret lacks field 'negation_constants'"),
+    ("randomize", "matrix", lambda k: _drop(k, "secret", "num_constraints"),
+     "matrix secret lacks field 'num_constraints'"),
     ("randomize", "matrix", lambda k: k.update(method="iso"),
      "secret of type 'matrix' does not fit method 'iso'"),
     ("randomize", "matrix", lambda k: k.update(method="mincost"),
@@ -215,8 +215,8 @@ def _drop(obj, *path):
      "gf2 secret field 'r_inv': "),
     ("mincost-randomize", "matrix", lambda k: k["secret"].update(method=["x"]),
      "method must be a string, not list"),
-    ("randomize", "matrix", lambda k: k["secret"].update(negation_constants=5),
-     "matrix secret field 'negation_constants': expected a list of integers"),
+    ("randomize", "iso", lambda k: k["secret"].update(permutation=5),
+     "iso secret field 'permutation': expected a list of integers"),
     ("randomize", "matrix", lambda k: k["secret"].update(original_n="3"),
      "matrix secret field 'original_n': expected an integer, not str"),
     ("mincost-randomize", "matrix",
@@ -227,9 +227,6 @@ def _drop(obj, *path):
     ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"]["tmap"]["gates"][0].__setitem__(1, "nand"),
      "mincost secret field 'circuit.tmap.gates': expected a list of "),
-    ("mincost-randomize", "matrix",
-     lambda k: k["secret"]["three_map"].update(definitions=5),
-     "mincost secret field 'three_map.definitions': expected a list of "),
     ("mincost-randomize", "matrix", lambda k: k["secret"].update(circuit=[]),
      "mincost secret field 'circuit': expected an object, not list"),
     ("mincost-randomize", "matrix",
@@ -255,6 +252,16 @@ def _drop(obj, *path):
      lambda k: k["secret"]["circuit"]["tmap"]["gates"].__setitem__(0, [4, "xor", [1]]),
      "mincost secret field 'circuit.tmap.gates': an xor gate must have exactly "
      "two inputs"),
+    # A negative count is a malformed key, not a fraudulent answer.
+    ("randomize", "matrix", lambda k: k["secret"].update(original_n=-1),
+     "matrix secret field 'original_n': must not be negative"),
+    ("randomize", "gf2", lambda k: k["secret"].update(original_n=-1),
+     "gf2 secret field 'original_n': must not be negative"),
+    ("randomize", "matrix", lambda k: k["secret"].update(num_constraints=-1),
+     "matrix secret field 'num_constraints': must not be negative"),
+    ("mincost-randomize", "matrix",
+     lambda k: k["secret"]["circuit"]["tmap"].update(num_input_vars=-1),
+     "mincost secret field 'circuit.tmap.num_input_vars': must not be negative"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
@@ -263,10 +270,12 @@ def _drop(obj, *path):
         "mincost-inner-method-not-string", "list-field-not-list",
         "int-field-not-int", "mincost-output-bits-not-list",
         "mincost-tmap-not-object", "mincost-unknown-gate-op",
-        "mincost-definitions-not-list", "mincost-circuit-not-object",
+        "mincost-circuit-not-object",
         "mincost-output-bits-count", "mincost-output-bit-range",
         "mincost-tmap-num-vars-range", "mincost-gate-input-range",
-        "mincost-output-bits-empty", "mincost-gate-missing", "mincost-xor-arity"])
+        "mincost-output-bits-empty", "mincost-gate-missing", "mincost-xor-arity",
+        "matrix-original-n-negative", "gf2-original-n-negative",
+        "num-constraints-negative", "mincost-num-input-vars-negative"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, method, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)
@@ -447,6 +456,27 @@ def test_mincost_round_trip(tmp_path, capsys):
 
 # A clause-free instance encodes to a system without constraints, which the
 # matrix disguise multiplies by the 0 x 0 identity.
+
+@pytest.mark.parametrize("method,suffix", [
+    ("iso", ".rand.cnf"), ("matrix", ".rand.opb"), ("gf2", ".rand.cnf"),
+])
+def test_zero_variable_round_trip(tmp_path, capsys, method, suffix):
+    # solve-brute writes the empty assignment as a blank line, which reads
+    # back as the empty assignment.
+    src = tmp_path / "none.cnf"
+    src.write_text("p cnf 0 0\n")
+    code, _, _ = run(capsys, "randomize", "--method", method, "--seed", "1",
+                     "--in", str(src))
+    assert code == 0
+    sol = tmp_path / "none.sol"
+    code, out, _ = run(capsys, "solve-brute", "--in",
+                       str(tmp_path / ("none" + suffix)), "--out", str(sol))
+    assert (code, out, sol.read_text()) == (0, "SAT count=1\n", "\n")
+    argv = ["--secret", str(tmp_path / "none.key"), "--solution", str(sol),
+            "--original", str(src)]
+    assert run(capsys, "derandomize", *argv)[:2] == (0, "\n")
+    assert run(capsys, "verify-solution", *argv)[:2] == (0, "valid\n")
+
 
 def test_matrix_randomize_of_a_clause_free_instance(tmp_path, capsys):
     src = tmp_path / "free.cnf"

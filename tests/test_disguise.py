@@ -6,6 +6,7 @@ builders."""
 import gc
 import hashlib
 import json
+from typing import get_type_hints
 
 import pytest
 
@@ -59,6 +60,9 @@ SEED = 7
 # the rows before it, and the dense gf2 draw is of R^-1 itself.  Every key
 # is as written since no secret keeps a seed (the record's top-level one is
 # the only copy) and the Mincost circuit keeps no width beside its bits.
+# The matrix and Mincost keys are as written since a matrix key keeps its
+# constraint count instead of a negation count per constraint, and a
+# Mincost key keeps neither the 3CNF map nor a type tag on its inner secret.
 PINNED = {
     ("iso", "iso", False, None): (
         "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
@@ -66,7 +70,7 @@ PINNED = {
     ),
     ("matrix", "matrix", False, None): (
         "f161e1e59b1ae69d40bdf567107e484366c98aa54f3cda395adb7e399217627b",
-        "1c94b11e421c563ecea0b82ffec7b0fcb0664b41c35122780212f84a08ad08c3",
+        "882211f8d0f19914dbcdb6b5c329138eaf96ea9775ce075095b348635e79833e",
     ),
     ("gf2", "solution_set", False, None): (
         "9f7034022961d7588e3e0a3515dad5a6c3774cfe3c8938cf25a189f092ad8ae2",
@@ -78,11 +82,11 @@ PINNED = {
     ),
     ("mincost-matrix", "matrix", True, None): (
         "d909aae5b3b8df4dcd980c13dab23d7c7a28b4fa27cb237d8abb952cc711be1e",
-        "067b94c36e653e555b0aa092ea354178592fb11231d8d5d112672cd3a29cc45d",
+        "8f6efa68206427c7278958a1ba9e3e5073af538eb12f82d479d69b292736c81a",
     ),
     ("mincost-gf2", "solution_set", True, None): (
         "005372656770cec4a7ad3dda3c3ebf7d12ca290623c7389f0abf8e30f9d7b697",
-        "9e36275e1fbbee57daa27019853d3ae60d8209ae5b980bc2f6837b2d61395518",
+        "422cc5209caa0b5b44509cfb4b89d1461f621f3a47c0fd7539d1546043dc908e",
     ),
 }
 
@@ -289,9 +293,20 @@ def test_old_keys_still_load(case):
 @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
 def test_key_holds_the_seed_once_and_no_width(case):
     # Key values are numbers, lists and objects, so a quoted name is a key.
+    _, name, mincost, _ = case
     key = record_to_json(_disguise(*case[1:])[1])
     assert json.loads(key)["seed"] == SEED
     assert (key.count('"seed"'), key.count('"width"')) == (1, 0)
+    # The secret holds its type tag and exactly the fields its reader reads:
+    # a disguise reads its secret class's fields, and Mincost the circuit
+    # and the inner secret, which its method's disguise reads untagged.
+    secret = json.loads(key)["secret"]
+    read = set(get_type_hints(DISGUISES[name].secret_type))
+    if mincost:
+        assert set(secret["inner"]) == read
+        read = {"method", "circuit", "inner"}
+    assert set(secret) == {"type", *read}
+    assert (key.count('"three_map"'), key.count('"negation_constants"')) == (0, 0)
 
 
 def test_old_wide_clause_mincost_key_still_loads():

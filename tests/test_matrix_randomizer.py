@@ -127,7 +127,7 @@ def test_randomize_with_injected_matrix():
     assert art.rhs == [4, 1]
     assert art.coeffs[1] == sys_.coeffs[1]
     _, secret = randomize_system(sys_, seed=0)
-    assert secret.negation_constants == [0, 2]
+    assert secret.num_constraints == 2
 
 
 def test_apply_random_matrix_dimension_check():
