@@ -203,6 +203,11 @@ def _offsets_of(widths: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _row_of_each(starts: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of a CSR store with row offsets ``starts``."""
+    return np.repeat(np.arange(starts.size - 1), np.diff(starts))
+
+
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     """Start offset of each of ``counts``'s runs in one array."""
     return np.cumsum(counts) - counts

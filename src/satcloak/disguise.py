@@ -240,6 +240,14 @@ class _SolutionSet(Disguise):
     def decode(self, solution, secret):
         return gf_derandomize(_values(solution, secret.original_n), secret)
 
+    def from_obj(self, obj: dict):
+        secret = super().from_obj(obj)
+        n, r_inv = secret.original_n, secret.r_inv
+        if (r_inv.rows, r_inv.cols) != (n, n):
+            raise ValueError(f"{self.tag} secret field 'r_inv': expected {n} x {n} "
+                             f"for original_n {n}, not {r_inv.rows} x {r_inv.cols}")
+        return secret
+
     def forward(self, model, secret, source):
         full = gf_forward(model, secret, source)
         return _vector(full, len(full))

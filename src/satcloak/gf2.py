@@ -1,10 +1,10 @@
-"""Dense 0/1 matrices with GF(2) and integer-arithmetic semantics.
+"""0/1 matrices with GF(2) and integer-arithmetic semantics.
 
-Rows are stored as Python integers used as bitsets (bit ``j`` = column
-``j``), which makes elimination a matter of XORing machine words.  The
-GF(2) products of the solution-set randomizer are here; the integer product
-of the linear-system randomizer (:mod:`satcloak.matrixrand`) reads the
-matrix as a numpy grid of 0/1 entries (:func:`_bit_grid`).
+A :class:`BitMatrix` keeps only its ones, as CSR.  The sparse draw writes
+that store; the GF(2) product, the gf2 rewrite (:mod:`satcloak.solsetrand`)
+and the integer product (:mod:`satcloak.matrixrand`) read it.  Only the
+eliminations, :func:`gf2_rank`, :func:`gf2_invert` and the dense draw, XOR
+whole rows, as Python ints used as bitsets (bit ``j`` = column ``j``).
 
 No random matrix draw can fail.  The sparse one is a permuted unit
 lower-triangular matrix; the dense one draws each row outside the span of
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
+
+from .cnf import _offsets_of, _row_of_each
 
 __all__ = [
     "SingularMatrixError",
@@ -28,7 +28,6 @@ __all__ = [
     "gf2_rank",
     "gf2_invert",
     "gf2_mat_vec",
-    "row_ones_csr",
     "random_full_rank",
     "random_sparse_full_rank",
 ]
@@ -40,45 +39,69 @@ class SingularMatrixError(ValueError):
     """Inversion was requested for a matrix without full GF(2) rank."""
 
 
-@dataclass
 class BitMatrix:
-    """A ``rows`` x ``cols`` 0/1 matrix; ``row_bits[i]`` bit ``j`` is entry (i, j)."""
+    """A ``rows`` x ``cols`` 0/1 matrix, kept as one flat CSR store of its
+    ones (the layout :class:`~satcloak.cnf.CnfInstance` keeps clauses in):
+    row ``i``'s ones are at the columns ``cols[starts[i]:starts[i + 1]]``,
+    ascending, in int64 arrays.
 
-    rows: int
-    cols: int
-    row_bits: list[int] = field(default_factory=list)
+    ``BitMatrix(rows, cols, row_bits)`` converts one int per row (bit ``j``
+    is column ``j``) once; ValueError for another row count or a bit at
+    column ``cols`` or above.  :attr:`row_bits` builds the ints again on
+    each read, for the eliminations.  Matrices are treated as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.row_bits) != self.rows:
+    __slots__ = ("rows", "cols", "_starts", "_cols")
+    __hash__ = None
+
+    def __init__(self, rows: int, cols: int, row_bits: list[int]):
+        if len(row_bits) != rows:
             raise ValueError("row count does not match bit storage")
-        mask = (1 << self.cols) - 1
-        for bits in self.row_bits:
-            if bits & ~mask:
-                raise ValueError("row has bits beyond declared column count")
+        if any(bits >> cols for bits in row_bits):
+            raise ValueError("row has bits beyond declared column count")
+        width = (cols + 7) // 8
+        packed = b"".join(bits.to_bytes(width, "little") for bits in row_bits)
+        grid = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        self.rows, self.cols = rows, cols
+        self._starts, self._cols = _ones_of(grid.view(bool).reshape(rows, 8 * width))
 
     @classmethod
-    def identity(cls, dim: int) -> "BitMatrix":
-        return cls(dim, dim, [1 << i for i in range(dim)])
+    def _of(cls, rows: int, cols: int, starts: np.ndarray,
+            ones: np.ndarray) -> BitMatrix:
+        """The matrix of the store arrays, kept as given."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._starts, m._cols = rows, cols, starts, ones
+        return m
 
-    def row_ones(self, i: int) -> list[int]:
-        """Column indices of the 1-entries in row ``i``, ascending."""
-        bits = self.row_bits[i]
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+    @classmethod
+    def identity(cls, dim: int) -> BitMatrix:
+        return cls._of(dim, dim, np.arange(dim + 1), np.arange(dim))
+
+    @property
+    def row_bits(self) -> list[int]:
+        packed = np.zeros((self.rows, (self.cols + 7) // 8), np.uint8)
+        np.bitwise_or.at(packed, (_row_of_each(self._starts), self._cols >> 3),
+                         np.left_shift(1, self._cols & 7).astype(np.uint8))
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def __eq__(self, other):
+        if not isinstance(other, BitMatrix):
+            return NotImplemented
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and np.array_equal(self._starts, other._starts)
+                and np.array_equal(self._cols, other._cols))
+
+    def __repr__(self) -> str:
+        return f"BitMatrix({self.rows!r}, {self.cols!r}, {self.row_bits!r})"
 
     def nonzero_count(self) -> int:
-        return sum(bits.bit_count() for bits in self.row_bits)
+        return self._cols.size
 
     def to_strings(self) -> list[str]:
         """Row-major '0'/'1' strings (column 0 first) for serialization."""
-        # The set bit ``1 << cols`` pins the width at cols + 1 binary digits
-        # (leading zeros kept, and "" for zero columns); reversing drops it.
-        top = 1 << self.cols
-        return [format(bits | top, "b")[:0:-1] for bits in self.row_bits]
+        grid = np.full((self.rows, self.cols), ord("0"), np.uint8)
+        grid.ravel()[_row_of_each(self._starts) * self.cols + self._cols] = ord("1")
+        return [row.tobytes().decode("ascii") for row in grid]
 
     @classmethod
     def from_strings(cls, rows: int, cols: int, strings: list[str]) -> "BitMatrix":
@@ -89,10 +112,21 @@ class BitMatrix:
         if len(strings) != rows:
             raise ValueError("row count mismatch")
         for s in strings:
-            # int(s, 2) alone would also take signs, underscores and blanks.
+            # Any character but '1' would read as 0 below.
             if not isinstance(s, str) or len(s) != cols or not _BITS.fullmatch(s):
                 raise ValueError(f"bad bit string {s!r}")
-        return cls(rows, cols, [int(s[::-1] or "0", 2) for s in strings])
+        text = np.frombuffer("".join(strings).encode("ascii"), np.uint8)
+        return cls._of(rows, cols, *_ones_of(text.reshape(rows, cols) == ord("1")))
+
+
+def _ones_of(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The store ``(starts, cols)`` of a 2-D bool grid (numpy finds the
+    ones of a uint8 grid, and splits flat indices by division, at several
+    times the cost of this)."""
+    counts = np.count_nonzero(grid, axis=1)
+    cols = np.flatnonzero(grid)
+    cols -= np.repeat(np.arange(len(grid)) * grid.shape[1], counts)
+    return _offsets_of(counts), cols
 
 
 def _add_to_span(row: int, pivots: dict[int, int]) -> bool:
@@ -127,7 +161,7 @@ def gf2_invert(m: BitMatrix) -> BitMatrix:
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     dim = m.rows
-    work = list(m.row_bits)
+    work = m.row_bits
     inv = [1 << i for i in range(dim)]
     for col in range(dim):
         pivot = None
@@ -150,48 +184,11 @@ def gf2_mat_vec(m: BitMatrix, vec: list[int]) -> list[int]:
     """Matrix-vector product over GF(2); ``vec`` is a 0/1 list."""
     if len(vec) != m.cols:
         raise ValueError("dimension mismatch")
-    packed = 0
-    for j, entry in enumerate(vec):
-        if entry:
-            packed |= 1 << j
-    return [(m.row_bits[i] & packed).bit_count() & 1 for i in range(m.rows)]
-
-
-# Unpacking costs a few ns per bit of the grid and walking ``row_ones`` a few
-# hundred ns per one, so the grid is unpacked down to one one in 64 bits.
-_UNPACK_DENSITY = 64
-
-
-def _bit_grid(m: BitMatrix) -> np.ndarray:
-    """The matrix as a ``(rows, 8 * ceil(cols / 8))`` uint8 array of 0/1
-    entries, unpacked by numpy from the row bitsets; the columns past
-    ``cols`` are 0."""
-    width = (m.cols + 7) // 8
-    grid = b"".join(bits.to_bytes(width, "little") for bits in m.row_bits)
-    bits = np.unpackbits(np.frombuffer(grid, np.uint8), bitorder="little")
-    return bits.reshape(m.rows, 8 * width)
-
-
-def row_ones_csr(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's :meth:`~BitMatrix.row_ones`, listed once as CSR: row
-    ``i``'s column indices are ``cols[starts[i]:starts[i + 1]]``, ascending.
-
-    A matrix with at least one one in 64 bits is unpacked by
-    :func:`_bit_grid`; a sparser one is walked one row at a time, one step
-    per one, instead of unpacking its ``rows * cols`` bits.
-    """
-    starts = np.zeros(m.rows + 1, np.int64)
-    np.cumsum(np.fromiter(map(int.bit_count, m.row_bits), np.int64, m.rows),
-              out=starts[1:])
-    ones = int(starts[-1])
-    if m.rows * m.cols <= _UNPACK_DENSITY * ones:
-        grid = _bit_grid(m)
-        cols = np.flatnonzero(grid) % grid.shape[1]
-    else:
-        cols = np.fromiter(
-            chain.from_iterable(map(m.row_ones, range(m.rows))), np.int64, ones
-        )
-    return starts, cols
+    # One XOR run per row; the trailing 0 keeps every run start in range.
+    gathered = np.append(np.asarray(vec, bool)[m._cols], False)
+    parity = np.bitwise_xor.reduceat(gathered, m._starts[:-1])
+    parity[m._starts[:-1] == m._starts[1:]] = False  # an empty row
+    return parity.astype(np.int64).tolist()
 
 
 def random_full_rank(dim: int, rng: random.Random) -> BitMatrix:
@@ -241,11 +238,16 @@ def random_sparse_full_rank(
     rng.shuffle(rows)
     cols = list(range(dim))
     rng.shuffle(cols)
-    lower = []
+    # Row i of L: its one at column cols[i], then its extra ones as drawn.
+    lower, widths = [], []
     for i in range(dim):
-        bits = 1 << cols[i]
-        if i:
-            for _ in range(rng.randint(0, row_weight - 1)):
-                bits |= 1 << cols[rng.randrange(i)]
-        lower.append(bits)
-    return BitMatrix(dim, dim, [lower[r] for r in rows])
+        lower.append(cols[i])
+        extra = rng.randint(0, row_weight - 1) if i else 0
+        lower.extend(cols[rng.randrange(i)] for _ in range(extra))
+        widths.append(1 + extra)
+    # Row rows[k] of L is row k of the matrix.  Sorting its ones by
+    # (row, column) orders each row and merges repeats in one pass.
+    at = np.argsort(rows)
+    ones = np.unique(np.repeat(at, widths) * dim + np.array(lower, np.int64))
+    starts = _offsets_of(np.bincount(ones // dim, minlength=dim))
+    return BitMatrix._of(dim, dim, starts, ones % dim)

@@ -37,9 +37,10 @@ from .cnf import (
     _cell_table,
     _cells_text,
     _offsets_of,
+    _row_of_each,
     _three_table,
 )
-from .gf2 import BitMatrix, _bit_grid, random_full_rank
+from .gf2 import BitMatrix, random_full_rank
 
 __all__ = [
     "LinearSystem",
@@ -157,11 +158,6 @@ def _int64(values) -> np.ndarray:
         raise ValueError("coefficient or right-hand side outside int64") from None
 
 
-def _row_of_each(starts: np.ndarray) -> np.ndarray:
-    """The row of each stored nonzero."""
-    return np.repeat(np.arange(starts.size - 1), np.diff(starts))
-
-
 @dataclass
 class MatrixSecret:
     """Client-held state for mapping a solution back: where the original
@@ -247,14 +243,14 @@ def apply_random_matrix(sys: LinearSystem, r: BitMatrix) -> LinearSystem:
     """Return the system ``(RA)X = RB`` (plain integer arithmetic).
 
     This is NOT reduced mod 2: ``[[1, 1]]`` times the rows ``[1]`` and
-    ``[-1]`` is ``[[0]]``.  ``R`` is unpacked once into a 0/1 grid; each
-    block of its rows takes the grid's entries at the rows of A's nonzeros,
-    listed column by column, times their values, and sums each column's
-    run (``np.add.reduceat``), keeping the nonzero sums as the new rows'
-    store.  That is ``rows(R) * nnz(A)`` products instead of a product per
-    entry of a dense A.  ``RB`` is the grid times ``B``.  Raises ValueError
-    when the dimensions differ or ``r.cols * max|A|`` (or ``max|B|``) could
-    overflow int64.
+    ``[-1]`` is ``[[0]]``.  ``R``'s ones are scattered once into a 0/1
+    grid; each block of its rows takes the grid's entries at the rows of
+    A's nonzeros, listed column by column, times their values, and sums
+    each column's run (``np.add.reduceat``), keeping the nonzero sums as
+    the new rows' store.  That is ``rows(R) * nnz(A)`` products instead of
+    a product per entry of a dense A.  ``RB`` is the grid times ``B``.
+    Raises ValueError when the dimensions differ or ``r.cols * max|A|`` (or
+    ``max|B|``) could overflow int64.
     """
     m = sys.num_constraints
     if r.cols != m:
@@ -262,7 +258,8 @@ def apply_random_matrix(sys: LinearSystem, r: BitMatrix) -> LinearSystem:
     top = max(map(_magnitude, (sys._vals, sys._rhs)))
     if r.cols * top > _INT64_MAX:
         raise ValueError(f"R times a value of magnitude {top} could overflow int64")
-    grid = _bit_grid(r)[:, :m]
+    grid = np.zeros((r.rows, m), np.uint8)
+    grid[_row_of_each(r._starts), r._cols] = 1
     rhs = grid @ sys._rhs  # before the blocks: numpy widens the grid to int64
     by_column = np.argsort(sys._cols, kind="stable")
     rows = _row_of_each(sys._starts)[by_column]

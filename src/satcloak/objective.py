@@ -177,19 +177,11 @@ def evaluate_circuit(
 @dataclass
 class RandomizedMincost:
     """The artifact a provider sees: the inner disguise's artifact — a
-    linear system (``kind == "linear"``) or a 3CNF (``kind == "cnf"``) —
-    plus the cost function over output-bit variables."""
+    linear system or a 3CNF — plus the cost function over output-bit
+    variables."""
 
     inner: LinearSystem | CnfInstance
     costs: dict[int, int]
-
-    @property
-    def kind(self) -> str:
-        return "linear" if isinstance(self.inner, LinearSystem) else "cnf"
-
-    @property
-    def system(self) -> LinearSystem | None:
-        return self.inner if isinstance(self.inner, LinearSystem) else None
 
     @property
     def cnf(self) -> CnfInstance | None:

@@ -18,8 +18,8 @@ The rewritten clauses (width 3 to 6) are then split into exactly-3CNF as
 :func:`~satcloak.cnf.to_three_cnf` splits them, and the width-2 gate
 clauses padded as it pads them.  Every piece has a fixed shape, so the
 output is built as one ``(k, 3)`` literal table by numpy over the input's
-literal table and ``R^-1``'s ones listed once
-(:func:`~satcloak.gf2.row_ones_csr`): no gate tuples, no clause lists.
+literal table and the CSR store of ``R^-1``'s ones
+(:class:`~satcloak.gf2.BitMatrix`): no gate tuples, no clause lists.
 :func:`gf_forward` computes every dummy from the same layout (a chain link
 is a prefix parity of its row, an ``and`` gate the AND of its inputs, a
 padding variable false, a split variable the OR of its clause suffix).
@@ -43,14 +43,13 @@ import random
 from dataclasses import dataclass
 import numpy as np
 
-from .cnf import CnfInstance, _exclusive_cumsum, _runs, _three_table
+from .cnf import CnfInstance, _exclusive_cumsum, _offsets_of, _runs, _three_table
 from .gf2 import (
     BitMatrix,
     gf2_invert,
     gf2_mat_vec,
     random_full_rank,
     random_sparse_full_rank,
-    row_ones_csr,
 )
 
 __all__ = [
@@ -104,8 +103,8 @@ class _Rewrite:
 
     def __init__(self, table: np.ndarray, r_inv: BitMatrix):
         n = r_inv.rows
-        starts, cols = row_ones_csr(r_inv)
-        self.ys = cols + 1
+        starts = r_inv._starts
+        self.ys = r_inv._cols + 1
         k = len(table)
         lits = table.ravel()
         var = np.abs(lits) - 1
@@ -232,25 +231,23 @@ def _draw_substitution(
     ``R``, so nothing is inverted.  With no coordinate fixed, the drawn
     block is ``R^-1``.
     """
-    free = sorted(set(range(1, n + 1)) - fixed_vars)
-    if not free:
+    is_free = ~np.isin(np.arange(1, n + 1), list(fixed_vars))
+    free = np.flatnonzero(is_free)
+    if not free.size:
         return BitMatrix.identity(n)
     if row_weight is not None:
-        block = random_sparse_full_rank(len(free), row_weight, rng)
+        block = random_sparse_full_rank(free.size, row_weight, rng)
     else:
-        block = random_full_rank(len(free), rng)
-    if len(free) == n:
+        block = random_full_rank(free.size, rng)
+    if free.size == n:
         return block
-    rows = [0] * n
-    for v in range(1, n + 1):
-        if v in fixed_vars:
-            rows[v - 1] = 1 << (v - 1)
-    for bi, v in enumerate(free):
-        acc = 0
-        for bj in block.row_ones(bi):
-            acc |= 1 << (free[bj] - 1)
-        rows[v - 1] = acc
-    return BitMatrix(n, n, rows)
+    # Row v of R^-1 is e_v for a fixed v, and for the i-th free v the
+    # block's row i with its columns renamed to the free coordinates.
+    widths = np.ones(n, np.int64)
+    widths[free] = np.diff(block._starts)
+    cols = np.repeat(np.arange(n), widths)
+    cols[np.repeat(is_free, widths)] = free[block._cols]
+    return BitMatrix._of(n, n, _offsets_of(widths), cols)
 
 
 def gf_randomize(
@@ -275,8 +272,6 @@ def gf_randomize(
     table = _three_table(instance)
     n = instance.num_vars
     rng = random.Random(seed)
-    if n == 0:
-        return CnfInstance(0, []), GfSecret(BitMatrix(0, 0, []), 0)
     r_inv = _draw_substitution(n, rng, row_weight, frozenset(fixed_vars))
     rewrite = _Rewrite(table, r_inv)
     return CnfInstance(rewrite.num_vars, rewrite.table()), GfSecret(r_inv, n)

@@ -123,6 +123,11 @@ def random_policy(
     return FirewallPolicy(rules, rng.choice(["accept", "deny"]))
 
 
+def row_ones(m: BitMatrix, i: int) -> list[int]:
+    """The columns of row ``i``'s ones, as ``m``'s CSR store lists them."""
+    return m._cols[m._starts[i]:m._starts[i + 1]].tolist()
+
+
 def gf2_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over GF(2)."""
     if a.cols != b.rows:

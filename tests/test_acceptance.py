@@ -200,7 +200,7 @@ def test_criterion_4_worked_example_is_bit_exact():
 def _forward_artifact_solution(method, artifact, secret, three, full3):
     if method == "matrix":
         vec = complete_solution(three, full3)
-        ok = check_linear(artifact.system, vec)
+        ok = check_linear(artifact.inner, vec)
         cost = sum(w * vec[v - 1] for v, w in artifact.costs.items())
         return vec, ok, cost
     full = gf_forward(full3, secret.inner, three)
@@ -234,7 +234,7 @@ def test_criterion_5_mincost_randomization_preserves_optimum():
         # unrandomized encoding's.  A matrix key keeps no R, so it is drawn
         # again from the seed, as randomize_system draws it.
         if method == "matrix":
-            r = random_full_rank(artifact.system.num_constraints,
+            r = random_full_rank(artifact.inner.num_constraints,
                                  random.Random(seed))
         else:
             r = secret.inner.r_inv

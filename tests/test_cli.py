@@ -182,6 +182,15 @@ def _drop(obj, *path):
     del obj[path[-1]]
 
 
+def _resize_r_inv(key, rows, cols):
+    """Give the key's R^-1 ``rows`` x ``cols`` entries: rows cut or
+    appended, each row cut or padded with 0."""
+    r_inv = key["secret"]["r_inv"]
+    bits = [row[:cols].ljust(cols, "0") for row in r_inv["bits"]][:rows]
+    bits += ["0" * cols] * (rows - len(bits))
+    r_inv.update(rows=rows, cols=cols, bits=bits)
+
+
 @pytest.mark.parametrize("command,method,mutate,fragment", [
     ("randomize", "matrix", lambda k: {"method": "iso"},
      "key file lacks field 'secret'"),
@@ -207,6 +216,14 @@ def _drop(obj, *path):
      "gf2 secret field 'r_inv': bit strings must be a list, not int"),
     ("randomize", "gf2", lambda k: k["secret"]["r_inv"]["bits"].__setitem__(0, 5),
      "gf2 secret field 'r_inv': bad bit string 5"),
+    # An R^-1 that is not original_n x original_n: one row short, one long,
+    # one column wide.
+    ("randomize", "gf2", lambda k: _resize_r_inv(k, 2, 3),
+     "gf2 secret field 'r_inv': expected 3 x 3 for original_n 3, not 2 x 3"),
+    ("randomize", "gf2", lambda k: _resize_r_inv(k, 4, 3),
+     "gf2 secret field 'r_inv': expected 3 x 3 for original_n 3, not 4 x 3"),
+    ("randomize", "gf2", lambda k: _resize_r_inv(k, 3, 4),
+     "gf2 secret field 'r_inv': expected 3 x 3 for original_n 3, not 3 x 4"),
     ("randomize", "iso", lambda k: k.update(instance_digest=5),
      "key file field 'instance_digest' must be a string"),
     ("randomize", "iso", lambda k: k.update(seed="x"),
@@ -265,7 +282,8 @@ def _drop(obj, *path):
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
-        "bits-not-list", "row-not-string", "digest-not-string", "seed-not-int",
+        "bits-not-list", "row-not-string", "gf2-r-inv-short", "gf2-r-inv-long",
+        "gf2-r-inv-wide", "digest-not-string", "seed-not-int",
         "matrix-not-object",
         "mincost-inner-method-not-string", "list-field-not-list",
         "int-field-not-int", "mincost-output-bits-not-list",

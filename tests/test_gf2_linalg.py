@@ -1,6 +1,7 @@
-"""Bitset matrices: GF(2) and integer semantics, rank, inversion, sampling."""
+"""Bit matrices: GF(2) and integer semantics, rank, inversion, sampling."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gf2_mat_mul, random_three_cnf
+from helpers import gf2_mat_mul, random_three_cnf, row_ones
 from satcloak import solsetrand
 from satcloak.gf2 import (
     BitMatrix,
@@ -18,7 +19,6 @@ from satcloak.gf2 import (
     gf2_rank,
     random_full_rank,
     random_sparse_full_rank,
-    row_ones_csr,
 )
 from satcloak.matrixrand import LinearSystem, apply_random_matrix
 
@@ -27,7 +27,7 @@ def test_constructors_and_accessors():
     m = BitMatrix.from_strings(2, 3, ["101", "011"])
     assert (m.rows, m.cols) == (2, 3)
     assert m.row_bits == [0b101, 0b110]
-    assert m.row_ones(1) == [1, 2]
+    assert row_ones(m, 1) == [1, 2]
     assert m.nonzero_count() == 4
     assert BitMatrix.identity(3).to_strings() == ["100", "010", "001"]
     assert BitMatrix(2, 2, [0, 0]).nonzero_count() == 0
@@ -153,29 +153,36 @@ def test_rank_matches_column_elimination_at_edges(rows, cols):
     assert gf2_rank(m) == _column_elimination_rank(m) == min(rows, cols)
 
 
-def _csr_rows(m):
-    starts, cols = row_ones_csr(m)
-    assert starts[0] == 0 and len(starts) == m.rows + 1
+def _store_rows(m):
+    """Each row's ones as the store lists them, after checking its layout."""
+    starts, cols = m._starts, m._cols
+    assert starts[0] == 0 and len(starts) == m.rows + 1 and starts[-1] == cols.size
     assert cols.dtype == starts.dtype == np.int64
-    return [cols[starts[i]:starts[i + 1]].tolist() for i in range(m.rows)]
+    return [row_ones(m, i) for i in range(m.rows)]
+
+
+def _bit_rows(m):
+    """Each row's ones, ascending, read off ``row_bits`` one column at a time."""
+    return [[j for j in range(m.cols) if bits >> j & 1] for bits in m.row_bits]
 
 
 @given(_rank_case())
 @settings(max_examples=300)
 def test_row_ones_csr_lists_every_row(m):
-    assert _csr_rows(m) == [m.row_ones(i) for i in range(m.rows)]
+    assert _store_rows(m) == _bit_rows(m)
 
 
 @pytest.mark.parametrize("m", [
     BitMatrix(0, 0, []),
     BitMatrix(3, 0, [0, 0, 0]),
     BitMatrix(4, 70, [0] * 4),
-    random_full_rank(130, random.Random(2)),  # unpacked: half the bits are ones
-    random_sparse_full_rank(400, 3, random.Random(2)),  # walked: one bit in 200
+    random_full_rank(130, random.Random(2)),  # converted from row ints
+    random_sparse_full_rank(400, 3, random.Random(2)),  # written by the draw
     BitMatrix(3, 200, [0, 1 << 199, (1 << 200) - 1]),
 ], ids=["0x0", "3x0", "zeros", "dense", "sparse", "edges"])
 def test_row_ones_csr_on_both_paths(m):
-    assert _csr_rows(m) == [m.row_ones(i) for i in range(m.rows)]
+    assert _store_rows(m) == _bit_rows(m)
+    assert BitMatrix(m.rows, m.cols, m.row_bits) == m
 
 
 def test_invert_round_trip():
@@ -262,8 +269,7 @@ def _sparse_product_case(draw):
 @settings(max_examples=60)
 def test_sparse_integer_product_matches_triple_loop(case):
     r, a, v = case
-    for i in range(r.rows):
-        assert r.row_ones(i) == [j for j in range(r.cols) if r.row_bits[i] >> j & 1]
+    assert _store_rows(r) == _bit_rows(r)
     want = [[0] * len(a[0]) for _ in range(r.rows)]
     for i in range(r.rows):
         for j in range(len(a[0])):
@@ -330,6 +336,25 @@ def test_sparse_sampling_at_scale():
     assert gf2_rank(m) == dim
     assert all(bits.bit_count() <= 3 for bits in m.row_bits)
     assert m.nonzero_count() > 1.5 * dim
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_sparse_full_rank(32768, 3, rng),
+    lambda rng: solsetrand._draw_substitution(
+        32768, rng, 3, frozenset(range(1, 32768, 7))),
+], ids=["draw", "fixed-vars"])
+def test_sparse_draw_peak_memory_is_linear(draw):
+    # The store of about 2 ones per row is about 1 MB, while one int per
+    # row, as wide as its highest one, averages 2 KB at this size.
+    rng = random.Random(1)
+    tracemalloc.start()
+    try:
+        m = draw(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nonzero_count() > 1.5 * 28000
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("dim,chi2_999", [(2, 20.52), (3, 229.21)])

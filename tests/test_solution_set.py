@@ -12,6 +12,7 @@ from helpers import (
     naive_solutions,
     projected_solutions,
     random_three_cnf,
+    row_ones,
 )
 from satcloak.cnf import (
     CnfInstance,
@@ -166,7 +167,7 @@ def test_fixed_vars_stay_unmixed():
     fixed = frozenset({2, 5})
     art, secret = gf_randomize(inst, 11, fixed_vars=fixed)
     for v in fixed:
-        assert secret.r_inv.row_ones(v - 1) == [v - 1]
+        assert row_ones(secret.r_inv, v - 1) == [v - 1]
     for x in naive_solutions(inst):
         full = gf_forward(x, secret, inst)
         assert art.satisfies(full)
@@ -208,7 +209,7 @@ def _rewrite(instance: CnfInstance, r_inv: BitMatrix) -> TseitinEncoder:
     n = instance.num_vars
     enc = TseitinEncoder(n)
     chain_rep: dict[int, int] = {}
-    subs = [tuple(j + 1 for j in r_inv.row_ones(v)) for v in range(n)]
+    subs = [tuple(j + 1 for j in row_ones(r_inv, v)) for v in range(n)]
     for clause in instance.clauses:
         big: list[int] = []
         for lit in clause:
