@@ -5,14 +5,15 @@ variable count, clause count, or clause-length profile, which is exactly the
 statistical leakage that motivates the heavier randomizers.  It is cheap,
 composes with everything, and inverts trivially.
 
-On the instance's literal array the literal map is one lookup array and
-the clause shuffle one gather by the clause offsets, so an instance read
-from text is disguised and written back without a clause list.
+The secret and the clause order come from one numpy Generator as whole
+vectors, with no Python step per variable or clause.  On the instance's
+literal array the literal map is one lookup array and the clause shuffle
+one gather by the clause offsets, so an instance read from text is
+disguised and written back without a clause list.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +62,20 @@ def apply_iso(instance: CnfInstance, secret: IsoSecret) -> CnfInstance:
 
 def iso_randomize(instance: CnfInstance, seed: int) -> tuple[CnfInstance, IsoSecret]:
     """Draw a uniform permutation and per-variable coin-flip polarity set,
-    apply them, and shuffle clause order.  Deterministic given ``seed``.
+    apply them, and shuffle clause order.  Deterministic given ``seed``
+    (its absolute value seeds one ``np.random.default_rng``) within one
+    satcloak version.
 
-    The clauses are gathered in the order a ``random.shuffle`` of their
-    indices gives, which is the order the same shuffle gives a list of
-    the clauses: it swaps by position only."""
-    rng = random.Random(seed)
+    The permutation, the flips and the clause order are drawn in that
+    order as numpy vectors, and the clauses are gathered by their offsets
+    in the drawn order."""
+    rng = np.random.default_rng(abs(seed))
     n = instance.num_vars
-    permutation = list(range(1, n + 1))
-    rng.shuffle(permutation)
-    flips = frozenset(v for v in range(1, n + 1) if rng.random() < 0.5)
-    secret = IsoSecret(permutation, flips)
+    permutation = rng.permutation(n) + 1
+    flips = np.flatnonzero(rng.random(n) < 0.5) + 1
+    secret = IsoSecret(permutation.tolist(), frozenset(flips.tolist()))
     mapped = apply_iso(instance, secret)
-    order = list(range(mapped.num_clauses))
-    random.Random(seed ^ 0x5CA7).shuffle(order)
-    order = np.array(order, np.int64)
+    order = rng.permutation(mapped.num_clauses)
     starts = mapped._offsets[order]
     widths = mapped._offsets[order + 1] - starts
     offsets = _offsets_of(widths)

@@ -155,6 +155,24 @@ def test_verify_solution_accepts_honest_answer(tmp_path, capsys):
     assert out == "valid\n"
 
 
+@pytest.mark.parametrize("seed", [-5, 2**256 - 1], ids=["negative", "78-digit"])
+def test_iso_round_trip_with_a_negative_or_huge_seed(tmp_path, capsys, seed):
+    src = tmp_path / "orig.cnf"
+    src.write_text(SAT_CNF)
+    code, _, _ = run(capsys, "randomize", "--method", "iso", "--seed", str(seed),
+                     "--in", str(src))
+    assert code == 0
+    key = tmp_path / "orig.key"
+    assert json.loads(key.read_text())["seed"] == seed
+    sol = tmp_path / "answer.sol"
+    code, out, _ = run(capsys, "solve-brute", "--in", str(tmp_path / "orig.rand.cnf"),
+                       "--out", str(sol))
+    assert (code, out) == (0, "SAT count=6\n")
+    code, out, _ = run(capsys, "verify-solution", "--secret", str(key),
+                       "--solution", str(sol), "--original", str(src))
+    assert (code, out) == (0, "valid\n")
+
+
 def test_derandomize_digest_mismatch(tmp_path, capsys):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)

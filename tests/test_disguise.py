@@ -63,10 +63,14 @@ SEED = 7
 # The matrix and Mincost keys are as written since a matrix key keeps its
 # constraint count instead of a negation count per constraint, and a
 # Mincost key keeps neither the 3CNF map nor a type tag on its inner secret.
+# The iso artifact and key are as written since the permutation, the flips
+# and the clause order come from one numpy Generator instead of two
+# random.Random streams: the same seed draws another secret and order
+# (OLD_ISO_ARTIFACT and OLD_ISO_KEY are the pair written before).
 PINNED = {
     ("iso", "iso", False, None): (
-        "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
-        "cc4cadddea6a43a321ec5b84d04ad0383563acdfd5d49b5732aa7c370f741b65",
+        "a92dc2b2609187f792369efc58ce1c792e06fa96a821e9a407d847be3c082f2e",
+        "db4a6946f2febb56733fb8cc453ab7374db710560fe8454a07ca19da33e63c53",
     ),
     ("matrix", "matrix", False, None): (
         "f161e1e59b1ae69d40bdf567107e484366c98aa54f3cda395adb7e399217627b",
@@ -163,6 +167,23 @@ OLD_KEYS = {
         '76473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed":7}'
     ),
 }
+
+
+# The TINY iso artifact and key (seed 7) as written while the secret and
+# the clause order were drawn with random.Random, and their digests.  A key
+# holds the whole permutation and flip set, so nothing is re-drawn when it
+# is read: it still reads back to the same bytes and checks answers to the
+# old artifact.
+OLD_ISO_SHA = (
+    "7f231856aad783e4309a276aec8bed892684f7330aad746f50d97a1bce14877c",
+    "cc4cadddea6a43a321ec5b84d04ad0383563acdfd5d49b5732aa7c370f741b65",
+)
+OLD_ISO_ARTIFACT = "p cnf 3 4\n-3 -1 2 0\n1 0\n2 3 0\n-3 0\n"
+OLD_ISO_KEY = (
+    '{"method":"iso","secret":{"type":"iso","permutation":[3,1,2],"flips":[1,'
+    '2]},"instance_digest":"2fc4c70a50676473061e880184dcf005b2df6434645fa1c0c'
+    '5278049e122fa60","seed":7}'
+)
 
 
 # A Mincost key for WIDE written while each 3CNF split variable was the or
@@ -307,6 +328,23 @@ def test_key_holds_the_seed_once_and_no_width(case):
         read = {"method", "circuit", "inner"}
     assert set(secret) == {"type", *read}
     assert (key.count('"three_map"'), key.count('"negation_constants"')) == (0, 0)
+
+
+def test_old_iso_key_still_checks_answers():
+    old_key = json.dumps(json.loads(OLD_ISO_KEY), indent=1) + "\n"
+    assert (_sha(OLD_ISO_ARTIFACT), _sha(old_key)) == OLD_ISO_SHA
+    record = record_from_json(old_key)
+    assert record_to_json(record) == old_key
+    vector = DISGUISES["iso"].forward(MODEL, record.secret, TINY)
+    answer = {v: bool(bit) for v, bit in enumerate(vector, 1)}
+    assert parse_dimacs(OLD_ISO_ARTIFACT).satisfies(answer)
+    assert check_solution(record, vector, TINY) == (MODEL, None)
+    # Every variable of the unique model is moved, so each flip falsifies.
+    for pos in range(len(vector)):
+        flipped = list(vector)
+        flipped[pos] ^= 1
+        with pytest.raises(InvalidSolutionError):
+            check_solution(record, flipped, TINY)
 
 
 def test_old_wide_clause_mincost_key_still_loads():

@@ -1,13 +1,17 @@
 """Variable permutation + polarity flip randomizer."""
 
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_assignments, naive_count, naive_solutions, random_mixed_cnf
-from satcloak.cnf import CnfInstance
+from satcloak.cnf import CnfInstance, parse_dimacs
+from satcloak.disguise import DISGUISES
 from satcloak.isomorph import (
     IsoSecret,
     apply_iso,
@@ -16,6 +20,12 @@ from satcloak.isomorph import (
     iso_randomize,
 )
 from satcloak.oracles import brute_sat
+from satcloak.orchestrator import (
+    check_solution,
+    make_record,
+    record_from_json,
+    record_to_json,
+)
 
 
 def test_secret_validation():
@@ -110,3 +120,48 @@ def test_deterministic_per_seed():
     assert a1 == a2 and s1 == s2
     a3, _ = iso_randomize(inst, 78)
     assert a3 != a1
+
+
+# Unique model: x1 true, x2 false, x3 true.
+TINY = parse_dimacs("p cnf 3 4\n1 0\n-2 0\n1 2 3 0\n3 -1 0\n")
+
+
+def test_negative_seed_draws_as_its_absolute_value():
+    assert iso_randomize(TINY, -5) == iso_randomize(TINY, 5)
+
+
+def test_huge_seed_round_trips():
+    seed = 2**255
+    artifact, secret = iso_randomize(TINY, seed)
+    assert (artifact, secret) == iso_randomize(TINY, seed)
+    record = record_from_json(record_to_json(make_record("iso", secret, TINY, seed)))
+    assert record.seed == seed and record.secret == secret
+    model = brute_sat(TINY).assignment
+    vector = DISGUISES["iso"].forward(model, secret, TINY)
+    assert artifact.satisfies({v: bool(b) for v, b in enumerate(vector, 1)})
+    assert check_solution(record, vector, TINY) == (model, None)
+
+
+def test_draw_is_uniform():
+    # Each permutation, flip set and clause order of TINY must come up about
+    # as often as a uniform draw gives it: within 5 binomial standard
+    # deviations of its expected count over the seeds.
+    seeds = 3000
+    perms, flip_sets, orders = Counter(), Counter(), Counter()
+    for seed in range(seeds):
+        artifact, secret = iso_randomize(TINY, seed)
+        mapped = apply_iso(TINY, secret).clauses
+        perms[tuple(secret.permutation)] += 1
+        flip_sets[secret.flips] += 1
+        orders[tuple(mapped.index(c) for c in artifact.clauses)] += 1
+    expected_keys = (
+        set(itertools.permutations(range(1, 4))),
+        {frozenset(c) for r in range(4) for c in itertools.combinations((1, 2, 3), r)},
+        set(itertools.permutations(range(4))),
+    )
+    for counts, keys in zip((perms, flip_sets, orders), expected_keys):
+        assert set(counts) == keys
+        p = 1 / len(keys)
+        spread = 5 * math.sqrt(seeds * p * (1 - p))
+        for key, count in counts.items():
+            assert abs(count - seeds * p) <= spread, (key, count)
