@@ -27,6 +27,7 @@ from .oracles import brute_sat
 from .solsetrand import GfSecret, gf_derandomize, gf_forward, gf_randomize
 
 __all__ = [
+    "KEY_FORMAT",
     "Disguise",
     "SolutionShapeError",
     "DISGUISES",
@@ -34,6 +35,11 @@ __all__ = [
     "CLI_NAMES",
     "lookup",
 ]
+
+# The key-file format records are written in.  Format 1 (keys without a
+# ``format`` field) wrote each bit matrix as one '0'/'1' string per row;
+# format 2 writes it as its ones or as hex rows (BitMatrix.to_obj).
+KEY_FORMAT = 2
 
 
 class SolutionShapeError(InvalidSolutionError, ValueError):
@@ -134,31 +140,34 @@ class Disguise:
         for f in fields(secret):
             value = getattr(secret, f.name)
             if isinstance(value, BitMatrix):
-                value = {"rows": value.rows, "cols": value.cols,
-                         "bits": value.to_strings()}
+                value = value.to_obj()
             elif isinstance(value, frozenset):
                 value = sorted(value)
             obj[f.name] = value
         return obj
 
-    def from_obj(self, obj: dict):
-        """The secret a key-file dict describes.  KeyError for a missing
-        field, ValueError naming the field for a value of the wrong type."""
+    def from_obj(self, obj: dict, key_format: int):
+        """The secret a key-file dict of format ``key_format`` describes.
+        KeyError for a missing field, ValueError naming the field for a
+        value of the wrong type."""
         args = {}
         for name, hint in get_type_hints(self.secret_type).items():
             try:
-                args[name] = _field_from_obj(obj[name], hint)
+                args[name] = _field_from_obj(obj[name], hint, key_format)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{self.tag} secret field {name!r}: {exc}") from None
         return self.secret_type(**args)
 
 
-def _field_from_obj(value, hint):
-    """A secret field from its key-file form: a bit matrix object, a
-    non-negative integer (every integer field is a count), or a list of
-    integers for a list or frozenset field."""
+def _field_from_obj(value, hint, key_format=KEY_FORMAT):
+    """A secret field from its key-file form: a bit matrix object (its
+    ``bits`` strings in format 1), a non-negative integer (every integer
+    field is a count), or a list of integers for a list or frozenset
+    field."""
     if hint is BitMatrix:
-        return BitMatrix.from_strings(value["rows"], value["cols"], value["bits"])
+        if key_format == 1:
+            return BitMatrix.from_strings(value["rows"], value["cols"], value["bits"])
+        return BitMatrix.from_obj(value)
     container = get_origin(hint)
     if container is None:
         if type(value) is not int:
@@ -166,7 +175,7 @@ def _field_from_obj(value, hint):
         if value < 0:
             raise ValueError("must not be negative")
         return value
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise ValueError("expected a list of integers")
     return container(value)
 
@@ -215,14 +224,14 @@ class _Matrix(Disguise):
         length = secret.original_n + 2 * secret.num_constraints
         return _values(solution, secret.original_n, length)
 
-    def from_obj(self, obj: dict):
+    def from_obj(self, obj: dict, key_format: int):
         # Keys written before the count was kept list one negation count
         # per constraint instead; their number is the count.
         if "num_constraints" not in obj and isinstance(
             obj.get("negation_constants"), list
         ):
             obj = {**obj, "num_constraints": len(obj["negation_constants"])}
-        return super().from_obj(obj)
+        return super().from_obj(obj, key_format)
 
     def forward(self, model, secret, source):
         return complete_solution(source, model)
@@ -240,8 +249,8 @@ class _SolutionSet(Disguise):
     def decode(self, solution, secret):
         return gf_derandomize(_values(solution, secret.original_n), secret)
 
-    def from_obj(self, obj: dict):
-        secret = super().from_obj(obj)
+    def from_obj(self, obj: dict, key_format: int):
+        secret = super().from_obj(obj, key_format)
         n, r_inv = secret.original_n, secret.r_inv
         if (r_inv.rows, r_inv.cols) != (n, n):
             raise ValueError(f"{self.tag} secret field 'r_inv': expected {n} x {n} "

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BITS = re.compile("[01]*")
+_HEX = re.compile("[0-9a-fA-F]*")
 
 
 class SingularMatrixError(ValueError):
@@ -61,9 +62,8 @@ class BitMatrix:
             raise ValueError("row has bits beyond declared column count")
         width = (cols + 7) // 8
         packed = b"".join(bits.to_bytes(width, "little") for bits in row_bits)
-        grid = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
         self.rows, self.cols = rows, cols
-        self._starts, self._cols = _ones_of(grid.view(bool).reshape(rows, 8 * width))
+        self._starts, self._cols = _ones_of(_unpacked(packed, rows, width))
 
     @classmethod
     def _of(cls, rows: int, cols: int, starts: np.ndarray,
@@ -77,12 +77,19 @@ class BitMatrix:
     def identity(cls, dim: int) -> BitMatrix:
         return cls._of(dim, dim, np.arange(dim + 1), np.arange(dim))
 
+    def _packed(self) -> np.ndarray:
+        """Each row packed little-endian into ``ceil(cols / 8)`` bytes,
+        through a bool grid of whole bytes (a scatter and ``packbits`` take a
+        fraction of the time of OR-ing each one into its byte)."""
+        width = (self.cols + 7) // 8
+        grid = np.zeros(self.rows * 8 * width, bool)
+        grid[_row_of_each(self._starts) * (8 * width) + self._cols] = True
+        return np.packbits(grid.reshape(self.rows, 8 * width), axis=1,
+                           bitorder="little")
+
     @property
     def row_bits(self) -> list[int]:
-        packed = np.zeros((self.rows, (self.cols + 7) // 8), np.uint8)
-        np.bitwise_or.at(packed, (_row_of_each(self._starts), self._cols >> 3),
-                         np.left_shift(1, self._cols & 7).astype(np.uint8))
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return [int.from_bytes(row.tobytes(), "little") for row in self._packed()]
 
     def __eq__(self, other):
         if not isinstance(other, BitMatrix):
@@ -97,16 +104,52 @@ class BitMatrix:
     def nonzero_count(self) -> int:
         return self._cols.size
 
-    def to_strings(self) -> list[str]:
-        """Row-major '0'/'1' strings (column 0 first) for serialization."""
-        grid = np.full((self.rows, self.cols), ord("0"), np.uint8)
-        grid.ravel()[_row_of_each(self._starts) * self.cols + self._cols] = ord("1")
-        return [row.tobytes().decode("ascii") for row in grid]
+    def to_obj(self) -> dict:
+        """The key-file form: the sparse ``counts`` (ones per row) and
+        ``ones`` (the store's columns) when they are no longer, counting
+        ``len(str(cols)) + 1`` characters per number, than the dense form,
+        ``hex``: the rows of :meth:`_packed`, row-major, as hex digits.  A
+        matrix without columns is sparse, as its hex would be empty and
+        could not bound its rows."""
+        shape = {"rows": self.rows, "cols": self.cols}
+        width = (self.cols + 7) // 8
+        numbers = self.nonzero_count() + self.rows
+        if not width or numbers * (len(str(self.cols)) + 1) <= 2 * self.rows * width:
+            return {**shape, "counts": np.diff(self._starts).tolist(),
+                    "ones": self._cols.tolist()}
+        return {**shape, "hex": self._packed().tobytes().hex()}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> BitMatrix:
+        """Inverse of :meth:`to_obj`.  KeyError for a missing field,
+        ValueError naming the field whose value is malformed: a row that
+        lists a column twice, out of order or at ``cols`` or above, counts
+        that do not add up to the ones, or hex of the wrong length, with a
+        character that is not a hex digit or with a bit set in a row's
+        padding, or hex for rows without columns."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object, not {type(obj).__name__}")
+        rows, cols = _count(obj, "rows"), _count(obj, "cols")
+        if "hex" not in obj:
+            return cls._of(rows, cols, *_sparse_store(obj, rows, cols))
+        text, width = obj["hex"], (cols + 7) // 8
+        if rows and not width:
+            raise ValueError("'hex' cannot give rows without columns")
+        if not isinstance(text, str) or len(text) != 2 * rows * width:
+            raise ValueError(f"'hex' must be a string of {2 * rows * width} hex "
+                             "digits (2 per byte of each row)")
+        if not _HEX.fullmatch(text):
+            raise ValueError("'hex' holds a character that is not a hex digit")
+        grid = _unpacked(bytes.fromhex(text), rows, width)
+        if grid[:, cols:].any():
+            raise ValueError(f"'hex' sets a bit at column {cols} or above")
+        return cls._of(rows, cols, *_ones_of(grid))
 
     @classmethod
     def from_strings(cls, rows: int, cols: int, strings: list[str]) -> "BitMatrix":
-        """Inverse of :meth:`to_strings`.  ValueError unless ``strings`` is a
-        list of ``rows`` strings of exactly ``cols`` '0'/'1' characters."""
+        """A matrix from format-1 key files: ValueError unless ``strings`` is
+        a list of ``rows`` strings of exactly ``cols`` '0'/'1' characters,
+        column 0 first."""
         if not isinstance(strings, list):
             raise ValueError(f"bit strings must be a list, not {type(strings).__name__}")
         if len(strings) != rows:
@@ -117,6 +160,53 @@ class BitMatrix:
                 raise ValueError(f"bad bit string {s!r}")
         text = np.frombuffer("".join(strings).encode("ascii"), np.uint8)
         return cls._of(rows, cols, *_ones_of(text.reshape(rows, cols) == ord("1")))
+
+
+def _unpacked(packed: bytes, rows: int, width: int) -> np.ndarray:
+    """The bool grid of rows packed little-endian, ``width`` bytes each."""
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+    return bits.view(bool).reshape(rows, 8 * width)
+
+
+def _count(obj: dict, name: str) -> int:
+    value = obj[name]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name!r} must be a non-negative integer")
+    return value
+
+
+def _int_list(obj: dict, name: str) -> np.ndarray:
+    values = obj[name]
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ValueError(f"{name!r} must be a list of integers")
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        raise ValueError(f"{name!r} holds an integer outside int64") from None
+
+
+def _sparse_store(obj: dict, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The store of a sparse key-file matrix, checked as :meth:`BitMatrix.from_obj`
+    says."""
+    counts, ones = _int_list(obj, "counts"), _int_list(obj, "ones")
+    if counts.size != rows:
+        raise ValueError(f"'counts' must hold one count per row ({rows})")
+    # Each count at most the number of ones keeps the sum from wrapping.
+    if not np.all((counts >= 0) & (counts <= ones.size)) or counts.sum() != ones.size:
+        raise ValueError(f"'counts' must be non-negative and add up to the "
+                         f"{ones.size} entries of 'ones'")
+    if ones.size and not 0 <= ones.min() <= ones.max() < cols:
+        raise ValueError(f"'ones' must lie in 0..{cols - 1}")
+    starts = _offsets_of(counts)
+    # Columns rise within each row; a row's first may be below the last
+    # one before it.
+    rising = ones[1:] > ones[:-1]
+    inner = starts[1:-1]
+    rising[inner[(inner > 0) & (inner < ones.size)] - 1] = True
+    if not rising.all():
+        row = _row_of_each(starts)[np.argmin(rising) + 1]
+        raise ValueError(f"'ones' of row {row} must be ascending, each column once")
+    return starts, ones
 
 
 def _ones_of(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,10 +33,21 @@ class IsoSecret:
 
     def __post_init__(self) -> None:
         n = len(self.permutation)
-        if sorted(self.permutation) != list(range(1, n + 1)):
+        perm = _in_range(self.permutation, n)
+        if perm is None or np.any(np.bincount(perm, minlength=n + 1)[1:] != 1):
             raise ValueError("permutation is not a bijection on 1..n")
-        if any(v < 1 or v > n for v in self.flips):
+        if _in_range(self.flips, n) is None:
             raise ValueError("flip set mentions out-of-range variables")
+
+
+def _in_range(values, n: int) -> np.ndarray | None:
+    """``values`` as an int64 array if each lies in ``1..n``, else None
+    (also for a value beyond int64)."""
+    try:
+        array = np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return None
+    return array if np.all((array >= 1) & (array <= n)) else None
 
 
 def apply_iso(instance: CnfInstance, secret: IsoSecret) -> CnfInstance:

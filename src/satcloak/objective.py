@@ -371,10 +371,10 @@ class _MincostRecords:
             "inner": lookup(secret.method, MINCOST_INNER).to_obj(secret.inner),
         }
 
-    def from_obj(self, obj: dict) -> MincostSecret:
-        """The secret a key-file dict describes.  KeyError for a missing
-        field, ValueError naming the field for a value of the wrong type or
-        out of range."""
+    def from_obj(self, obj: dict, key_format: int) -> MincostSecret:
+        """The secret a key-file dict of format ``key_format`` describes.
+        KeyError for a missing field, ValueError naming the field for a
+        value of the wrong type or out of range."""
         c = _field(obj, "circuit", dict)
         circuit = CostCircuitSecret(
             _field(c, "circuit.output_bits", list[int]),
@@ -383,7 +383,8 @@ class _MincostRecords:
         secret = MincostSecret(
             obj["method"],
             circuit,
-            lookup(obj["method"], MINCOST_INNER).from_obj(_field(obj, "inner", dict)),
+            lookup(obj["method"], MINCOST_INNER).from_obj(
+                _field(obj, "inner", dict), key_format),
         )
         _check_ranges(secret)
         return secret

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from .cnf import CnfInstance, InvalidSolutionError, emit_dimacs
-from .disguise import DISGUISES, Disguise, lookup
+from .disguise import DISGUISES, KEY_FORMAT, Disguise, lookup
 from .objective import MINCOST
 
 __all__ = [
@@ -313,8 +313,9 @@ def render_report(report: OutsourceReport) -> str:
 # ---------------------------------------------------------------------------
 
 def record_to_json(record: RandomizationRecord) -> str:
-    """The key-file text of a record.  ValueError for an unknown method,
-    TypeError if the secret is not of the class its method writes."""
+    """The key-file text of a record, in format :data:`KEY_FORMAT`, as one
+    line of compact JSON.  ValueError for an unknown method, TypeError if
+    the secret is not of the class its method writes."""
     kind = lookup(record.method, _RECORD_KINDS)
     if not isinstance(record.secret, kind.secret_type):
         raise TypeError(
@@ -322,21 +323,27 @@ def record_to_json(record: RandomizationRecord) -> str:
             f"{type(record.secret).__name__}"
         )
     obj = {
+        "format": KEY_FORMAT,
         "method": record.method,
         "secret": {"type": kind.tag, **kind.to_obj(record.secret)},
         "instance_digest": record.instance_digest,
         "seed": record.seed,
     }
-    return json.dumps(obj, indent=1) + "\n"
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def record_from_json(text: str) -> RandomizationRecord:
-    """Read a key file.  Raises ValueError naming the problem if it is not
-    JSON, lacks a field, holds a secret that does not fit its method, or
-    gives a field a value of the wrong type."""
+    """Read a key file of format 1 (no ``format`` field) or 2.  Raises
+    ValueError naming the problem if it is not JSON, has another format,
+    lacks a field, holds a secret that does not fit its method, or gives a
+    field a value of the wrong type."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("key file is not a JSON object")
+    key_format = obj.get("format", 1)
+    if type(key_format) is not int or key_format not in (1, KEY_FORMAT):
+        raise ValueError(f"key file field 'format' must be 1 or {KEY_FORMAT}, "
+                         f"not {key_format!r}")
     for name in ("method", "secret", "instance_digest", "seed"):
         if name not in obj:
             raise ValueError(f"key file lacks field {name!r}")
@@ -352,7 +359,7 @@ def record_from_json(text: str) -> RandomizationRecord:
             f"secret of type {tag!r} does not fit method {obj['method']!r}"
         )
     try:
-        secret = kind.from_obj(secret)
+        secret = kind.from_obj(secret, key_format)
     except KeyError as exc:
         raise ValueError(f"{kind.tag} secret lacks field {exc.args[0]!r}") from None
     return RandomizationRecord(

@@ -12,6 +12,7 @@ import pytest
 
 from satcloak.cli import _solution_vector, main
 from satcloak.cnf import parse_dimacs
+from satcloak.gf2 import BitMatrix
 
 SAT_CNF = "p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n"
 FORCED_CNF = "p cnf 2 2\n1 0\n2 0\n"  # unique model: both variables true
@@ -200,10 +201,32 @@ def _drop(obj, *path):
     del obj[path[-1]]
 
 
-def _resize_r_inv(key, rows, cols):
-    """Give the key's R^-1 ``rows`` x ``cols`` entries: rows cut or
-    appended, each row cut or padded with 0."""
+def _as_format1(key):
+    """The gf2 key as format 1 wrote it: no ``format`` field, and R^-1 as
+    one '0'/'1' string per row, column 0 first."""
+    del key["format"]
     r_inv = key["secret"]["r_inv"]
+    m = BitMatrix.from_obj(r_inv)
+    r_inv.clear()
+    r_inv.update(rows=m.rows, cols=m.cols, bits=[
+        "".join(str(bits >> j & 1) for j in range(m.cols)) for bits in m.row_bits])
+    return key
+
+
+def _set_r_inv(key, **fields):
+    """Update the fields of the gf2 key's R^-1, written in the dense form;
+    given ``counts`` and ``ones``, it is in the sparse form instead (the
+    reader takes either)."""
+    r_inv = key["secret"]["r_inv"]
+    if "counts" in fields:
+        del r_inv["hex"]
+    r_inv.update(fields)
+
+
+def _resize_r_inv(key, rows, cols):
+    """Give the key's R^-1, rewritten as format 1, ``rows`` x ``cols``
+    entries: rows cut or appended, each row cut or padded with 0."""
+    r_inv = _as_format1(key)["secret"]["r_inv"]
     bits = [row[:cols].ljust(cols, "0") for row in r_inv["bits"]][:rows]
     bits += ["0" * cols] * (rows - len(bits))
     r_inv.update(rows=rows, cols=cols, bits=bits)
@@ -230,9 +253,10 @@ def _resize_r_inv(key, rows, cols):
      "secret of type 'gf2' does not fit method 'mincost'"),
     ("randomize", "matrix", lambda k: k.update(method=["x"]),
      "method must be a string, not list"),
-    ("randomize", "gf2", lambda k: k["secret"]["r_inv"].update(bits=5),
+    ("randomize", "gf2", lambda k: _as_format1(k)["secret"]["r_inv"].update(bits=5),
      "gf2 secret field 'r_inv': bit strings must be a list, not int"),
-    ("randomize", "gf2", lambda k: k["secret"]["r_inv"]["bits"].__setitem__(0, 5),
+    ("randomize", "gf2",
+     lambda k: _as_format1(k)["secret"]["r_inv"]["bits"].__setitem__(0, 5),
      "gf2 secret field 'r_inv': bad bit string 5"),
     # An R^-1 that is not original_n x original_n: one row short, one long,
     # one column wide.
@@ -297,6 +321,35 @@ def _resize_r_inv(key, rows, cols):
     ("mincost-randomize", "matrix",
      lambda k: k["secret"]["circuit"]["tmap"].update(num_input_vars=-1),
      "mincost secret field 'circuit.tmap.num_input_vars': must not be negative"),
+    # The key format: format 1 and 2 forms of R^-1 are read only in their
+    # own format, and no other format is read.
+    ("randomize", "iso", lambda k: k.update(format=3),
+     "key file field 'format' must be 1 or 2, not 3"),
+    ("randomize", "iso", lambda k: k.update(format="2"),
+     "key file field 'format' must be 1 or 2, not '2'"),
+    ("randomize", "gf2", lambda k: _drop(k, "format"),
+     "gf2 secret lacks field 'bits'"),
+    ("randomize", "gf2", lambda k: _as_format1(k).update(format=2),
+     "gf2 secret lacks field 'counts'"),
+    # Format 2's sparse R^-1: counts per row, then each row's columns.
+    ("randomize", "gf2", lambda k: _set_r_inv(k, counts=[1, 1, 2], ones=[0, 1, 2]),
+     "gf2 secret field 'r_inv': 'counts' must be non-negative and add up to the "
+     "3 entries of 'ones'"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, counts=[2, -1, 2], ones=[0, 1, 2]),
+     "gf2 secret field 'r_inv': 'counts' must be non-negative and add up"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, counts=[1, 1, 1], ones=[0, 3, 2]),
+     "gf2 secret field 'r_inv': 'ones' must lie in 0..2"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, counts=[2, 1, 0], ones=[1, 1, 2]),
+     "gf2 secret field 'r_inv': 'ones' of row 0 must be ascending, each column once"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, counts=[1, 2, 0], ones=[0, 2, 1]),
+     "gf2 secret field 'r_inv': 'ones' of row 1 must be ascending, each column once"),
+    # Format 2's dense R^-1: each row in one byte, as two hex digits.
+    ("randomize", "gf2", lambda k: _set_r_inv(k, hex="0102"),
+     "gf2 secret field 'r_inv': 'hex' must be a string of 6 hex digits"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, hex="01020g"),
+     "gf2 secret field 'r_inv': 'hex' holds a character that is not a hex digit"),
+    ("randomize", "gf2", lambda k: _set_r_inv(k, hex="010284"),
+     "gf2 secret field 'r_inv': 'hex' sets a bit at column 3 or above"),
 ], ids=["only-method", "no-seed", "no-secret-field", "matrix-as-iso",
         "matrix-as-mincost", "unknown-method", "secret-not-object", "not-object",
         "mincost-nested-field", "mincost-as-gf2", "method-not-string",
@@ -311,7 +364,10 @@ def _resize_r_inv(key, rows, cols):
         "mincost-tmap-num-vars-range", "mincost-gate-input-range",
         "mincost-output-bits-empty", "mincost-gate-missing", "mincost-xor-arity",
         "matrix-original-n-negative", "gf2-original-n-negative",
-        "num-constraints-negative", "mincost-num-input-vars-negative"])
+        "num-constraints-negative", "mincost-num-input-vars-negative",
+        "format-3", "format-string", "format-1-with-hex", "format-2-with-bits",
+        "counts-sum", "counts-negative", "column-at-cols", "column-repeated",
+        "column-descending", "hex-length", "hex-character", "hex-padding-bit"])
 def test_malformed_key_exits_1(tmp_path, capsys, command, method, mutate, fragment):
     src = tmp_path / "orig.cnf"
     src.write_text(SAT_CNF)

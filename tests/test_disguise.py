@@ -66,31 +66,102 @@ SEED = 7
 # The iso artifact and key are as written since the permutation, the flips
 # and the clause order come from one numpy Generator instead of two
 # random.Random streams: the same seed draws another secret and order
-# (OLD_ISO_ARTIFACT and OLD_ISO_KEY are the pair written before).
+# (OLD_ISO_ARTIFACT and OLD_ISO_KEY are the pair written before).  Every
+# key is as written in key format 2: one line of compact JSON with a
+# ``format`` field, bit matrices as their ones or as hex rows
+# (FORMAT1_KEYS are the keys written before).
 PINNED = {
     ("iso", "iso", False, None): (
         "a92dc2b2609187f792369efc58ce1c792e06fa96a821e9a407d847be3c082f2e",
-        "db4a6946f2febb56733fb8cc453ab7374db710560fe8454a07ca19da33e63c53",
+        "7444ce6db3c6d84abfc89840d4ba9e70ddfdc3fed1df12fb089653c0954ca802",
     ),
     ("matrix", "matrix", False, None): (
         "f161e1e59b1ae69d40bdf567107e484366c98aa54f3cda395adb7e399217627b",
-        "882211f8d0f19914dbcdb6b5c329138eaf96ea9775ce075095b348635e79833e",
+        "4c0df3cf0689716f48342a15a736f0c448ae07e36168f5f7ea7d31d0f1525ae4",
     ),
     ("gf2", "solution_set", False, None): (
         "9f7034022961d7588e3e0a3515dad5a6c3774cfe3c8938cf25a189f092ad8ae2",
-        "b41c77b0034649693f141dd84fedd99a227ca99c257a9e1c3f4e99fa2898e674",
+        "981ee1cd0eb0b3e17d4be4891d1a570c7dcbc4e150b8be2c61f7c19a6158ee40",
     ),
     ("gf2-w3", "solution_set", False, 3): (
         "94d72da94bb499c37a0cdf1cff104f242afae8c5d02dad4b046691e5e5a36051",
-        "be3287385e271d758eef62bd83fe34b4f7990337ad74a2b4eed0161efb4302ee",
+        "b4eec96566707e7306823ba7c88dfbf996ce0256642e7c473d697c04bc29ba36",
     ),
     ("mincost-matrix", "matrix", True, None): (
         "d909aae5b3b8df4dcd980c13dab23d7c7a28b4fa27cb237d8abb952cc711be1e",
-        "8f6efa68206427c7278958a1ba9e3e5073af538eb12f82d479d69b292736c81a",
+        "fbb77928019654a49bb632000fcdf30762d3cf2a21ba804eb39cb022be035507",
     ),
     ("mincost-gf2", "solution_set", True, None): (
         "005372656770cec4a7ad3dda3c3ebf7d12ca290623c7389f0abf8e30f9d7b697",
-        "422cc5209caa0b5b44509cfb4b89d1461f621f3a47c0fd7539d1546043dc908e",
+        "f75b24d17e4bb3d020d5270cf189bd11ca425dc79380a0f95201de99a296f056",
+    ),
+}
+
+# The six TINY keys as written in format 1 (indented JSON, bit matrices as
+# '0'/'1' row strings), the last format before keys carried a ``format``
+# field, and their key digests pinned then.  Compact JSON here;
+# re-indented as format-1 key files were, they are those bytes again.
+FORMAT1_KEY_SHA = {
+    "iso": "db4a6946f2febb56733fb8cc453ab7374db710560fe8454a07ca19da33e63c53",
+    "matrix": "882211f8d0f19914dbcdb6b5c329138eaf96ea9775ce075095b348635e79833e",
+    "gf2": "b41c77b0034649693f141dd84fedd99a227ca99c257a9e1c3f4e99fa2898e674",
+    "gf2-w3": "be3287385e271d758eef62bd83fe34b4f7990337ad74a2b4eed0161efb4302ee",
+    "mincost-matrix": "8f6efa68206427c7278958a1ba9e3e5073af538eb12f82d479d69b292736c81a",
+    "mincost-gf2": "422cc5209caa0b5b44509cfb4b89d1461f621f3a47c0fd7539d1546043dc908e",
+}
+FORMAT1_KEYS = {
+    "iso": (
+        '{"method":"iso","secret":{"type":"iso","permutation":[1,3,2],"flips":['
+        '2,3]},"instance_digest":"2fc4c70a50676473061e880184dcf005b2df6434645fa'
+        '1c0c5278049e122fa60","seed":7}'
+    ),
+    "matrix": (
+        '{"method":"matrix","secret":{"type":"matrix","original_n":8,"num_const'
+        'raints":11},"instance_digest":"2fc4c70a50676473061e880184dcf005b2df643'
+        '4645fa1c0c5278049e122fa60","seed":7}'
+    ),
+    "gf2": (
+        '{"method":"solution_set","secret":{"type":"gf2","r_inv":{"rows":8,"col'
+        's":8,"bits":["01001010","01001111","01100100","10100110","01100101","0'
+        '0110000","01001000","10101001"]},"original_n":8},"instance_digest":"2f'
+        'c4c70a50676473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed"'
+        ':7}'
+    ),
+    "gf2-w3": (
+        '{"method":"solution_set","secret":{"type":"gf2","r_inv":{"rows":8,"col'
+        's":8,"bits":["00111000","10000110","00000001","00000010","00010000","0'
+        '1000000","00110000","11010000"]},"original_n":8},"instance_digest":"2f'
+        'c4c70a50676473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed"'
+        ':7}'
+    ),
+    "mincost-matrix": (
+        '{"method":"mincost","secret":{"type":"mincost","method":"matrix","circ'
+        'uit":{"output_bits":[11,10,7,4],"tmap":{"num_input_vars":3,"num_vars":'
+        '11,"gates":[[4,"xor",[2,3]],[5,"and",[2,3]],[6,"xor",[1,3]],[7,"xor",['
+        '6,5]],[8,"and",[1,3]],[9,"and",[5,6]],[10,"or",[8,9]],[11,"or",[]]]}},'
+        '"inner":{"original_n":26,"num_constraints":47}},"instance_digest":"2fc'
+        '4c70a50676473061e880184dcf005b2df6434645fa1c0c5278049e122fa60","seed":'
+        '7}'
+    ),
+    "mincost-gf2": (
+        '{"method":"mincost","secret":{"type":"mincost","method":"solution_set"'
+        ',"circuit":{"output_bits":[11,10,7,4],"tmap":{"num_input_vars":3,"num_'
+        'vars":11,"gates":[[4,"xor",[2,3]],[5,"and",[2,3]],[6,"xor",[1,3]],[7,"'
+        'xor",[6,5]],[8,"and",[1,3]],[9,"and",[5,6]],[10,"or",[8,9]],[11,"or",['
+        ']]]}},"inner":{"r_inv":{"rows":26,"cols":26,"bits":["10101001000110011'
+        '101001010","11000100100110010101001111","11000000000111100101100100","'
+        '00010000000000000000000000","10001000100100100010100110","100010011001'
+        '00010101100101","00000010000000000000000000","111011000000111010001100'
+        '00","11001000100101000101001000","00000000010000000000000000","0000000'
+        '0001000000000000000","01000000100111110001001011","0010000110011101001'
+        '0010001","01001101000001100000011000","01000101100011100110111010","01'
+        '100001100000110010101001","10000000100001101101110000","11100100000100'
+        '011100010111","11000100100110011110000001","10101100000110111101101100'
+        '","00100100100001100110010000","00001001000000000001101000","100011001'
+        '00100000011110110","01000000000100011110001000","101011010000011100111'
+        '01000","01000100100011010100110110"]},"original_n":26}},"instance_dige'
+        'st":"2fc4c70a50676473061e880184dcf005b2df6434645fa1c0c5278049e122fa60"'
+        ',"seed":7}'
     ),
 }
 
@@ -285,6 +356,38 @@ def test_entry_bytes_round_trip_and_flips(case):
     assert rejected > 0
 
 
+@pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
+def test_format1_keys_still_check_answers(case):
+    old_key = json.dumps(json.loads(FORMAT1_KEYS[case[0]]), indent=1) + "\n"
+    assert _sha(old_key) == FORMAT1_KEY_SHA[case[0]]
+    _, record, vector, costs, expected = _disguise(*case[1:])
+    old = record_from_json(old_key)
+    # The draws have not changed since, so the old key holds this secret.
+    assert old == record
+    assert record_to_json(old) == record_to_json(record)
+    assert check_solution(old, vector, TINY, costs) == expected
+    rejected = 0
+    for pos in range(len(vector)):
+        flipped = list(vector)
+        flipped[pos] ^= 1
+        try:
+            assert check_solution(old, flipped, TINY, costs) == expected
+        except InvalidSolutionError:
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: c[0])
+def test_key_format_2(case):
+    key = record_to_json(_disguise(*case[1:])[1])
+    obj = json.loads(key)
+    assert obj["format"] == 2
+    # One line of compact JSON.
+    assert key == json.dumps(obj, separators=(",", ":")) + "\n"
+    assert '"bits"' not in key
+    assert len(key) < len(json.dumps(json.loads(FORMAT1_KEYS[case[0]]), indent=1))
+
+
 @pytest.mark.parametrize("case", [c for c in sorted(PINNED) if c[0] in SORTED_SHA],
                          ids=lambda c: c[0])
 def test_gf2_artifact_clause_sets(case):
@@ -334,7 +437,11 @@ def test_old_iso_key_still_checks_answers():
     old_key = json.dumps(json.loads(OLD_ISO_KEY), indent=1) + "\n"
     assert (_sha(OLD_ISO_ARTIFACT), _sha(old_key)) == OLD_ISO_SHA
     record = record_from_json(old_key)
-    assert record_to_json(record) == old_key
+    # It is written again in the current format, which reads back to it.
+    new_key = record_to_json(record)
+    assert new_key == json.dumps({"format": 2, **json.loads(OLD_ISO_KEY)},
+                                 separators=(",", ":")) + "\n"
+    assert record_from_json(new_key) == record
     vector = DISGUISES["iso"].forward(MODEL, record.secret, TINY)
     answer = {v: bool(bit) for v, bit in enumerate(vector, 1)}
     assert parse_dimacs(OLD_ISO_ARTIFACT).satisfies(answer)

@@ -1,6 +1,8 @@
 """Bit matrices: GF(2) and integer semantics, rank, inversion, sampling."""
 
+import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -29,7 +31,7 @@ def test_constructors_and_accessors():
     assert m.row_bits == [0b101, 0b110]
     assert row_ones(m, 1) == [1, 2]
     assert m.nonzero_count() == 4
-    assert BitMatrix.identity(3).to_strings() == ["100", "010", "001"]
+    assert BitMatrix.identity(3) == BitMatrix.from_strings(3, 3, ["100", "010", "001"])
     assert BitMatrix(2, 2, [0, 0]).nonzero_count() == 0
 
 
@@ -42,9 +44,7 @@ def test_construction_errors():
 
 def test_string_round_trip():
     m = BitMatrix(2, 3, [0b011, 0b100])
-    s = m.to_strings()
-    assert s == ["110", "001"]
-    assert BitMatrix.from_strings(2, 3, s) == m
+    assert BitMatrix.from_strings(2, 3, ["110", "001"]) == m
     with pytest.raises(ValueError):
         BitMatrix.from_strings(2, 3, ["110"])
     with pytest.raises(ValueError):
@@ -59,11 +59,9 @@ def test_string_round_trip_at_word_edges(rows, cols):
         bits[0] = (1 << cols) - 1  # every column set
         bits[-1] = 1 << (cols - 1)  # only the last column set
     m = BitMatrix(rows, cols, bits)
-    strings = m.to_strings()
-    assert strings == [
-        "".join(str(bits >> j & 1) for j in range(cols)) for bits in m.row_bits
-    ]
+    strings = ["".join(str(b >> j & 1) for j in range(cols)) for b in bits]
     assert BitMatrix.from_strings(rows, cols, strings) == m
+    assert BitMatrix.from_obj(m.to_obj()) == m
 
 
 @pytest.mark.parametrize("cols,strings", [
@@ -85,6 +83,121 @@ def test_string_round_trip_at_word_edges(rows, cols):
 def test_from_strings_rejects_malformed_rows(cols, strings):
     with pytest.raises(ValueError):
         BitMatrix.from_strings(1, cols, strings)
+
+
+def _sparse_obj(m):
+    return {"rows": m.rows, "cols": m.cols,
+            "counts": np.diff(m._starts).tolist(), "ones": m._cols.tolist()}
+
+
+def _hex_obj(m):
+    width = (m.cols + 7) // 8
+    text = b"".join(b.to_bytes(width, "little") for b in m.row_bits).hex()
+    return {"rows": m.rows, "cols": m.cols, "hex": text}
+
+
+def _sparse_is_shorter(m):
+    """The rule for the key form: ones per row plus the column of each one,
+    ``len(str(cols)) + 1`` characters per number, against two hex digits
+    per byte of the packed rows; always sparse without columns."""
+    numbers = m.nonzero_count() + m.rows
+    return not m.cols or (
+        numbers * (len(str(m.cols)) + 1) <= 2 * m.rows * ((m.cols + 7) // 8))
+
+
+def _check_both_forms(m):
+    """Either form reads back, whichever the rule picks; rows without
+    columns only in the sparse form, as the empty hex cannot bound them."""
+    assert BitMatrix.from_obj(_sparse_obj(m)) == m
+    if m.cols or not m.rows:
+        assert BitMatrix.from_obj(_hex_obj(m)) == m
+    else:
+        with pytest.raises(ValueError, match="'hex' cannot give rows without columns"):
+            BitMatrix.from_obj(_hex_obj(m))
+
+
+@pytest.mark.parametrize("m", [
+    BitMatrix(0, 0, []),
+    BitMatrix(3, 0, [0, 0, 0]),
+    BitMatrix(4, 70, [0] * 4),
+    BitMatrix.identity(5),
+    BitMatrix.identity(40),
+    random_full_rank(130, random.Random(2)),
+    random_sparse_full_rank(400, 3, random.Random(2)),
+    BitMatrix(3, 200, [0, 1 << 199, (1 << 200) - 1]),
+], ids=["0x0", "3x0", "zeros", "identity-5", "identity-40", "dense", "sparse",
+        "edges"])
+def test_key_form_follows_the_rule_and_round_trips(m):
+    obj = m.to_obj()
+    assert set(obj) == ({"rows", "cols", "counts", "ones"} if _sparse_is_shorter(m)
+                        else {"rows", "cols", "hex"})
+    assert obj == (_sparse_obj(m) if _sparse_is_shorter(m) else _hex_obj(m))
+    _check_both_forms(m)
+    # No hex form is longer than the format-1 '0'/'1' rows.
+    if "hex" in obj:
+        assert len(json.dumps(obj)) <= len(json.dumps(
+            {"rows": m.rows, "cols": m.cols, "bits": ["0" * m.cols] * m.rows}))
+
+
+def test_sparse_key_form_at_eight_thousand_rows():
+    m = random_sparse_full_rank(8000, 3, random.Random(1))
+    text = json.dumps(m.to_obj(), separators=(",", ":"))
+    assert "ones" in json.loads(text)
+    assert len(text) < 2**20
+    assert BitMatrix.from_obj(json.loads(text)) == m
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda o: o.update(counts=[3, 1, 2]), "'counts' must be non-negative and add up"),
+    (lambda o: o.update(counts=[-1, 4, 2]), "'counts' must be non-negative and add up"),
+    # Counts whose int64 sum wraps around to the number of ones.
+    (lambda o: o.update(counts=[2**63 - 1, 2**63 - 1, 2], ones=[]),
+     "'counts' must be non-negative and add up"),
+    (lambda o: o.update(counts=[1, 1, 1]), "'counts' must be non-negative and add up"),
+    (lambda o: o.update(counts=[2, 2]), "'counts' must hold one count per row"),
+    (lambda o: o["ones"].__setitem__(0, 3), "'ones' must lie in 0..2"),
+    (lambda o: o["ones"].__setitem__(0, -1), "'ones' must lie in 0..2"),
+    (lambda o: o["ones"].__setitem__(1, 0), "'ones' of row 0 must be ascending"),
+    (lambda o: o["ones"].__setitem__(3, 2), "'ones' of row 2 must be ascending"),
+    (lambda o: o["ones"].__setitem__(slice(3, 5), [2, 1]),
+     "'ones' of row 2 must be ascending"),
+    (lambda o: o["ones"].__setitem__(0, 2**70), "'ones' holds an integer outside int64"),
+    (lambda o: o["ones"].__setitem__(0, True), "'ones' must be a list of integers"),
+    (lambda o: o.update(ones="012"), "'ones' must be a list of integers"),
+    (lambda o: o.update(rows=-3), "'rows' must be a non-negative integer"),
+    (lambda o: o.update(cols="3"), "'cols' must be a non-negative integer"),
+    (lambda o: o.update(hex="0102"), "'hex' must be a string of 6 hex digits"),
+    (lambda o: o.update(hex=[1, 2, 3]), "'hex' must be a string of 6 hex digits"),
+    (lambda o: o.update(hex="01020x"), "'hex' holds a character that is not a hex digit"),
+    (lambda o: o.update(hex="01 203"), "'hex' holds a character that is not a hex digit"),
+    (lambda o: o.update(hex="010208"), "'hex' sets a bit at column 3 or above"),
+    (lambda o: o.update(hex="8102ff"), "'hex' sets a bit at column 3 or above"),
+], ids=["counts-sum-high", "counts-negative", "counts-sum-wraps", "counts-sum-low",
+        "counts-short", "column-at-cols", "column-negative", "column-repeated",
+        "last-row-repeated", "last-row-descending", "column-beyond-int64",
+        "column-bool", "ones-not-list", "rows-negative", "cols-not-int",
+        "hex-short", "hex-not-string", "hex-letter", "hex-space",
+        "padding-bit-last-row", "padding-bit-first-row"])
+def test_from_obj_rejects_malformed_forms(edit, fragment):
+    # Rows hold columns 0 and 1, column 1, and columns 1 and 2.
+    m = BitMatrix.from_strings(3, 3, ["110", "010", "011"])
+    obj = _sparse_obj(m)
+    obj["hex"] = _hex_obj(m)["hex"]
+    if "hex" not in fragment:
+        del obj["hex"]
+    assert BitMatrix.from_obj(obj) == m
+    edit(obj)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        BitMatrix.from_obj(obj)
+
+
+def test_from_obj_needs_an_object_and_its_fields():
+    with pytest.raises(ValueError, match="expected an object, not list"):
+        BitMatrix.from_obj([])
+    with pytest.raises(KeyError):
+        BitMatrix.from_obj({"rows": 1, "cols": 1})
+    with pytest.raises(KeyError):
+        BitMatrix.from_obj({"rows": 1, "cols": 1, "counts": [0]})
 
 
 def test_rank_examples():
@@ -151,6 +264,13 @@ def test_rank_matches_column_elimination_at_edges(rows, cols):
     rng = random.Random(rows * 10 + cols)
     m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
     assert gf2_rank(m) == _column_elimination_rank(m) == min(rows, cols)
+
+
+@given(_rank_case())
+@settings(max_examples=200)
+def test_key_forms_round_trip(m):
+    assert BitMatrix.from_obj(m.to_obj()) == m
+    _check_both_forms(m)
 
 
 def _store_rows(m):

@@ -34,6 +34,14 @@ def test_secret_validation():
         IsoSecret([1, 1], frozenset())
     with pytest.raises(ValueError, match="out-of-range"):
         IsoSecret([1, 2], frozenset({3}))
+    # Values beyond int64 are out of range too, not an OverflowError.
+    with pytest.raises(ValueError, match="bijection"):
+        IsoSecret([1, 2**70], frozenset())
+    with pytest.raises(ValueError, match="out-of-range"):
+        IsoSecret([1, 2], frozenset({2**70}))
+    with pytest.raises(ValueError, match="bijection"):
+        IsoSecret([0, 1], frozenset())
+    IsoSecret([], frozenset())
 
 
 def test_apply_iso_hand_example():
